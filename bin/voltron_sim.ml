@@ -39,20 +39,29 @@ let or_check_failure f =
     print_diags stderr diags;
     exit 1
 
+let micros =
+  [
+    ("micro:gsm_llp", Suite.micro_gsm_llp);
+    ("micro:gzip_strands", Suite.micro_gzip_strands);
+    ("micro:gsm_ilp", Suite.micro_gsm_ilp);
+  ]
+
 let program_of_name name scale =
-  match name with
-  | "micro:gsm_llp" -> Suite.micro_gsm_llp ~scale ()
-  | "micro:gzip_strands" -> Suite.micro_gzip_strands ~scale ()
-  | "micro:gsm_ilp" -> Suite.micro_gsm_ilp ~scale ()
-  | _ -> (
+  match List.assoc_opt name micros with
+  | Some build -> build ~scale ()
+  | None -> (
     match Suite.by_name name with
     | b -> b.Suite.build ~scale ()
     | exception Not_found ->
-      Printf.eprintf
-        "unknown benchmark %s (try `voltron_sim list`, or micro:gsm_llp, \
-         micro:gzip_strands, micro:gsm_ilp)\n"
-        name;
+      Printf.eprintf "unknown benchmark %s (try `voltron_sim list`, or %s)\n" name
+        (String.concat ", " (List.map fst micros));
       exit 2)
+
+(* What every --all sweep covers: the suite, then the micro kernels. *)
+let sweep_targets scale =
+  List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
+  @ List.map fst micros
+  |> List.map (fun n -> (n, program_of_name n scale))
 
 (* Either a named benchmark or a VC source file. *)
 let resolve_program bench file scale =
@@ -233,10 +242,14 @@ let no_profile_arg =
           "Select strategies from the abstract interpreter's synthesised \
            profile (static trip counts, footprint/stride miss model, \
            conservative cross-iteration dependences) instead of a \
-           profiling run — no program execution before codegen.")
+           profiling run; the program is interpreted once, for the \
+           correctness oracle only.")
 
+(* One profile per program, shared by every compile of it; the dynamic
+   profile's interpreter run is also the oracle. *)
 let profile_for ~no_profile p =
-  if no_profile then Some (Voltron_analysis.Profile.of_static p) else None
+  if no_profile then Voltron_analysis.Profile.of_static p
+  else Voltron_analysis.Profile.collect p
 
 module Pool = Voltron_pool.Pool
 
@@ -291,11 +304,7 @@ let sanity_clean (m : Voltron.Run.measurement) =
    strategy at the given core count, one line per cell — the CI's sanitized
    sweep entry point. *)
 let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
-  let targets =
-    (List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-    @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ])
-    |> List.map (fun n -> (n, program_of_name n scale))
-  in
+  let targets = sweep_targets scale in
   let strategies = [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] in
   (* One cell per benchmark: the profile is collected once and shared by
      the five strategy runs, all inside the cell. *)
@@ -308,7 +317,7 @@ let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
       (fun s ->
         let choice = choice_of_string s in
         let m =
-          Voltron.Run.run ~choice ~check ?profile ?sanitize
+          Voltron.Run.run ~choice ~check ~profile ?sanitize
             ~tweak:(Config.with_coherence coherence) ~n_cores:cores p
         in
         let ok =
@@ -361,7 +370,7 @@ let run_cmd =
       let p = apply_opts optimize unroll p in
       let choice = choice_of_string strategy in
       let profile = profile_for ~no_profile p in
-      let base = Voltron.Run.baseline_cycles ?profile p in
+      let base = Voltron.Run.baseline_cycles ~profile p in
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "strategy   : %s on %d cores%s\n" strategy cores
         (if no_profile then " (static profile)" else "");
@@ -385,7 +394,7 @@ let run_cmd =
               }
           in
           let r =
-            Voltron.Run.run_resilient ~choice ~check ?profile ~tweak ?sanitize
+            Voltron.Run.run_resilient ~choice ~check ~profile ~tweak ?sanitize
               ~n_cores:cores p
           in
           Printf.printf "faults     : every kind at rate %g, seed %d%s\n"
@@ -404,7 +413,7 @@ let run_cmd =
           r.Voltron.Run.final
         end
         else
-          Voltron.Run.run ~choice ~check ?profile ?sanitize
+          Voltron.Run.run ~choice ~check ~profile ?sanitize
             ~tweak:(Config.with_coherence coherence)
             ~sanitize_log:prerr_endline ~n_cores:cores p
       in
@@ -477,10 +486,7 @@ let plan_cmd =
   let plan bench file cores scale no_profile =
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let profile =
-      if no_profile then Voltron_analysis.Profile.of_static p
-      else Voltron_analysis.Profile.collect p
-    in
+    let profile = profile_for ~no_profile p in
     let regions = Select.plan ~machine ~profile `Hybrid p in
     if no_profile then print_endline "(selection from static profile)";
     Voltron_util.Table.print
@@ -516,11 +522,7 @@ let check_diag_json (d : Check.diag) =
 let check_cmd =
   let check bench file all cores strategy scale json_out jobs =
     let targets =
-      if all then
-        List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-        @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ]
-        |> List.map (fun n -> (n, program_of_name n scale))
-      else [ resolve_program bench file scale ]
+      if all then sweep_targets scale else [ resolve_program bench file scale ]
     in
     let strategies =
       if all then [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] else [ strategy ]
@@ -538,6 +540,7 @@ let check_cmd =
       in
       let failures = ref 0 in
       let cells = ref [] in
+      let profile = Voltron_analysis.Profile.collect p in
       List.iter
         (fun s ->
           let choice = choice_of_string s in
@@ -552,7 +555,7 @@ let check_cmd =
                 ]
               :: !cells
           in
-          match Driver.compile ~machine ~choice p with
+          match Driver.compile ~machine ~choice ~profile p with
           | c ->
             if c.Driver.check_diags = [] then begin
               record "clean" [];
@@ -980,17 +983,7 @@ let blame_cmd =
     in
     let failed = ref false in
     if all then begin
-      let progs =
-        List.map
-          (fun (b : Suite.benchmark) ->
-            (b.Suite.bench_name, b.Suite.build ~scale ()))
-          Suite.all
-        @ [
-            ("micro:gsm_llp", Suite.micro_gsm_llp ~scale ());
-            ("micro:gzip_strands", Suite.micro_gzip_strands ~scale ());
-            ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale ());
-          ]
-      in
+      let progs = sweep_targets scale in
       let cell (name, p) =
         let out_buf = Buffer.create 256 and errs = ref [] in
         let out s = Buffer.add_string out_buf s in
@@ -1134,8 +1127,8 @@ let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
   [
     ("seq", Some Codegen.Seq);
     ("ilp", Some Codegen.Coupled_ilp);
-    ("strands", Some Codegen.Strands);
-    ("dswp", Some Codegen.Dswp);
+    ("strands", Some (Codegen.Strands profile));
+    ("dswp", Some (Codegen.Dswp profile));
     ( "doall",
       Option.map
         (fun dp -> Codegen.Doall dp)
@@ -1152,11 +1145,7 @@ let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
 let noise_floor = 64.
 
 let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
-  let targets =
-    (List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-    @ [ "micro:gsm_llp"; "micro:gzip_strands"; "micro:gsm_ilp" ])
-    |> List.map (fun n -> (n, program_of_name n scale))
-  in
+  let targets = sweep_targets scale in
   (* One cell per benchmark: analysis, hybrid run, per-region reconcile.
      Geomean inputs, JSON rows and printed chunks are all reassembled in
      benchmark order, so the report is identical at any [jobs]. *)
@@ -1501,7 +1490,7 @@ let list_cmd =
           b.Suite.bench_name b.Suite.bench_mix.Suite.ilp b.Suite.bench_mix.Suite.tlp
           b.Suite.bench_mix.Suite.llp b.Suite.bench_mix.Suite.seq)
       Suite.all;
-    print_endline "micro:gsm_llp micro:gzip_strands micro:gsm_ilp"
+    print_endline (String.concat " " (List.map fst micros))
   in
   Cmd.v (Cmd.info "list" ~doc:"List available benchmarks.") Term.(const list $ const ())
 

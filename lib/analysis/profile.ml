@@ -17,13 +17,29 @@ type active = {
   last_write : (int, int) Hashtbl.t;  (** address -> iteration that wrote it *)
 }
 
+type oracle = { array_footprint : int; checksum : int }
+
 type t = {
   loops : (int, loop_stat) Hashtbl.t;
   cross_raw : (int, unit) Hashtbl.t;
   sites : (int, site_stat) Hashtbl.t;
   dyn : (int, int) Hashtbl.t;
-  mutable total : int;
+  run : (< program : Voltron_ir.Hir.program > * oracle) option;
+      (** the profiled program and the run's oracle facts; [None] for a
+          static profile. The program sits in an object because [=]
+          compares objects by identity: array initialisers are closures,
+          and a profile (carried by codegen strategies) must stay
+          comparable with [=]. *)
 }
+
+let empty () =
+  {
+    loops = Hashtbl.create 32;
+    cross_raw = Hashtbl.create 8;
+    sites = Hashtbl.create 64;
+    dyn = Hashtbl.create 128;
+    run = None;
+  }
 
 let loop_stat t sid =
   match Hashtbl.find_opt t.loops sid with
@@ -43,15 +59,7 @@ let site_stat t sid =
 
 let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
     (p : Voltron_ir.Hir.program) =
-  let t =
-    {
-      loops = Hashtbl.create 32;
-      cross_raw = Hashtbl.create 8;
-      sites = Hashtbl.create 64;
-      dyn = Hashtbl.create 128;
-      total = 0;
-    }
-  in
+  let t = empty () in
   let l1 = Cache.create ~sets:cache.l1d_sets ~ways:cache.l1d_ways in
   let stack : active list ref = ref [] in
   let touch_cache sid addr =
@@ -81,7 +89,6 @@ let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
     {
       Voltron_ir.Interp.on_stmt =
         (fun ~sid ->
-          t.total <- t.total + 1;
           Hashtbl.replace t.dyn sid
             (1 + Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)));
       on_load;
@@ -103,8 +110,13 @@ let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
           | _ -> ());
     }
   in
-  let (_ : Voltron_ir.Interp.result) = Voltron_ir.Interp.run ~events ?max_steps p in
-  t
+  let r = Voltron_ir.Interp.run ~events ?max_steps p in
+  let array_footprint = Voltron_ir.Layout.mem_size r.Voltron_ir.Interp.layout in
+  let checksum =
+    Voltron_mem.Memory.checksum_prefix r.Voltron_ir.Interp.memory array_footprint
+  in
+  let program = object method program = p end in
+  { t with run = Some (program, { array_footprint; checksum }) }
 
 (* --- Static (profile-free) synthesis ------------------------------------------ *)
 
@@ -163,15 +175,7 @@ let static_cross_raw (sum : Absint.summary) cross_raw (p : Voltron_ir.Hir.progra
 let of_static ?(cache = Voltron_mem.Coherence.default_config)
     ?(summary : Absint.summary option) (p : Voltron_ir.Hir.program) =
   let sum = match summary with Some s -> s | None -> Absint.analyze p in
-  let t =
-    {
-      loops = Hashtbl.create 32;
-      cross_raw = Hashtbl.create 8;
-      sites = Hashtbl.create 64;
-      dyn = Hashtbl.create 128;
-      total = 0;
-    }
-  in
+  let t = empty () in
   List.iter
     (fun (li : Absint.loop_info) ->
       Hashtbl.replace t.loops li.Absint.li_sid
@@ -214,10 +218,7 @@ let of_static ?(cache = Voltron_mem.Coherence.default_config)
   Hashtbl.iter
     (fun sid c ->
       let n = iround c in
-      if n > 0 then begin
-        Hashtbl.replace t.dyn sid n;
-        t.total <- t.total + n
-      end)
+      if n > 0 then Hashtbl.replace t.dyn sid n)
     (let tbl = Hashtbl.create 128 in
      List.iter
        (fun (r : Voltron_ir.Hir.region) ->
@@ -230,8 +231,8 @@ let of_static ?(cache = Voltron_mem.Coherence.default_config)
      tbl);
   t
 
-let instances t sid =
-  match Hashtbl.find_opt t.loops sid with Some s -> s.entered | None -> 0
+let oracle t p =
+  match t.run with Some (q, o) when q#program == p -> Some o | Some _ | None -> None
 
 let avg_trip t sid =
   match Hashtbl.find_opt t.loops sid with
@@ -249,5 +250,3 @@ let access_count t sid =
   match Hashtbl.find_opt t.sites sid with Some s -> s.accesses | None -> 0
 
 let dyn_count t sid = Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)
-
-let total_dyn t = t.total

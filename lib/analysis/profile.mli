@@ -7,17 +7,25 @@
     - per-site load/store miss rates from a single-core cache simulation —
       eBUG's "likely missing loads" and the selection heuristic's
       miss-stall estimate;
-    - dynamic execution counts per site (region weights). *)
+    - dynamic execution counts per site (region weights).
+
+    The profiling run doubles as the correctness oracle ({!oracle}). *)
 
 type t
+
+type oracle = {
+  array_footprint : int;  (** words to compare (arrays only, no scratch) *)
+  checksum : int;  (** checksum of those words after the run *)
+}
 
 val collect :
   ?cache:Voltron_mem.Coherence.config ->
   ?max_steps:int ->
   Voltron_ir.Hir.program ->
   t
-(** Runs the program once under the interpreter with profiling hooks.
-    [max_steps] bounds the run like {!Voltron_ir.Interp.run}'s. *)
+(** Runs the program once under the interpreter with profiling hooks and
+    keeps the run's {!oracle}. [max_steps] bounds the run like
+    {!Voltron_ir.Interp.run}'s. *)
 
 val of_static :
   ?cache:Voltron_mem.Coherence.config ->
@@ -33,8 +41,12 @@ val of_static :
     parallelism, never correctness. [summary] reuses an existing
     whole-program analysis. *)
 
-val instances : t -> int -> int
-(** How many times loop [sid] was entered. *)
+val oracle : t -> Voltron_ir.Hir.program -> oracle option
+(** The profiling run's oracle facts, when [t] was {!collect}ed from
+    this very program value (physical equality). [None] for a static
+    profile and for a profile of another program — a rebuilt,
+    structurally equal twin included; the caller must then run the
+    interpreter itself. *)
 
 val avg_trip : t -> int -> float
 (** Mean iterations per entry of loop [sid]; 0 if never entered. *)
@@ -53,5 +65,3 @@ val access_count : t -> int -> int
 
 val dyn_count : t -> int -> int
 (** Dynamic executions of any statement site. *)
-
-val total_dyn : t -> int

@@ -14,8 +14,8 @@ module Check = Voltron_check.Check
 type strategy =
   | Seq
   | Coupled_ilp
-  | Strands
-  | Dswp
+  | Strands of Voltron_analysis.Profile.t
+  | Dswp of Voltron_analysis.Profile.t
   | Doall of doall_plan
 
 and doall_plan = {
@@ -40,7 +40,6 @@ type t = {
   lctx : Lower.ctx;
   synth : Synth.t;
   builders : Image.builder array;
-  profile : Voltron_analysis.Profile.t Lazy.t;
   mutable infos : Check.region_info list;  (** reverse emission order *)
   mutable extents : region_extent list;  (** reverse emission order *)
 }
@@ -55,12 +54,9 @@ let create machine (program : Hir.program) =
     lctx;
     synth = Synth.create program lctx;
     builders = Array.init machine.Config.n_cores (fun _ -> Image.builder ());
-    profile = lazy (Voltron_analysis.Profile.collect program);
     infos = [];
     extents = [];
   }
-
-let layout t = t.lay
 
 let check_infos t = List.rev t.infos
 
@@ -147,6 +143,9 @@ let emit_parallel t ~name stmts strategy =
   let memdep = Memdep.create ~region_stmts:stmts cfg in
   let dg = Depgraph.build ~cfg ~memdep ~latency:Config.latency in
   let n_cores = t.machine.Config.n_cores in
+  let ebug profile =
+    (Partition.ebug ~n_cores ~comm_latency:3 ~dg ~cfg ~memdep ~profile, Inst.Decoupled)
+  in
   let partition, mode =
     match strategy with
     | Coupled_ilp ->
@@ -155,17 +154,11 @@ let emit_parallel t ~name stmts strategy =
          extra cores idle through the region in lock-step. *)
       ( Partition.bug ~n_cores:(min 4 n_cores) ~comm_latency:1 ~dg ~cfg,
         Inst.Coupled )
-    | Strands ->
-      ( Partition.ebug ~n_cores ~comm_latency:3 ~dg ~cfg ~memdep
-          ~profile:(Lazy.force t.profile),
-        Inst.Decoupled )
-    | Dswp -> (
+    | Strands profile -> ebug profile
+    | Dswp profile -> (
       match Partition.dswp ~n_cores ~dg ~cfg ~memdep with
       | Some (p, _) -> (p, Inst.Decoupled)
-      | None ->
-        ( Partition.ebug ~n_cores ~comm_latency:3 ~dg ~cfg ~memdep
-            ~profile:(Lazy.force t.profile),
-          Inst.Decoupled ))
+      | None -> ebug profile)
     | Seq | Doall _ -> invalid_arg "emit_parallel: not a parallel strategy"
   in
   if List.length partition.Partition.participants <= 1 then
@@ -345,7 +338,7 @@ let emit_region t ~name stmts strategy =
   let lo = Array.map Image.next_addr t.builders in
   (match strategy with
   | Seq -> emit_solo t 0 stmts
-  | Coupled_ilp | Strands | Dswp ->
+  | Coupled_ilp | Strands _ | Dswp _ ->
     if t.machine.Config.n_cores <= 1 then emit_solo t 0 stmts
     else emit_parallel t ~name stmts strategy
   | Doall plan ->

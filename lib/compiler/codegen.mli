@@ -11,9 +11,10 @@
     - [Coupled_ilp]: BUG partition over all cores, coupled mode, direct
       network (§4.1 "Compiling for ILP").
     - [Strands]: eBUG partition, decoupled fine-grain threads (§4.1
-      "Extracting strands using eBUG").
+      "Extracting strands using eBUG"), reading the carried profile's
+      per-site miss rates.
     - [Dswp]: pipeline-stage partition, decoupled (§4.1); falls back to
-      [Strands] when no pipeline exists.
+      [Strands] with the carried profile when no pipeline exists.
     - [Doall]: chunked loop over all cores, speculative chunks running
       under the transactional memory, accumulator expansion + reduction
       (§4.1 "Extracting LLP from DOALL loops"). *)
@@ -21,8 +22,10 @@
 type strategy =
   | Seq
   | Coupled_ilp
-  | Strands
-  | Dswp
+  | Strands of Voltron_analysis.Profile.t
+      (** the profile the region was selected with — codegen never
+          profiles on its own *)
+  | Dswp of Voltron_analysis.Profile.t
   | Doall of doall_plan
 
 and doall_plan = {
@@ -36,8 +39,6 @@ and doall_plan = {
 type t
 
 val create : Voltron_machine.Config.t -> Voltron_ir.Hir.program -> t
-
-val layout : t -> Voltron_ir.Layout.t
 
 type region_extent = {
   re_name : string;

@@ -2,6 +2,7 @@ module Config = Voltron_machine.Config
 module Machine = Voltron_machine.Machine
 module Hir = Voltron_ir.Hir
 module Check = Voltron_check.Check
+module Profile = Voltron_analysis.Profile
 
 type compiled = {
   executable : Voltron_isa.Program.t;
@@ -12,17 +13,20 @@ type compiled = {
   check_diags : Check.diag list;
 }
 
-let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = false)
-    ?profile ?max_steps (p : Hir.program) =
+let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?max_steps
+    (p : Hir.program) =
   let profile =
-    match profile with
-    | Some pr -> pr
-    | None when static_profile ->
-      Voltron_analysis.Profile.of_static ~cache:machine.Config.cache p
-    | None -> Voltron_analysis.Profile.collect ?max_steps p
+    match profile with Some pr -> pr | None -> Profile.collect ?max_steps p
   in
-  let oracle = Voltron_ir.Interp.run ?max_steps p in
-  let array_footprint = Voltron_ir.Layout.mem_size oracle.Voltron_ir.Interp.layout in
+  let array_footprint, oracle_checksum =
+    match Profile.oracle profile p with
+    | Some o -> (o.Profile.array_footprint, o.Profile.checksum)
+    | None ->
+      (* A static profile, or one of another program: run the oracle. *)
+      let r = Voltron_ir.Interp.run ?max_steps p in
+      let words = Voltron_ir.Layout.mem_size r.Voltron_ir.Interp.layout in
+      (words, Voltron_mem.Memory.checksum_prefix r.Voltron_ir.Interp.memory words)
+  in
   let plan = Select.plan ~machine ~profile choice p in
   let cg = Codegen.create machine p in
   List.iter
@@ -45,15 +49,10 @@ let compile ~machine ?(choice = `Hybrid) ?(check = true) ?(static_profile = fals
     executable;
     plan;
     region_extents = Codegen.region_extents cg;
-    oracle_checksum =
-      Voltron_mem.Memory.checksum_prefix oracle.Voltron_ir.Interp.memory
-        array_footprint;
+    oracle_checksum;
     array_footprint;
     check_diags;
   }
-
-let compile_baseline p =
-  compile ~machine:(Config.default ~n_cores:1) ~choice:`Seq p
 
 let verify machine compiled =
   let m = Machine.create machine compiled.executable in

@@ -17,31 +17,28 @@ val compile :
   machine:Voltron_machine.Config.t ->
   ?choice:Select.choice ->
   ?check:bool ->
-  ?static_profile:bool ->
   ?profile:Voltron_analysis.Profile.t ->
   ?max_steps:int ->
   Voltron_ir.Hir.program ->
   compiled
 (** Profiles (unless given), selects a strategy per region ([`Hybrid] by
     default), generates per-core code, and records the oracle checksum
-    over the array footprint for verification. [max_steps] bounds the
-    oracle interpreter run (see {!Voltron_ir.Interp.run}) — the fuzzing
-    harness uses it to reject runaway shrink candidates quickly.
+    over the array footprint for verification.
 
-    [static_profile] replaces the profiling run with the abstract
-    interpreter's synthesised profile
-    ({!Voltron_analysis.Profile.of_static}) — selection then needs no
-    program execution at all ([--no-profile] on the CLI). An explicit
-    [profile] wins over [static_profile].
+    The oracle comes from the profiling run
+    ({!Voltron_analysis.Profile.oracle}), so a dynamic profile of this
+    program value means one interpreter run in all. Only a static profile
+    ({!Voltron_analysis.Profile.of_static}, [--no-profile] on the CLI) or
+    a profile of another program makes [compile] run the interpreter
+    itself, for the oracle alone. [max_steps] bounds whichever
+    interpreter run happens here (see {!Voltron_ir.Interp.run}) — the
+    fuzzing harness uses it to reject runaway shrink candidates quickly.
 
     Unless [~check:false] is given, the static cross-core checker
     ({!Voltron_check.Check}) runs over the generated images as a
     post-codegen gate: checker errors raise {!Voltron_check.Check.Failed}
     with the full diagnostic list; warnings are returned in
     [check_diags]. *)
-
-val compile_baseline : Voltron_ir.Hir.program -> compiled
-(** Single-core sequential build (the paper's baseline). *)
 
 val verify : Voltron_machine.Config.t -> compiled -> (int, string) result
 (** Run the compiled program and compare its array-footprint checksum to

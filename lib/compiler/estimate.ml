@@ -194,8 +194,8 @@ let strategy_cycles t stmts (s : Codegen.strategy) =
   match s with
   | Codegen.Seq -> seq_cycles t stmts
   | Codegen.Coupled_ilp -> ilp_cycles t ~n_cores stmts
-  | Codegen.Strands -> strands_cycles t ~n_cores stmts
-  | Codegen.Dswp -> dswp_cycles t ~machine:t.machine stmts
+  | Codegen.Strands _ -> strands_cycles t ~n_cores stmts
+  | Codegen.Dswp _ -> dswp_cycles t ~machine:t.machine stmts
   | Codegen.Doall dp -> doall_cycles t ~n_cores dp
 
 type row = {

@@ -16,8 +16,8 @@ let strategy_name (s : Codegen.strategy) =
   match s with
   | Codegen.Seq -> "seq"
   | Codegen.Coupled_ilp -> "ilp"
-  | Codegen.Strands -> "strands"
-  | Codegen.Dswp -> "dswp"
+  | Codegen.Strands _ -> "strands"
+  | Codegen.Dswp _ -> "dswp"
   | Codegen.Doall { dp_speculative; _ } ->
     if dp_speculative then "doall(spec)" else "doall"
 
@@ -184,8 +184,9 @@ let plan ~machine ~profile choice (p : Hir.program) =
       let weight = region_weight ~profile r.Hir.stmts in
       let doall () = doall_plan_of_region ~machine ~profile r.Hir.stmts in
       let tlp () =
-        if dswp_estimate ~machine r.Hir.stmts >= dswp_threshold then Codegen.Dswp
-        else Codegen.Strands
+        if dswp_estimate ~machine r.Hir.stmts >= dswp_threshold then
+          Codegen.Dswp profile
+        else Codegen.Strands profile
       in
       let strategy =
         if machine.Config.n_cores <= 1 then Codegen.Seq
@@ -203,9 +204,9 @@ let plan ~machine ~profile choice (p : Hir.program) =
               | Some plan -> Codegen.Doall plan
               | None ->
                 if dswp_estimate ~machine r.Hir.stmts >= dswp_threshold then
-                  Codegen.Dswp
+                  Codegen.Dswp profile
                 else if miss_fraction ~profile r.Hir.stmts > miss_threshold then
-                  Codegen.Strands
+                  Codegen.Strands profile
                 else Codegen.Coupled_ilp)
       in
       {

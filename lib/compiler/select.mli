@@ -46,5 +46,7 @@ val plan :
   choice ->
   Voltron_ir.Hir.program ->
   planned_region list
+(** One strategy per region. [Strands] and [Dswp] carry [profile], so
+    codegen's eBUG reads the same miss rates selection did. *)
 
 val strategy_name : Codegen.strategy -> string

@@ -232,9 +232,10 @@ let divergence_to_string = function
       (if sv_fast_forward then "on" else "off")
       (Sanity.report_to_string sv_report)
 
-(* One compile per (strategy, cores) cell; the coherence axis and the
-   fast-forward flag are simulation-only, so every simulation in a cell
-   shares one executable — any disagreement is a simulator bug, not a
+(* One profiling run per program, shared by every cell; it is also the
+   oracle run. One compile per (strategy, cores) cell; the coherence axis
+   and the fast-forward flag are simulation-only, so every simulation in a
+   cell shares one executable — any disagreement is a simulator bug, not a
    compilation difference. Per coherence backend, two simulations
    (fast-forward on and off): the fast-forward run is judged against the
    reference interpreter's checksum — which is timing-independent, so the
@@ -242,7 +243,8 @@ let divergence_to_string = function
    and the per-cycle run against the fast-forward run.
 
    Each (strategy, cores) cell is a pure value: it compiles its own
-   executable and builds its own machines, so cells run on any domain.
+   executable and builds its own machines, and only reads the shared
+   profile, so cells run on any domain.
    Results are accumulated by cell index — (cores-major, strategies-minor,
    matching the serial iteration order) — never by completion order, so
    the report is bit-identical for every [jobs] value. *)
@@ -253,6 +255,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
     ?(dir_tweak = fun c -> c) ?sanitize ?(jobs = 1) program =
   (if coherence = [] then
      invalid_arg "Run.differential: empty coherence axis");
+  let profile = Voltron_analysis.Profile.collect ~max_steps program in
   let cell (d_cores, d_strategy) =
     let runs = ref 0 and warnings = ref 0 and divs = ref [] in
     let push d = divs := d :: !divs in
@@ -280,28 +283,19 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
       let c = tweak (Config.default ~n_cores:d_cores) in
       { c with Config.max_cycles = min c.Config.max_cycles max_cycles }
     in
+    let reject diags =
+      let cr_case = { d_strategy; d_cores; d_coherence = List.hd coherence } in
+      push (Checker_rejected { cr_case; diags })
+    in
     (match
-       Driver.compile ~machine:config ~choice:d_strategy ~check:true
-         ~max_steps program
+       Driver.compile ~machine:config ~choice:d_strategy ~check:true ~profile
+         program
      with
-    | exception Voltron_check.Check.Failed diags ->
-      push
-        (Checker_rejected
-           {
-             cr_case =
-               { d_strategy; d_cores; d_coherence = List.hd coherence };
-             diags;
-           })
+    | exception Voltron_check.Check.Failed diags -> reject diags
     | compiled ->
       let compiled = miscompile compiled in
       if Voltron_check.Check.has_errors compiled.Driver.check_diags then
-        push
-          (Checker_rejected
-             {
-               cr_case =
-                 { d_strategy; d_cores; d_coherence = List.hd coherence };
-               diags = compiled.Driver.check_diags;
-             })
+        reject compiled.Driver.check_diags
       else begin
         warnings := !warnings + List.length compiled.Driver.check_diags;
         List.iter
@@ -379,20 +373,21 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
     diff_divergences = List.rev divs_rev;
   }
 
-let baseline_cycles ?profile program =
-  let m = run ~choice:`Seq ?profile ~n_cores:1 program in
-  (match m.outcome with
+let require_completed what m =
+  match m.outcome with
   | Completed -> ()
   | (Cycle_capped | Deadlocked _ | Fault_limited _ | Sanity_stopped _) as o ->
-    failwith ("baseline run " ^ outcome_to_string o));
+    failwith (what ^ " run " ^ outcome_to_string o)
+
+let baseline_cycles ?profile program =
+  let m = run ~choice:`Seq ?profile ~n_cores:1 program in
+  require_completed "baseline" m;
   m.cycles
 
 let speedup ?(choice = `Hybrid) ~n_cores program =
-  let base = baseline_cycles program in
-  let m = run ~choice ~n_cores program in
-  (match m.outcome with
-  | Completed -> ()
-  | (Cycle_capped | Deadlocked _ | Fault_limited _ | Sanity_stopped _) as o ->
-    failwith ("speedup run " ^ outcome_to_string o));
+  let profile = Voltron_analysis.Profile.collect program in
+  let base = baseline_cycles ~profile program in
+  let m = run ~choice ~profile ~n_cores program in
+  require_completed "speedup" m;
   if not m.verified then failwith "speedup: memory image diverged from oracle";
   float_of_int base /. float_of_int m.cycles

@@ -42,7 +42,9 @@ val run :
   Voltron_ir.Hir.program ->
   measurement
 (** Compile (default [`Hybrid]) for an [n_cores] Voltron and simulate to
-    completion. [tweak] adjusts the machine configuration (cache
+    completion. [profile] is collected when absent; see
+    {!Voltron_compiler.Driver.compile} for when it doubles as the oracle.
+    [tweak] adjusts the machine configuration (cache
     latencies, network capacity, fault injection, ...) before compiling —
     used by the ablation benches and the resilience sweep. [prepare] sees
     the compiled program and the machine before the run starts — the
@@ -176,8 +178,9 @@ val differential :
   ?jobs:int ->
   Voltron_ir.Hir.program ->
   differential
-(** For every strategy x core count: compile once (static checker on),
-    then for every coherence backend on the [coherence] axis (default
+(** Profile the program once — that interpreter run is also the oracle
+    — then for every strategy x core count: compile once with that
+    profile (static checker on), then for every coherence backend on the [coherence] axis (default
     {!default_coherence} — snoop and directory both), simulate twice —
     stall fast-forward on, then off — and record every contract
     violation. The coherence protocol is timing-only, so each backend's
@@ -185,7 +188,7 @@ val differential :
     interpreter — which transitively diffs the snoop and directory
     checksums against each other — and each backend must complete within
     the cycle cap with fast-forward-invariant cycles (the cycle-sanity
-    half of the axis). [max_steps] bounds the oracle interpreter and
+    half of the axis). [max_steps] bounds the profiling run and
     [max_cycles] clamps the simulator cap (both deliberately small so
     runaway shrink candidates fail fast instead of simulating 200M
     cycles); raise them for unusually large programs. [sanitize] attaches
@@ -211,11 +214,13 @@ val differential :
     bit-identical for every [jobs] value. *)
 
 val baseline_cycles : ?profile:Voltron_analysis.Profile.t -> Voltron_ir.Hir.program -> int
-(** Single-core sequential cycles (the paper's 1.0 reference). *)
+(** Single-core sequential cycles (the paper's 1.0 reference). Pass the
+    [profile] the parallel run uses, so the program is interpreted once. *)
 
 val speedup :
   ?choice:Voltron_compiler.Select.choice ->
   n_cores:int ->
   Voltron_ir.Hir.program ->
   float
-(** [baseline / parallel] cycles; also asserts verification. *)
+(** [baseline / parallel] cycles from one shared profile; also asserts
+    verification. *)

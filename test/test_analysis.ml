@@ -170,6 +170,33 @@ let test_profile_miss_rates () =
     Alcotest.(check bool) "small array mostly hits" true (small_rate < 0.2)
   | _ -> Alcotest.fail "two loads expected"
 
+(* A collected profile carries its run's oracle facts, and only for the very
+   program value it ran: a rebuilt (structurally equal) twin and a static
+   profile carry none, so a compile runs the interpreter for them. *)
+let test_profile_oracle_keyed_to_program () =
+  let build () =
+    let b = B.create "t" in
+    let a = B.array b ~name:"a" ~size:32 ~init:(fun i -> i) () in
+    B.region b "main" (fun () ->
+        B.for_ b ~from:(imm 1) ~limit:(imm 32) (fun i ->
+            B.store b a i (B.add b (B.load b a (B.sub b i (imm 1))) i)));
+    B.finish b
+  in
+  let p = build () in
+  let profile = Profile.collect p in
+  let r = Voltron_ir.Interp.run p in
+  let words = Voltron_ir.Layout.mem_size r.Voltron_ir.Interp.layout in
+  (match Profile.oracle profile p with
+  | Some o ->
+    Alcotest.(check int) "footprint" words o.Profile.array_footprint;
+    Alcotest.(check int) "checksum"
+      (Voltron_mem.Memory.checksum_prefix r.Voltron_ir.Interp.memory words)
+      o.Profile.checksum
+  | None -> Alcotest.fail "collected profile has no oracle");
+  Alcotest.(check bool) "twin has none" true (Profile.oracle profile (build ()) = None);
+  Alcotest.(check bool) "static has none" true
+    (Profile.oracle (Profile.of_static p) p = None)
+
 (* --- DOALL --------------------------------------------------------------------- *)
 
 let classify build =
@@ -459,6 +486,8 @@ let () =
         [
           Alcotest.test_case "trips and raw" `Quick test_profile_trips_and_raw;
           Alcotest.test_case "miss rates" `Quick test_profile_miss_rates;
+          Alcotest.test_case "oracle keyed to program" `Quick
+            test_profile_oracle_keyed_to_program;
         ] );
       ( "doall",
         [

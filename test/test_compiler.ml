@@ -519,7 +519,7 @@ let test_dswp_estimate_vs_occupancy () =
       List.iter
         (fun (pr : Select.planned_region) ->
           match pr.Select.pr_strategy with
-          | Codegen.Dswp ->
+          | Codegen.Dswp _ ->
             let est = Select.dswp_estimate ~machine pr.Select.pr_stmts in
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s estimate %.2f in [1, 4]" bname pr.Select.pr_name est)
@@ -610,6 +610,95 @@ let test_window_proven_beats_speculative () =
     true
     (proven_cycles < spec_cycles)
 
+(* --- One interpreter run per program ------------------------------------------ *)
+
+module Profile = Voltron_analysis.Profile
+module Interp = Voltron_ir.Interp
+
+let interp_oracle p =
+  let r = Interp.run p in
+  let words = Voltron_ir.Layout.mem_size r.Interp.layout in
+  (words, Voltron_mem.Memory.checksum_prefix r.Interp.memory words)
+
+let compiled_oracle (c : Driver.compiled) =
+  (c.Driver.array_footprint, c.Driver.oracle_checksum)
+
+(* The oracle a compile takes from the profiling run is the one a separate
+   interpreter run gives, and so is the one its static-profile fallback
+   runs for itself. *)
+let test_profile_oracle_matches_interp () =
+  let machine = Config.default ~n_cores:2 in
+  let programs =
+    List.map (fun (b : Suite.benchmark) -> (b.Suite.bench_name, b.Suite.build ~scale:0.2 ()))
+      Suite.all
+    @ [
+        ("micro:gsm_llp", Suite.micro_gsm_llp ~scale:0.2 ());
+        ("micro:gzip_strands", Suite.micro_gzip_strands ~scale:0.2 ());
+        ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale:0.2 ());
+      ]
+  in
+  List.iter
+    (fun (name, p) ->
+      let expected = interp_oracle p in
+      let compile profile = Driver.compile ~machine ~check:false ~profile p in
+      Alcotest.(check (pair int int)) (name ^ " profiled") expected
+        (compiled_oracle (compile (Profile.collect p)));
+      Alcotest.(check (pair int int)) (name ^ " static") expected
+        (compiled_oracle (compile (Profile.of_static p))))
+    programs
+
+(* Experiments.ablation_tm profiles a conflict-free twin; the conflicted
+   program must still be judged against its own interpreter run. *)
+let test_twin_profile_keeps_own_oracle () =
+  let build conflicts =
+    let b = B.create "tm_ablate" in
+    Voltron_workloads.Kernels.doall_rmw b ~name:"rmw" ~n:256 ~conflicts ~seed:9;
+    B.finish b
+  in
+  let clean_profile = Profile.collect (build 0) in
+  let p = build 16 in
+  Alcotest.(check bool) "twins differ" true (interp_oracle p <> interp_oracle (build 0));
+  let machine = Config.default ~n_cores:4 in
+  let compiled = Driver.compile ~machine ~choice:`Llp ~profile:clean_profile p in
+  Alcotest.(check (pair int int)) "own oracle" (interp_oracle p) (compiled_oracle compiled);
+  match Driver.verify machine compiled with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e
+
+(* eBUG reads the miss rates of the profile the strategy carries: a profile
+   from a one-line cache (every access misses) moves the partition. Both
+   builds still verify. *)
+let test_strands_honour_caller_profile () =
+  let p = Suite.micro_gsm_ilp ~scale:0.2 () in
+  let machine = Config.default ~n_cores:4 in
+  let build profile =
+    let cg = Codegen.create machine p in
+    List.iter
+      (fun (r : Hir.region) ->
+        Codegen.emit_region cg ~name:r.Hir.region_name r.Hir.stmts
+          (Codegen.Strands profile))
+      p.Hir.regions;
+    Codegen.finalize cg
+  in
+  let one_line =
+    { Voltron_mem.Coherence.default_config with l1d_sets = 1; l1d_ways = 1 }
+  in
+  let profile = Profile.collect p in
+  let measured = build profile in
+  let thrashing = build (Profile.collect ~cache:one_line p) in
+  Alcotest.(check bool) "images differ" true (measured <> thrashing);
+  (* The carried profile is data: plans stay comparable with [=], although
+     the program's array initialisers are closures. *)
+  let plan () = Select.plan ~machine ~profile `Tlp p in
+  Alcotest.(check bool) "plans compare" true (plan () = plan ());
+  let compiled = Driver.compile ~machine ~choice:`Seq p in
+  List.iter
+    (fun exe ->
+      match Driver.verify machine { compiled with Driver.executable = exe } with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail e)
+    [ measured; thrashing ]
+
 let () =
   Alcotest.run "compiler"
     [
@@ -648,5 +737,14 @@ let () =
             test_dswp_estimate_vs_occupancy;
           Alcotest.test_case "window proven beats speculative" `Quick
             test_window_proven_beats_speculative;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "profile oracle matches interp" `Quick
+            test_profile_oracle_matches_interp;
+          Alcotest.test_case "twin profile keeps own oracle" `Quick
+            test_twin_profile_keeps_own_oracle;
+          Alcotest.test_case "strands honour caller profile" `Quick
+            test_strands_honour_caller_profile;
         ] );
     ]

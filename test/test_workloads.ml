@@ -78,7 +78,7 @@ let test_strands_kernel_is_decoupled () =
   match
     strategy_of (fun b -> Kernels.strands_streams b ~name:"k" ~n:512 ~streams:3 ~seed:1)
   with
-  | Codegen.Strands | Codegen.Dswp -> ()
+  | Codegen.Strands _ | Codegen.Dswp _ -> ()
   | s -> Alcotest.fail ("expected fine-grain TLP, got " ^ Select.strategy_name s)
 
 let test_micro_programs_interpret () =
