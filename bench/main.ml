@@ -23,6 +23,7 @@ module Metrics = Voltron_obs.Metrics
 module Blame = Voltron_obs.Blame
 module Critpath = Voltron_obs.Critpath
 module Config = Voltron_machine.Config
+module Coherence = Voltron_mem.Coherence
 module Machine = Voltron_machine.Machine
 module Driver = Voltron_compiler.Driver
 
@@ -273,12 +274,13 @@ let run_json ~scale ~jobs wanted =
 (* --- perf: simulator wall-clock throughput (PERF.json) --------------------- *)
 
 (* Measures the cycle simulator itself — simulated cycles per host second
-   over the 4-core hybrid workload sweep. Compilation happens outside the
-   timed section, so the number tracks the Machine.run hot loop and nothing
-   else. Each invocation appends one entry to PERF.json's series, so the
-   speedup history is a recorded artifact rather than a claim; re-baseline
-   by replacing bench/perf_baseline.json with the latest entry (see
-   DESIGN.md §10). *)
+   over the hybrid workload sweep, at 4 cores on the snoop bus and at 16
+   cores on the directory (where operand-network queues run deepest and
+   coherence traffic grows). Compilation happens outside the timed section,
+   so the numbers track the Machine.run hot loop and nothing else. Each
+   invocation appends its entries to PERF.json's series, so the speedup
+   history is a recorded artifact rather than a claim; each sweep is gated
+   against its own floor in bench/perf_baseline.json (see DESIGN.md §10). *)
 
 type perf_row = { pw_bench : string; pw_cycles : int; pw_host_s : float }
 
@@ -370,11 +372,15 @@ let run_fuzz_throughput ~jobs () =
       ("speedup_vs_serial", Json.Float speedup);
     ]
 
-let run_perf ~scale ~baseline ~jobs () =
-  let machine = Config.default ~n_cores:4 in
+(* The sweeps perf mode times serially and gates, as (cores, coherence). *)
+let perf_sweeps = [ (4, Coherence.Snoop); (16, Coherence.Directory) ]
+
+let run_serial_sweep ~scale ~machine () =
+  let n_cores = machine.Config.n_cores in
+  let protocol = Coherence.protocol_name machine.Config.cache.Coherence.protocol in
   Printf.printf
-    "perf: 4-core hybrid sweep over %d workloads (scale %.2f, fast_forward %b)\n%!"
-    (List.length Suite.all) scale machine.Config.fast_forward;
+    "perf: %d-core hybrid sweep (%s) over %d workloads (scale %.2f, fast_forward %b)\n%!"
+    n_cores protocol (List.length Suite.all) scale machine.Config.fast_forward;
   let rows =
     List.map
       (fun (b : Suite.benchmark) ->
@@ -409,7 +415,8 @@ let run_perf ~scale ~baseline ~jobs () =
       [
         ("mode", Json.Str "sweep");
         ("scale", Json.Float scale);
-        ("n_cores", Json.Int 4);
+        ("n_cores", Json.Int n_cores);
+        ("coherence", Json.Str protocol);
         ("jobs", Json.Int 1);
         ("host_cores", Json.Int (host_cores ()));
         ("fast_forward", Json.Bool machine.Config.fast_forward);
@@ -431,9 +438,66 @@ let run_perf ~scale ~baseline ~jobs () =
                rows) );
       ]
   in
-  let par_entry = run_parallel_sweep ~scale ~machine ~jobs () in
+  (entry, cps)
+
+(* The baseline's floor for one sweep: the [floors] element with matching
+   [n_cores] and [coherence]. *)
+let find_floor v ~n_cores ~protocol =
+  let matches f =
+    Option.bind (Json.member "n_cores" f) Json.to_int_opt = Some n_cores
+    && Option.bind (Json.member "coherence" f) Json.to_string_opt
+       = Some (Coherence.protocol_name protocol)
+  in
+  Option.bind (Json.member "floors" v) Json.to_list_opt
+  |> Option.map (List.filter matches)
+  |> function
+  | Some [ f ] -> Option.bind (Json.member "cycles_per_sec" f) Json.to_float_opt
+  | Some _ | None -> None
+
+(* Fails when a sweep's cycles/s drops more than 30% below its floor. *)
+let check_floors path measured =
+  let v =
+    match read_json_file path with
+    | Some v -> v
+    | None ->
+      Printf.eprintf "perf: cannot read baseline %s\n" path;
+      exit 1
+  in
+  let failed =
+    List.filter
+      (fun ((n_cores, protocol), cps) ->
+        let label = Printf.sprintf "%d-core %s" n_cores (Coherence.protocol_name protocol) in
+        match find_floor v ~n_cores ~protocol with
+        | None ->
+          Printf.eprintf "perf: baseline %s has no %s floor\n" path label;
+          true
+        | Some base ->
+          let floor = 0.7 *. base in
+          Printf.printf "baseline %s, %s: %.0f cyc/s (floor %.0f, measured %.0f)\n"
+            path label base floor cps;
+          if cps < floor then
+            Printf.eprintf
+              "perf: %s throughput regression — %.0f cyc/s is more than 30%% \
+               below the %.0f cyc/s baseline\n"
+              label cps base;
+          cps < floor)
+      measured
+  in
+  if failed <> [] then exit 1
+
+let run_perf ~scale ~baseline ~jobs () =
+  let serial =
+    List.map
+      (fun (n_cores, protocol) ->
+        let machine = Config.with_coherence protocol (Config.default ~n_cores) in
+        ((n_cores, protocol), run_serial_sweep ~scale ~machine ()))
+      perf_sweeps
+  in
+  let par_entry =
+    run_parallel_sweep ~scale ~machine:(Config.default ~n_cores:4) ~jobs ()
+  in
   let fuzz_entry = run_fuzz_throughput ~jobs () in
-  let entries = [ entry; par_entry; fuzz_entry ] in
+  let entries = List.map (fun (_, (e, _)) -> e) serial @ [ par_entry; fuzz_entry ] in
   let prior =
     if Sys.file_exists "PERF.json" then
       match read_json_file "PERF.json" with
@@ -446,29 +510,9 @@ let run_perf ~scale ~baseline ~jobs () =
   Json.write_file "PERF.json" (Json.Obj [ ("series", Json.List (prior @ entries)) ]);
   Printf.printf "wrote PERF.json (%d series entries)\n"
     (List.length prior + List.length entries);
-  match baseline with
-  | None -> ()
-  | Some path -> (
-    match read_json_file path with
-    | None ->
-      Printf.eprintf "perf: cannot read baseline %s\n" path;
-      exit 1
-    | Some v -> (
-      match Option.bind (Json.member "cycles_per_sec" v) Json.to_float_opt with
-      | None ->
-        Printf.eprintf "perf: baseline %s has no cycles_per_sec\n" path;
-        exit 1
-      | Some base ->
-        let floor = 0.7 *. base in
-        Printf.printf "baseline %s: %.0f cyc/s (floor %.0f, measured %.0f)\n" path
-          base floor cps;
-        if cps < floor then begin
-          Printf.eprintf
-            "perf: throughput regression — %.0f cyc/s is more than 30%% below \
-             the %.0f cyc/s baseline\n"
-            cps base;
-          exit 1
-        end))
+  Option.iter
+    (fun path -> check_floors path (List.map (fun (k, (_, cps)) -> (k, cps)) serial))
+    baseline
 
 (* --- Bechamel: wall-clock cost of each figure's pipeline ------------------- *)
 

@@ -6,6 +6,9 @@ type decoded = {
   d_ops : Inst.t array;  (** bundle ops, in issue order *)
   d_comm_out : bool array;  (** per op: PUT/BCAST/SEND/SPAWN (phase 1) *)
   d_uses : int array array;  (** per op: source registers, in operand order *)
+  d_pbr_addr : int array;
+      (** per op: a PBR's resolved target address; -1 for other ops and for
+          a label absent from this image *)
   d_defs : int array;  (** registers written, in op order *)
   d_srcs : int array;  (** dedup union of all uses (snapshot set) *)
   d_max_reg : int;  (** max register mentioned anywhere, -1 if none *)
@@ -43,10 +46,19 @@ let emit b bundle = Voltron_util.Vec.push b.buf bundle
 
 let emit_all b bundles = List.iter (emit b) bundles
 
-let decode (bundle : Bundle.t) =
+let decode labels (bundle : Bundle.t) =
   let ops = Array.of_list bundle in
   let comm_out = Array.map Inst.is_comm_out ops in
   let uses = Array.map (fun op -> Array.of_list (Inst.uses op)) ops in
+  let pbr_addr =
+    Array.map
+      (fun (op : Inst.t) ->
+        match op with
+        | Inst.Pbr { target; _ } ->
+          Option.value ~default:(-1) (Hashtbl.find_opt labels target)
+        | _ -> -1)
+      ops
+  in
   let defs = Array.of_list (List.concat_map Inst.defs bundle) in
   let srcs =
     Array.fold_left
@@ -89,6 +101,7 @@ let decode (bundle : Bundle.t) =
     d_ops = ops;
     d_comm_out = comm_out;
     d_uses = uses;
+    d_pbr_addr = pbr_addr;
     d_defs = defs;
     d_srcs = srcs;
     d_max_reg = max_reg;
@@ -126,7 +139,7 @@ let finish b =
   done;
   {
     bundles;
-    decoded = Array.map decode bundles;
+    decoded = Array.map (decode b.labels) bundles;
     owner_label;
     addr_of_label = Hashtbl.copy b.labels;
   }

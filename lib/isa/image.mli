@@ -16,6 +16,9 @@ type decoded = {
   d_ops : Inst.t array;  (** bundle ops, in issue order *)
   d_comm_out : bool array;  (** per op: PUT/BCAST/SEND/SPAWN (phase 1) *)
   d_uses : int array array;  (** per op: source registers, in operand order *)
+  d_pbr_addr : int array;
+      (** per op: a PBR's resolved target address; -1 for other ops and for
+          a label absent from this image *)
   d_defs : int array;  (** registers written, in op order *)
   d_srcs : int array;  (** dedup union of all uses (the snapshot set) *)
   d_max_reg : int;  (** max register mentioned anywhere, -1 if none *)

@@ -164,6 +164,14 @@ type t = {
 
 let initial_regs = 64
 
+(* Status tests are pattern matches, not polymorphic [=]: [status] has
+   constructors with arguments, so [=] would be a [caml_equal] call per
+   core per cycle. *)
+let is_running cs =
+  match cs.status with
+  | Running -> true
+  | Asleep | Halted | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false
+
 let fresh_core cfg image id =
   {
     id;
@@ -367,7 +375,8 @@ let blame_of t cs w =
   | W_send_full dst -> Some dst
   | W_commit ->
     Array.to_list t.cores
-    |> List.find_opt (fun c -> c.status <> At_commit)
+    |> List.find_opt (fun c ->
+           match c.status with At_commit -> false | _ -> true)
     |> Option.map (fun c -> c.id)
   | W_barrier _ ->
     Array.to_list t.cores
@@ -595,8 +604,9 @@ let exec_comm_out t cs op =
 
 (* Phase 2: everything else. Returns the branch target when the bundle's
    branch is taken. *)
-let exec_main t cs op : int option =
+let exec_main t cs (d : Image.decoded) i : int option =
   let now = t.now in
+  let op = d.Image.d_ops.(i) in
   let lat = Config.latency op in
   match op with
   | Inst.Alu { op = a; dst; src1; src2 } ->
@@ -644,8 +654,11 @@ let exec_main t cs op : int option =
     if completion > now + t.cfg.cache.Coherence.lat_l1 then
       cs.miss_stall_until <- max cs.miss_stall_until completion;
     None
-  | Inst.Pbr { btr; target } ->
-    cs.btrs.(btr) <- Image.resolve cs.image target;
+  | Inst.Pbr { btr; _ } ->
+    let addr = d.Image.d_pbr_addr.(i) in
+    (* A label absent from the image fails here, as [Image.resolve] does. *)
+    if addr < 0 then raise Not_found;
+    cs.btrs.(btr) <- addr;
     cs.btr_ready.(btr) <- now + lat;
     None
   | Inst.Br { btr; pred; invert } ->
@@ -729,7 +742,7 @@ let finish_issue t cs (d : Image.decoded) =
   let target = ref None in
   for i = 0 to Array.length ops - 1 do
     if not d.Image.d_comm_out.(i) then
-      match exec_main t cs ops.(i) with
+      match exec_main t cs d i with
       | Some _ as tgt -> target := tgt
       | None -> ()
   done;
@@ -777,7 +790,7 @@ let record_idles t cs k =
   | Some f ->
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
-    let w = if cs.status = Halted then W_halted else W_asleep in
+    let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
     f ~core:cs.id ~pc:cs.pc ~k ~redo:false (Blame_wait { b_wait = w; b_on = -1 }));
   match att_cell t ~core:cs.id ~pc:cs.pc with
   | None -> ()
@@ -995,7 +1008,7 @@ let coupled_step t =
     in
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
+      if is_running cs then
         match t.sc_wait.(i) with
         | Some w ->
           blame_wait t cs w 1;
@@ -1015,14 +1028,14 @@ let coupled_step t =
     (* Phase 0: snapshot every issuing core's sources before any effects. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
+      if is_running cs then
         snapshot_sources cs (Image.decoded cs.image cs.pc)
     done;
     (* Phase 1: communication-out for all cores, so same-cycle PUT/GET and
        BCAST pairing works regardless of core order. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then begin
+      if is_running cs then begin
         let d = Image.decoded cs.image cs.pc in
         if d.Image.d_has_comm_out then begin
           let ops = d.Image.d_ops in
@@ -1035,7 +1048,7 @@ let coupled_step t =
     (* Phase 2. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if cs.status = Running then
+      if is_running cs then
         finish_issue t cs (Image.decoded cs.image cs.pc)
     done
   end;
@@ -1067,24 +1080,25 @@ let inject_faults t =
     end;
     Array.iter
       (fun cs ->
-        if cs.status = Running && Fault.roll_stall f then
+        if is_running cs && Fault.roll_stall f then
           cs.stall_until <-
             max cs.stall_until (t.now + t.cfg.fault.Fault.stall_cycles))
       t.cores
 
 (* --- End-of-cycle resolution ---------------------------------------------- *)
 
+(* The end-of-cycle resolution tests below run every cycle: they are
+   toplevel recursions over the core array, building no closure and no
+   status list. *)
+let rec all_at_barrier (cores : core_state array) i =
+  i >= Array.length cores
+  ||
+  match cores.(i).status with
+  | At_barrier _ -> all_at_barrier cores (i + 1)
+  | Running | Asleep | Halted | At_commit | Wait_serial | Stuck _ -> false
+
 let resolve_mode_barrier t =
-  (* Checked every cycle: scan without materialising a status array. *)
-  let n = Array.length t.cores in
-  let rec all_at_barrier i =
-    i >= n
-    ||
-    match t.cores.(i).status with
-    | At_barrier _ -> all_at_barrier (i + 1)
-    | Running | Asleep | Halted | At_commit | Wait_serial | Stuck _ -> false
-  in
-  if all_at_barrier 0 then begin
+  if all_at_barrier t.cores 0 then begin
     let target =
       match t.cores.(0).status with
       | At_barrier m -> m
@@ -1147,15 +1161,16 @@ let release_committed t committed =
    can never commit before chunk i, even if its core raced ahead, so the
    codegen contract is that every DOALL round runs one (possibly empty)
    chunk on every core. *)
+let rec all_at_commit t c =
+  c >= Array.length t.cores
+  ||
+  match t.cores.(c).status with
+  | At_commit -> Tm.in_tx t.tm ~core:c && all_at_commit t (c + 1)
+  | Running | Asleep | Halted | At_barrier _ | Wait_serial | Stuck _ -> false
+
 let resolve_tm_round t =
-  (* Checked every cycle: test readiness without building the participant
-     list; it is only materialised once a round actually resolves. *)
-  let n = t.cfg.Config.n_cores in
-  let rec ready c =
-    c >= n
-    || (t.cores.(c).status = At_commit && Tm.in_tx t.tm ~core:c && ready (c + 1))
-  in
-  if ready 0 then begin
+  (* The participant list is only materialised once a round resolves. *)
+  if all_at_commit t 0 then begin
     let participants = List.init t.cfg.n_cores (fun c -> c) in
     t.st.tm_rounds <- t.st.tm_rounds + 1;
     t.last_progress <- t.now;
@@ -1207,7 +1222,10 @@ let resolve_serial_queue t =
     let cs = t.cores.(head) in
     (* The head finished its serial re-execution when its Tm_commit cleared
        the serial flag. *)
-    if (not cs.tm_serial) && cs.status <> Wait_serial then begin
+    if
+      (not cs.tm_serial)
+      && match cs.status with Wait_serial -> false | _ -> true
+    then begin
       t.serial_queue <- rest;
       match rest with
       | [] -> ()
@@ -1219,11 +1237,16 @@ let resolve_serial_queue t =
         t.last_progress <- t.now
     end
 
+let rec all_quiescent (cores : core_state array) i =
+  i >= Array.length cores
+  ||
+  match cores.(i).status with
+  | Halted | Asleep -> all_quiescent cores (i + 1)
+  | Running | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false
+
 let finished t =
-  t.cores.(0).status = Halted
-  && Array.for_all
-       (fun cs -> match cs.status with Halted | Asleep -> true | _ -> false)
-       t.cores
+  (match t.cores.(0).status with Halted -> true | _ -> false)
+  && all_quiescent t.cores 0
   && Net.idle t.net
 
 (* --- Structured watchdog diagnosis ---------------------------------------- *)
@@ -1362,7 +1385,7 @@ let run t =
     && (match t.on_cycle with None -> true | Some _ -> false)
     && (match t.on_sanity with None -> true | Some _ -> false);
   let outcome = ref None in
-  while !outcome = None do
+  while match !outcome with None -> true | Some _ -> false do
     t.now <- t.now + 1;
     if t.now > t.cfg.max_cycles then outcome := Some Out_of_cycles
     else begin

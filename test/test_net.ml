@@ -260,6 +260,377 @@ let test_exactly_once =
           && Net.recv n ~now ~core:dst ~sender:src = None)
         sent true)
 
+(* --- Model-based check of the queue-mode channels ---------------------------
+
+   [Ref] is a reference model of queue-mode semantics kept deliberately
+   naive: one unsorted list of every message in flight, newest first, and
+   each rule written as a scan of that list. The property drives it and the
+   real network through the same random interleaving of sends, deferrals,
+   retry service, receives, START takes, queries and test backdoors —
+   over a fault injector at high drop and corrupt rates, each side with its
+   own injector seeded alike, so the fault draws only match if the calls
+   are made in the same order — and compares every result, the stats, the
+   fault counters and the monitor event stream. *)
+
+module Ref = struct
+  type condition = Clean | Lost | Corrupt
+
+  type msg = {
+    src : int;
+    dst : int;
+    mutable payload : Net.payload;
+    sent : int;
+    mutable ready : int;
+    seq : int;
+    mutable cond : condition;
+    mutable attempt : int;
+    mutable retry_at : int;
+  }
+
+  type t = {
+    mesh : Mesh.t;
+    hop_cost : int;
+    capacity : int;
+    faults : Fault.t option;
+    mutable msgs : msg list;  (** newest first *)
+    mutable next_seq : int;
+    stats : Net.stats;
+    mutable events : Net.event list;  (** newest first *)
+  }
+
+  let create ?faults ~hop_cost mesh ~capacity =
+    {
+      mesh;
+      hop_cost;
+      capacity;
+      faults;
+      msgs = [];
+      next_seq = 0;
+      stats =
+        { Net.msgs_sent = 0; total_latency = 0; max_occupancy = 0; retries = 0; nacks = 0 };
+      events = [];
+    }
+
+  let is_start m = match m.payload with Net.Start _ -> true | Net.Value _ -> false
+  let lat t m = Mesh.hops t.mesh m.src m.dst * t.hop_cost
+
+  (* Rules as the list encodes them: a message is deliverable when it is
+     Clean, has arrived, and no older message shares its channel. *)
+  let head t m =
+    not
+      (List.exists
+         (fun m' ->
+           m'.src = m.src && m'.dst = m.dst && is_start m' = is_start m
+           && m'.seq < m.seq)
+         t.msgs)
+
+  let deliverable t ~now m = m.cond = Clean && m.ready <= now && head t m
+
+  let pending t ~src ~dst =
+    List.length (List.filter (fun m -> m.src = src && m.dst = dst) t.msgs)
+
+  let transmit t ~now m =
+    m.ready <- now + 1 + lat t m;
+    m.cond <- Clean;
+    match t.faults with
+    | None -> ()
+    | Some f ->
+      if m.attempt <= (Fault.config f).Fault.max_retries then
+        if Fault.roll_drop f then begin
+          m.cond <- Lost;
+          m.retry_at <- now + Fault.backoff f ~attempt:m.attempt
+        end
+        else if Fault.roll_corrupt f then begin
+          m.cond <- Corrupt;
+          m.retry_at <- m.ready + Fault.backoff f ~attempt:m.attempt
+        end
+
+  let enqueue t ~now ~src ~dst payload =
+    let m =
+      {
+        src;
+        dst;
+        payload;
+        sent = now;
+        ready = 0;
+        seq = t.next_seq;
+        cond = Clean;
+        attempt = 1;
+        retry_at = 0;
+      }
+    in
+    m.ready <- now + 1 + lat t m;
+    t.next_seq <- t.next_seq + 1;
+    t.msgs <- m :: t.msgs;
+    let s = t.stats in
+    s.Net.msgs_sent <- s.Net.msgs_sent + 1;
+    s.Net.total_latency <- s.Net.total_latency + 2 + lat t m;
+    s.Net.max_occupancy <- max s.Net.max_occupancy (List.length t.msgs);
+    t.events <-
+      Net.Ev_send { ev_src = src; ev_dst = dst; ev_seq = m.seq; ev_payload = payload }
+      :: t.events;
+    m
+
+  let send t ~now ~src ~dst payload =
+    if dst < 0 || dst >= Mesh.n_cores t.mesh then Error (Net.Bad_destination dst)
+    else if pending t ~src ~dst >= t.capacity then Error Net.Channel_full
+    else begin
+      transmit t ~now (enqueue t ~now ~src ~dst payload);
+      Ok ()
+    end
+
+  let defer t ~now ~src ~dst payload =
+    let m = enqueue t ~now ~src ~dst payload in
+    let cfg = match t.faults with Some f -> Fault.config f | None -> Fault.disabled in
+    m.cond <- Lost;
+    m.retry_at <- now + Fault.backoff_of cfg ~attempt:m.attempt;
+    t.stats.Net.nacks <- t.stats.Net.nacks + 1
+
+  (* Newest first: the order the list keeps. *)
+  let service t ~now =
+    List.iter
+      (fun m ->
+        if m.cond <> Clean && m.retry_at <= now then begin
+          t.stats.Net.retries <- t.stats.Net.retries + 1;
+          if m.cond = Corrupt then t.stats.Net.nacks <- t.stats.Net.nacks + 1;
+          m.attempt <- m.attempt + 1;
+          transmit t ~now m
+        end)
+      t.msgs
+
+  let oldest p msgs =
+    List.fold_left
+      (fun best m ->
+        if not (p m) then best
+        else match best with Some b when b.seq < m.seq -> best | _ -> Some m)
+      None msgs
+
+  let remove t m = t.msgs <- List.filter (fun m' -> m' != m) t.msgs
+
+  (* [src = None]: from any sender (START consumption). *)
+  let take t ~now ~dst ~src ~start =
+    match
+      oldest
+        (fun m ->
+          m.dst = dst
+          && (match src with None -> true | Some s -> m.src = s)
+          && is_start m = start && deliverable t ~now m)
+        t.msgs
+    with
+    | None -> None
+    | Some m ->
+      remove t m;
+      t.events <-
+        Net.Ev_deliver
+          {
+            ev_src = m.src;
+            ev_dst = m.dst;
+            ev_seq = m.seq;
+            ev_payload = m.payload;
+            ev_sent = m.sent;
+          }
+        :: t.events;
+      Some m.payload
+
+  let recv t ~now ~core ~sender =
+    match take t ~now ~dst:core ~src:(Some sender) ~start:false with
+    | Some (Net.Value v) -> Some v
+    | Some (Net.Start _) | None -> None
+
+  let take_start t ~now ~core =
+    match take t ~now ~dst:core ~src:None ~start:true with
+    | Some (Net.Start a) -> Some a
+    | Some (Net.Value _) | None -> None
+
+  let recv_ready t ~now ~core ~sender =
+    List.exists
+      (fun m -> m.dst = core && m.src = sender && (not (is_start m)) && deliverable t ~now m)
+      t.msgs
+
+  let min_ready p t =
+    List.fold_left (fun acc m -> if p m then min acc m.ready else acc) max_int t.msgs
+
+  let next_value_ready t ~core ~sender =
+    min_ready (fun m -> m.dst = core && m.src = sender && not (is_start m)) t
+
+  let next_start_ready t ~core = min_ready (fun m -> m.dst = core && is_start m) t
+
+  let summary t =
+    List.sort (fun a b -> compare a.seq b.seq) t.msgs
+    |> List.map (fun m ->
+           let payload =
+             match m.payload with
+             | Net.Value v -> Printf.sprintf "value %d" v
+             | Net.Start a -> Printf.sprintf "start @%d" a
+           in
+           let state =
+             match m.cond with
+             | Clean -> Printf.sprintf "deliverable @%d" m.ready
+             | Lost -> Printf.sprintf "lost, retry @%d (attempt %d)" m.retry_at m.attempt
+             | Corrupt ->
+               Printf.sprintf "corrupt, retry @%d (attempt %d)" m.retry_at m.attempt
+           in
+           (m.src, m.dst, payload ^ ", " ^ state))
+
+  let test_drop t =
+    match oldest (fun _ -> true) t.msgs with
+    | None -> false
+    | Some m ->
+      remove t m;
+      true
+
+  let test_tamper t =
+    match oldest (fun m -> not (is_start m)) t.msgs with
+    | Some ({ payload = Net.Value v; _ } as m) ->
+      m.payload <- Net.Value (v lxor 1);
+      true
+    | Some { payload = Net.Start _; _ } | None -> false
+end
+
+type model_op =
+  | Op_send of int * int * Net.payload
+  | Op_defer of int * int * Net.payload
+  | Op_service
+  | Op_recv of int * int
+  | Op_take_start of int
+  | Op_query of int * int
+  | Op_drop
+  | Op_tamper
+
+type model_case = {
+  mc_cores : int;
+  mc_capacity : int;
+  mc_hop_cost : int;
+  mc_faults : Fault.config option;
+  mc_ops : (int * model_op) list;  (** (cycles to advance first, op) *)
+}
+
+let gen_model_case =
+  let open QCheck.Gen in
+  int_range 2 16 >>= fun n ->
+  let core = int_bound (n - 1) in
+  (* Mostly real cores; now and then an id off the mesh, which must read as
+     an empty channel. *)
+  let any_id = frequency [ (12, core); (1, return (-1)); (1, return n) ] in
+  let payload =
+    frequency
+      [ (4, map (fun v -> Net.Value v) (int_bound 999));
+        (1, map (fun a -> Net.Start a) (int_bound 99)) ]
+  in
+  let op =
+    frequency
+      [
+        (6, map3 (fun s d p -> Op_send (s, d, p)) core any_id payload);
+        (1, map3 (fun s d p -> Op_defer (s, d, p)) core core payload);
+        (4, return Op_service);
+        (5, map2 (fun c s -> Op_recv (c, s)) core any_id);
+        (2, map (fun c -> Op_take_start c) core);
+        (3, map2 (fun c s -> Op_query (c, s)) core any_id);
+        (1, oneofl [ Op_drop; Op_tamper ]);
+      ]
+  in
+  let faults =
+    frequency
+      [
+        (1, return None);
+        ( 3,
+          map2
+            (fun seed (drop, corrupt) ->
+              Some
+                {
+                  Fault.disabled with
+                  Fault.fault_seed = seed;
+                  drop_rate = drop;
+                  corrupt_rate = corrupt;
+                  retry_timeout = 2;
+                  backoff_cap = 4;
+                  max_retries = 3;
+                })
+            (int_bound 10_000)
+            (oneofl [ (0.3, 0.3); (0.5, 0.2); (0.1, 0.6) ]) );
+      ]
+  in
+  map
+    (fun ((capacity, hop_cost), faults, ops) ->
+      {
+        mc_cores = n;
+        mc_capacity = capacity;
+        mc_hop_cost = hop_cost;
+        mc_faults = faults;
+        mc_ops = ops;
+      })
+    (triple (pair (int_range 1 4) (int_range 0 2)) faults
+       (list_size (int_range 1 300) (pair (int_bound 3) op)))
+
+let print_model_case c =
+  Printf.sprintf "%d cores, capacity %d, hop cost %d, %s, %d ops" c.mc_cores
+    c.mc_capacity c.mc_hop_cost
+    (match c.mc_faults with
+    | None -> "no faults"
+    | Some f ->
+      Printf.sprintf "faults seed %d drop %.1f corrupt %.1f" f.Fault.fault_seed
+        f.Fault.drop_rate f.Fault.corrupt_rate)
+    (List.length c.mc_ops)
+
+let test_model_equivalence =
+  QCheck.Test.make ~name:"per-channel queues match the list model" ~count:300
+    (QCheck.make ~print:print_model_case gen_model_case)
+    (fun c ->
+      let mesh = Mesh.create c.mc_cores in
+      let real_f = Option.map Fault.create c.mc_faults
+      and ref_f = Option.map Fault.create c.mc_faults in
+      let n =
+        Net.create ?faults:real_f ~hop_cost:c.mc_hop_cost mesh
+          ~receive_capacity:c.mc_capacity
+      in
+      let r = Ref.create ?faults:ref_f ~hop_cost:c.mc_hop_cost mesh ~capacity:c.mc_capacity in
+      let events = ref [] in
+      Net.set_monitor n (fun ev -> events := ev :: !events);
+      let now = ref 0 in
+      let expect step what same =
+        if not same then QCheck.Test.fail_reportf "step %d: %s differs" step what
+      in
+      List.iteri
+        (fun step (dt, op) ->
+          now := !now + dt;
+          let now = !now in
+          (match op with
+          | Op_send (src, dst, p) ->
+            expect step "send" (Net.send n ~now ~src ~dst p = Ref.send r ~now ~src ~dst p)
+          | Op_defer (src, dst, p) ->
+            Net.defer n ~now ~src ~dst p;
+            Ref.defer r ~now ~src ~dst p
+          | Op_service ->
+            Net.service n ~now;
+            Ref.service r ~now
+          | Op_recv (core, sender) ->
+            expect step "recv"
+              (Net.recv n ~now ~core ~sender = Ref.recv r ~now ~core ~sender)
+          | Op_take_start core ->
+            expect step "take_start"
+              (Net.take_start n ~now ~core = Ref.take_start r ~now ~core)
+          | Op_query (core, sender) ->
+            expect step "recv_ready"
+              (Net.recv_ready n ~now ~core ~sender = Ref.recv_ready r ~now ~core ~sender);
+            expect step "pending"
+              (Net.pending n ~src:sender ~dst:core = Ref.pending r ~src:sender ~dst:core);
+            expect step "next_value_ready"
+              (Net.next_value_ready n ~core ~sender = Ref.next_value_ready r ~core ~sender);
+            expect step "next_start_ready"
+              (Net.next_start_ready n ~core = Ref.next_start_ready r ~core)
+          | Op_drop -> expect step "test_drop" (Net.test_drop n = Ref.test_drop r)
+          | Op_tamper ->
+            expect step "test_tamper_payload" (Net.test_tamper_payload n = Ref.test_tamper r));
+          expect step "in_flight_count"
+            (Net.in_flight_count n = List.length r.Ref.msgs);
+          expect step "in_flight_summary" (Net.in_flight_summary n = Ref.summary r);
+          expect step "stats" (Net.stats n = r.Ref.stats);
+          expect step "events" (!events = r.Ref.events);
+          expect step "fault counters"
+            (Option.map Fault.counters real_f = Option.map Fault.counters ref_f))
+        c.mc_ops;
+      true)
+
 let () =
   Alcotest.run "net"
     [
@@ -293,4 +664,5 @@ let () =
           Alcotest.test_case "corrupt nack retry" `Quick test_corrupt_nack_retry;
           Alcotest.test_case "head-of-line order" `Quick test_head_of_line_order;
         ] );
+      ("model", [ QCheck_alcotest.to_alcotest test_model_equivalence ]);
     ]
