@@ -2,7 +2,11 @@ type t = Inst.t list
 
 let empty = []
 
-let is_empty t = List.for_all (fun i -> i = Inst.Nop) t
+(* A pattern match, not [i = Inst.Nop]: [Inst.t] has constructors with
+   arguments, so [=] would be a polymorphic compare per op. *)
+let is_nop = function Inst.Nop -> true | _ -> false
+
+let is_empty t = List.for_all is_nop t
 
 let is_comm inst = Inst.unit_class inst = Inst.Commun
 
@@ -12,13 +16,12 @@ let comm_ops t = List.filter is_comm t
 
 let branch t = List.find_opt Inst.is_branch t
 
-let count p t = List.length (List.filter p t)
+let count p t = List.fold_left (fun n i -> if p i then n + 1 else n) 0 t
 
-let real_main t =
-  List.filter (fun i -> (not (is_comm i)) && i <> Inst.Nop) t
+let is_real_main i = not (is_comm i || is_nop i)
 
 let legal ~issue_width ~comm_width t =
-  List.length (real_main t) <= issue_width
+  count is_real_main t <= issue_width
   && count is_comm t <= comm_width
   && count Inst.is_branch t <= 1
 

@@ -16,6 +16,7 @@ type decoded = {
   d_n_mem : int;  (** memory-class ops (incl. TM_BEGIN/TM_COMMIT) *)
   d_n_comm : int;  (** communication-class ops *)
   d_n_muldiv : int;  (** MUL/DIV/REM/FPU ops *)
+  d_n_branch : int;  (** BR ops (a legal bundle has at most one) *)
   d_has_comm_out : bool;
   d_ends_block : bool;  (** contains BR/HALT/SLEEP/MODE_SWITCH *)
 }
@@ -78,10 +79,13 @@ let decode labels (bundle : Bundle.t) =
   and n_mem = ref 0
   and n_comm = ref 0
   and n_muldiv = ref 0
+  and n_branch = ref 0
   and ends_block = ref false in
   Array.iter
     (fun (op : Inst.t) ->
-      if op <> Inst.Nop then begin
+      (match op with
+      | Inst.Nop -> ()
+      | _ ->
         incr real_ops;
         (match Inst.unit_class op with
         | Inst.Memory -> incr n_mem
@@ -90,11 +94,12 @@ let decode labels (bundle : Bundle.t) =
         match op with
         | Inst.Alu { op = Inst.Mul | Inst.Div | Inst.Rem; _ } | Inst.Fpu _ ->
           incr n_muldiv
-        | _ -> ()
-      end;
+        | _ -> ());
       match op with
-      | Inst.Br _ | Inst.Halt | Inst.Sleep | Inst.Mode_switch _ ->
+      | Inst.Br _ ->
+        incr n_branch;
         ends_block := true
+      | Inst.Halt | Inst.Sleep | Inst.Mode_switch _ -> ends_block := true
       | _ -> ())
     ops;
   {
@@ -109,6 +114,7 @@ let decode labels (bundle : Bundle.t) =
     d_n_mem = !n_mem;
     d_n_comm = !n_comm;
     d_n_muldiv = !n_muldiv;
+    d_n_branch = !n_branch;
     d_has_comm_out = Array.exists (fun b -> b) comm_out;
     d_ends_block = !ends_block;
   }

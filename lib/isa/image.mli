@@ -11,7 +11,9 @@ type t
 (** Predecoded form of one bundle, built once at {!finish} time: packed op
     array, precomputed register sets and op-class counts, so per-cycle
     consumers (the simulator's fetch/issue loop) never re-walk the
-    [Inst.t list] or re-allocate [Inst.uses] results. Immutable. *)
+    [Inst.t list] or re-allocate [Inst.uses] results, and a width check
+    ({!Bundle.legal}) reduces to comparing [d_real_ops - d_n_comm],
+    [d_n_comm] and [d_n_branch] with the widths. Immutable. *)
 type decoded = {
   d_ops : Inst.t array;  (** bundle ops, in issue order *)
   d_comm_out : bool array;  (** per op: PUT/BCAST/SEND/SPAWN (phase 1) *)
@@ -26,6 +28,7 @@ type decoded = {
   d_n_mem : int;  (** memory-class ops (incl. TM_BEGIN/TM_COMMIT) *)
   d_n_comm : int;  (** communication-class ops *)
   d_n_muldiv : int;  (** MUL/DIV/REM/FPU ops *)
+  d_n_branch : int;  (** BR ops (a legal bundle has at most one) *)
   d_has_comm_out : bool;
   d_ends_block : bool;  (** contains BR/HALT/SLEEP/MODE_SWITCH *)
 }

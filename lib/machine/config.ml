@@ -59,7 +59,3 @@ let latency (inst : Voltron_isa.Inst.t) =
   | Sleep | Mode_switch _ | Tm_begin | Tm_commit | Halt | Nop -> 1
 
 let mesh t = Voltron_net.Mesh.create t.n_cores
-
-let queue_latency t ~src ~dst = 2 + Voltron_net.Mesh.hops (mesh t) src dst
-
-let direct_latency t ~src ~dst = max 1 (Voltron_net.Mesh.hops (mesh t) src dst)

@@ -37,10 +37,4 @@ val latency : Voltron_isa.Inst.t -> int
 (** Static operation latency in cycles (load latency is the L1-hit use
     delay; misses add on top through the hierarchy model). *)
 
-val queue_latency : t -> src:int -> dst:int -> int
-(** End-to-end SEND→RECV latency between two cores: 2 + hops (§3.1). *)
-
-val direct_latency : t -> src:int -> dst:int -> int
-(** Direct-mode latency: 1 cycle per hop (§3.1). *)
-
 val mesh : t -> Voltron_net.Mesh.t

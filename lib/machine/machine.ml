@@ -111,6 +111,12 @@ type core_state = {
   mutable snap : int array;
   mutable snap_epoch : int array;
   mutable snap_gen : int;
+  (* Decode cache: [dec] is [Image.decoded image dec_pc]. Filled lazily by
+     [decoded] (a fuzz image may be empty, so nothing is decoded up
+     front), it lets the blocker, the snapshot, comm-out and issue share
+     one lookup per cycle. *)
+  mutable dec_pc : int;
+  mutable dec : Image.decoded;
 }
 
 type t = {
@@ -172,6 +178,13 @@ let is_running cs =
   | Running -> true
   | Asleep | Halted | At_barrier _ | At_commit | Wait_serial | Stuck _ -> false
 
+(* The decode cache's contents before its first fill, under key -1 that no
+   pc matches: the decode of an empty bundle. *)
+let no_decoded =
+  let b = Image.builder () in
+  Image.emit b Bundle.empty;
+  Image.decoded (Image.finish b) 0
+
 let fresh_core cfg image id =
   {
     id;
@@ -192,14 +205,32 @@ let fresh_core cfg image id =
     snap = Array.make initial_regs 0;
     snap_epoch = Array.make initial_regs 0;
     snap_gen = 0;
+    dec_pc = -1;
+    dec = no_decoded;
   }
 
+(* The decoded bundle at the core's pc, through the core's decode cache. *)
+let decoded cs =
+  if cs.dec_pc <> cs.pc then begin
+    cs.dec <- Image.decoded cs.image cs.pc;
+    cs.dec_pc <- cs.pc
+  end;
+  cs.dec
+
+(* Width legality from the op-class counts [Image.finish] computed; only an
+   illegal bundle goes back to [Bundle.check] for its diagnostic. *)
 let validate_widths cfg (prog : Program.t) =
+  let issue_width = cfg.Config.issue_width
+  and comm_width = cfg.Config.comm_width in
   Array.iter
     (fun image ->
       for addr = 0 to Image.length image - 1 do
-        Bundle.check ~issue_width:cfg.Config.issue_width
-          ~comm_width:cfg.Config.comm_width (Image.fetch image addr)
+        let d = Image.decoded image addr in
+        if
+          d.Image.d_real_ops - d.Image.d_n_comm > issue_width
+          || d.Image.d_n_comm > comm_width
+          || d.Image.d_n_branch > 1
+        then Bundle.check ~issue_width ~comm_width (Image.fetch image addr)
       done)
     prog.images
 
@@ -319,8 +350,9 @@ let read_reg cs r =
   ensure_reg cs r;
   cs.regs.(r)
 
+(* Phase-2 register write. No growth check: [snapshot_sources] already grew
+   the file to the bundle's [d_max_reg], which covers every def. *)
 let write_reg cs r v ~ready ~prod =
-  ensure_reg cs r;
   cs.regs.(r) <- v;
   cs.ready.(r) <- ready;
   cs.prod.(r) <- prod
@@ -520,7 +552,7 @@ let blocker t cs =
     Some W_ifetch
   end
   else begin
-    let d = Image.decoded cs.image cs.pc in
+    let d = decoded cs in
     if d.Image.d_max_reg >= 0 then ensure_reg cs d.Image.d_max_reg;
     blocker_op_loop t cs now d.Image.d_ops d.Image.d_uses
       (Array.length d.Image.d_ops) 0
@@ -601,6 +633,15 @@ let exec_comm_out t cs op =
   | Inst.Get _ | Inst.Recv _ | Inst.Sleep | Inst.Mode_switch _ | Inst.Tm_begin
   | Inst.Tm_commit | Inst.Halt | Inst.Nop ->
     invalid_arg "exec_comm_out: not a communication-out op"
+
+(* Phase 1 for one core's bundle. *)
+let exec_comm_outs t cs (d : Image.decoded) =
+  if d.Image.d_has_comm_out then begin
+    let ops = d.Image.d_ops in
+    for i = 0 to Array.length ops - 1 do
+      if d.Image.d_comm_out.(i) then exec_comm_out t cs ops.(i)
+    done
+  end
 
 (* Phase 2: everything else. Returns the branch target when the bundle's
    branch is taken. *)
@@ -849,14 +890,9 @@ let bulk_credit t k =
 (* Issue one decoupled core's bundle: snapshot, phase 1 (communication
    out), phase 2. *)
 let issue_decoupled t cs =
-  let d = Image.decoded cs.image cs.pc in
+  let d = decoded cs in
   snapshot_sources cs d;
-  if d.Image.d_has_comm_out then begin
-    let ops = d.Image.d_ops in
-    for i = 0 to Array.length ops - 1 do
-      if d.Image.d_comm_out.(i) then exec_comm_out t cs ops.(i)
-    done
-  end;
+  exec_comm_outs t cs d;
   finish_issue t cs d
 
 let decoupled_core_step t cs =
@@ -921,7 +957,9 @@ let decoupled_step t =
     else begin
       (* Replay the frozen prefix for this one cycle (an asleep prefix core
          has no deliverable START, so its [try_wake] is just an idle), then
-         run the state-changing sweep from the live core onward. *)
+         run the state-changing sweep from the live core onward. A running
+         live core's [None] verdict still holds (the replay changes no
+         machine state), so it issues without a second [blocker]. *)
       for j = 0 to !live - 1 do
         let cs = cores.(j) in
         match cs.status with
@@ -936,7 +974,12 @@ let decoupled_step t =
             record_stall t ~core:cs.id (stall_of_wait w)
           | None -> assert false)
       done;
-      for j = !live to n - 1 do
+      let cs = cores.(!live) in
+      (match cs.status with
+      | Running -> issue_decoupled t cs
+      | Asleep | Halted | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
+        decoupled_core_step t cs);
+      for j = !live + 1 to n - 1 do
         decoupled_core_step t cores.(j)
       done
     end
@@ -945,7 +988,7 @@ let decoupled_step t =
 (* Coupled: lock-step with the stall bus — either every running core
    issues, or none does. One indexed scan computes the verdicts (and
    checks the status invariant off the issue path); the issue path then
-   runs its three passes (snapshot, communication-out, main) so VLIW
+   runs two passes (snapshot plus communication-out, then main) so VLIW
    read-before-write and same-cycle PUT/GET pairing hold across cores. *)
 let coupled_step t =
   let cores = t.cores in
@@ -1025,31 +1068,23 @@ let coupled_step t =
     done
   end
   else begin
-    (* Phase 0: snapshot every issuing core's sources before any effects. *)
-    for i = 0 to n - 1 do
-      let cs = cores.(i) in
-      if is_running cs then
-        snapshot_sources cs (Image.decoded cs.image cs.pc)
-    done;
-    (* Phase 1: communication-out for all cores, so same-cycle PUT/GET and
-       BCAST pairing works regardless of core order. *)
+    (* Phases 0 and 1, fused per core: snapshot the core's sources, then
+       run its communication-out ops — for all cores before any phase 2, so
+       same-cycle PUT/GET and BCAST pairing works regardless of core order.
+       Fusing is exact: a snapshot reads only its own core's registers,
+       which no communication-out op writes. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
       if is_running cs then begin
-        let d = Image.decoded cs.image cs.pc in
-        if d.Image.d_has_comm_out then begin
-          let ops = d.Image.d_ops in
-          for j = 0 to Array.length ops - 1 do
-            if d.Image.d_comm_out.(j) then exec_comm_out t cs ops.(j)
-          done
-        end
+        let d = decoded cs in
+        snapshot_sources cs d;
+        exec_comm_outs t cs d
       end
     done;
     (* Phase 2. *)
     for i = 0 to n - 1 do
       let cs = cores.(i) in
-      if is_running cs then
-        finish_issue t cs (Image.decoded cs.image cs.pc)
+      if is_running cs then finish_issue t cs (decoded cs)
     done
   end;
   (* Cores already waiting at the exit barrier count sync stalls. Only

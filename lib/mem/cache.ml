@@ -1,68 +1,71 @@
 type state = M | O | E | S | I
 
-(* Each set is a small array of ways plus a recency stamp per way: the LRU
-   order is "descending age", a promote is one store, and victim selection
-   is a linear min scan — O(ways) worst case instead of the O(ways^2)
-   list-splice representation this replaces, with the identical order
-   (ages are all distinct: initial stamps are strictly decreasing by way
-   index, replicating the original way-0-first order, and every promote
-   uses a fresh tick). *)
-type way = { mutable line : int; mutable state : state }
+(* Flat tag store: slot [set * ways + way] of each array describes one way.
+   An [I] slot's tag is stale and never matches a probe. LRU is a recency
+   stamp per slot drawn from one per-cache clock (larger = more recent): a
+   promote is one store and victim selection a min scan over the set.
 
-type set = {
-  ways_arr : way array;
-  age : int array;  (** recency stamp per way; larger = more recent *)
-  mutable tick : int;  (** last stamp handed out *)
+   Stamps start at 0 and that is exact: a fill takes the first invalid way,
+   so the min scan only runs on a full set, and every way of a full set was
+   stamped by its own fill — an initial stamp never picks a victim. Within
+   a set the clock orders promotes exactly as a per-set counter would. *)
+type t = {
+  n_sets : int;
+  n_ways : int;
+  tags : int array;
+  states : state array;
+  stamps : int array;
+  mutable clock : int;  (** last stamp handed out *)
 }
-
-type t = { n_sets : int; n_ways : int; sets_arr : set array }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
 let create ~sets ~ways =
   if not (is_pow2 sets) then invalid_arg "Cache.create: sets must be a power of two";
   if ways <= 0 then invalid_arg "Cache.create: ways must be positive";
+  let n = sets * ways in
   {
     n_sets = sets;
     n_ways = ways;
-    sets_arr =
-      Array.init sets (fun _ ->
-          {
-            ways_arr = Array.init ways (fun _ -> { line = -1; state = I });
-            age = Array.init ways (fun i -> ways - 1 - i);
-            tick = ways - 1;
-          });
+    tags = Array.make n 0;
+    states = Array.make n I;
+    stamps = Array.make n 0;
+    clock = 0;
   }
 
 let sets t = t.n_sets
 let ways t = t.n_ways
 
-let set_of t line = t.sets_arr.(line land (t.n_sets - 1))
+let base t line = (line land (t.n_sets - 1)) * t.n_ways
 
-(* Index of [line]'s valid way in [set], -1 when absent. Called on every
-   cache probe, so it is a toplevel recursion returning an int: no closure,
-   no option. *)
-let rec find_way_from set line i =
-  if i >= Array.length set.ways_arr then -1
-  else
-    let w = set.ways_arr.(i) in
-    match w.state with
-    | I -> find_way_from set line (i + 1)
-    | M | O | E | S -> if w.line = line then i else find_way_from set line (i + 1)
+(* Called on every cache probe, so it is a toplevel recursion returning an
+   int: no closure, no option. *)
+let rec slot_from t line i stop =
+  if i >= stop then -1
+  else if t.tags.(i) = line then
+    match t.states.(i) with
+    | I -> slot_from t line (i + 1) stop
+    | M | O | E | S -> i
+  else slot_from t line (i + 1) stop
 
-let find_way set line = find_way_from set line 0
+let slot t line =
+  let b = base t line in
+  slot_from t line b (b + t.n_ways)
 
-let promote set i =
-  set.tick <- set.tick + 1;
-  set.age.(i) <- set.tick
+let slot_state t i = t.states.(i)
+
+let touch_slot t i =
+  t.clock <- t.clock + 1;
+  t.stamps.(i) <- t.clock
+
+let set_slot_state t i st = t.states.(i) <- st
 
 (* Each [Some] below is a static constant, so a probe allocates nothing. *)
 let find t line =
-  let set = set_of t line in
-  let i = find_way set line in
+  let i = slot t line in
   if i < 0 then None
   else
-    match set.ways_arr.(i).state with
+    match t.states.(i) with
     | M -> Some M
     | O -> Some O
     | E -> Some E
@@ -70,53 +73,55 @@ let find t line =
     | I -> None
 
 let touch t line =
-  let set = set_of t line in
-  let i = find_way set line in
-  if i >= 0 then promote set i
+  let i = slot t line in
+  if i >= 0 then touch_slot t i
 
 let set_state t line st =
-  let set = set_of t line in
-  let i = find_way set line in
-  if i < 0 then raise Not_found else set.ways_arr.(i).state <- st
+  let i = slot t line in
+  if i < 0 then raise Not_found else t.states.(i) <- st
+
+let rec first_invalid t i stop =
+  if i >= stop then -1
+  else match t.states.(i) with I -> i | M | O | E | S -> first_invalid t (i + 1) stop
 
 let insert t line st =
-  let set = set_of t line in
-  if find_way set line >= 0 then invalid_arg "Cache.insert: line already present";
-  (* Prefer an invalid way; otherwise evict the minimum-age (LRU) way. *)
-  let victim_way =
-    let n = Array.length set.ways_arr in
-    let rec invalid_loop i =
-      if i >= n then None
-      else if set.ways_arr.(i).state = I then Some i
-      else invalid_loop (i + 1)
-    in
-    match invalid_loop 0 with
-    | Some i -> i
-    | None ->
-      let best = ref 0 in
-      for i = 1 to n - 1 do
-        if set.age.(i) < set.age.(!best) then best := i
+  let b = base t line in
+  let stop = b + t.n_ways in
+  if slot_from t line b stop >= 0 then invalid_arg "Cache.insert: line already present";
+  (* Prefer an invalid way; otherwise evict the minimum-stamp (LRU) way. *)
+  let v =
+    let i = first_invalid t b stop in
+    if i >= 0 then i
+    else begin
+      let best = ref b in
+      for i = b + 1 to stop - 1 do
+        if t.stamps.(i) < t.stamps.(!best) then best := i
       done;
       !best
+    end
   in
-  let w = set.ways_arr.(victim_way) in
-  let victim = if w.state = I then None else Some (w.line, w.state) in
-  w.line <- line;
-  w.state <- st;
-  promote set victim_way;
+  let victim =
+    match t.states.(v) with
+    | I -> None
+    | (M | O | E | S) as vs -> Some (t.tags.(v), vs)
+  in
+  t.tags.(v) <- line;
+  t.states.(v) <- st;
+  touch_slot t v;
   victim
 
 let invalidate t line =
-  let set = set_of t line in
-  let i = find_way set line in
-  if i >= 0 then set.ways_arr.(i).state <- I
+  let i = slot t line in
+  if i >= 0 then t.states.(i) <- I
 
 let valid_lines t =
-  Array.to_list t.sets_arr
-  |> List.concat_map (fun set ->
-         Array.to_list set.ways_arr
-         |> List.filter_map (fun w ->
-                if w.state = I then None else Some (w.line, w.state)))
+  let acc = ref [] in
+  for i = Array.length t.tags - 1 downto 0 do
+    match t.states.(i) with
+    | I -> ()
+    | (M | O | E | S) as st -> acc := (t.tags.(i), st) :: !acc
+  done;
+  !acc
 
 let pp_state ppf st =
   Format.pp_print_string ppf

@@ -162,6 +162,9 @@ type t = {
      fixture the sanitizer's single-writer oracle must catch. *)
   mutable stale_sharer_bug : bool;
   per_core : stats array;
+  (* Per core: the instruction line of its previous fetch, -1 before the
+     first (see [access]). *)
+  last_iline : int array;
   (* Runtime sanitizer hook: fired after every access, once the protocol
      state transition for that access has fully landed. [None] (the
      default) keeps the hot path to a single branch. *)
@@ -180,6 +183,7 @@ let create cfg ~n_cores =
     dir = Hashtbl.create 256;
     stale_sharer_bug = false;
     per_core = Array.init n_cores (fun _ -> fresh_stats ());
+    last_iline = Array.make n_cores (-1);
     monitor = None;
   }
 
@@ -213,6 +217,33 @@ let iline t core addr = (1 lsl 40) lor (core lsl 32) lor (addr / t.cfg.line_word
 
 let dline t addr = addr / t.cfg.line_words
 
+(* --- Shared L2 --------------------------------------------------------------- *)
+
+(* L2 tracks presence only, for timing: every line enters it in S and no
+   transition changes an L2 state, so an L2 victim never needs a
+   writeback. *)
+
+(* Serve a line that missed in the L1 from L2 or, past it, main memory
+   (the line then enters L2). *)
+let l2_or_mem t ~core line =
+  let j = Cache.slot t.l2 line in
+  if j >= 0 then begin
+    Cache.touch_slot t.l2 j;
+    t.cfg.lat_l2
+  end
+  else begin
+    let st = t.per_core.(core) in
+    st.l2_misses <- st.l2_misses + 1;
+    ignore (Cache.insert t.l2 line Cache.S);
+    t.cfg.lat_mem
+  end
+
+(* A dirty line's data returns to L2: refresh its tag there, or re-insert
+   it when L2 dropped it. *)
+let l2_writeback t line =
+  let j = Cache.slot t.l2 line in
+  if j >= 0 then Cache.touch_slot t.l2 j else ignore (Cache.insert t.l2 line Cache.S)
+
 (* --- Snoop backend (the paper's bus-snooped MOESI) ------------------------- *)
 
 (* Acquire the bus at the earliest of [now]/[bus_free]; account wait time. *)
@@ -228,51 +259,41 @@ let acquire_bus t ~now ~core =
 let fill t ~core cache line st =
   match Cache.insert cache line st with
   | None -> ()
-  | Some (victim, vstate) ->
-    if vstate = Cache.M || vstate = Cache.O then begin
-      t.per_core.(core).writebacks <- t.per_core.(core).writebacks + 1;
-      t.bus_free <- t.bus_free + t.cfg.bus_occupancy;
-      (* Victim's data returns to L2: ensure its tag is present. *)
-      if Cache.find t.l2 victim = None then ignore (Cache.insert t.l2 victim Cache.S)
-      else Cache.touch t.l2 victim
-    end
+  | Some (victim, (Cache.M | Cache.O)) ->
+    t.per_core.(core).writebacks <- t.per_core.(core).writebacks + 1;
+    t.bus_free <- t.bus_free + t.cfg.bus_occupancy;
+    l2_writeback t victim
+  | Some (_, (Cache.E | Cache.S | Cache.I)) -> ()
 
-(* Ensure the line is present in L2 (timing inclusion); L2 evictions of
-   dirty lines cost bus occupancy. *)
-let l2_fill t line =
-  match Cache.find t.l2 line with
-  | Some _ -> Cache.touch t.l2 line
-  | None -> (
-    match Cache.insert t.l2 line Cache.S with
-    | None -> ()
-    | Some (_victim, vstate) ->
-      if vstate = Cache.M || vstate = Cache.O then
-        t.bus_free <- t.bus_free + t.cfg.bus_occupancy)
+(* What a snoop of the peer L1Ds found: a supplier (a core holding the line
+   M/O/E), only S copies, or no copy at all. *)
+type snoop_result = Supplied | Shared_only | Absent
 
-(* Snoop every other core's L1D for [line]; returns the supplier (a core
-   holding the line M/O/E) if any, and whether anyone at all holds it. *)
+(* Snoop every other core's L1D for [line]. *)
 let snoop t ~core line =
-  let supplier = ref None in
-  let sharer = ref false in
+  let r = ref Absent in
   for c = 0 to t.n_cores - 1 do
     if c <> core then
       match Cache.find t.l1d.(c) line with
-      | Some (Cache.M | Cache.O | Cache.E) ->
-        sharer := true;
-        if !supplier = None then supplier := Some c
-      | Some Cache.S -> sharer := true
+      | Some (Cache.M | Cache.O | Cache.E) -> r := Supplied
+      | Some Cache.S -> (
+        match !r with Absent -> r := Shared_only | Supplied | Shared_only -> ())
       | Some Cache.I | None -> ()
   done;
-  (!supplier, !sharer)
+  !r
 
 (* Downgrade remote copies on a read miss: M -> O, E -> S. *)
 let downgrade_for_read t ~core line =
   for c = 0 to t.n_cores - 1 do
-    if c <> core then
-      match Cache.find t.l1d.(c) line with
-      | Some Cache.M -> Cache.set_state t.l1d.(c) line Cache.O
-      | Some Cache.E -> Cache.set_state t.l1d.(c) line Cache.S
-      | Some (Cache.O | Cache.S | Cache.I) | None -> ()
+    if c <> core then begin
+      let l1 = t.l1d.(c) in
+      let i = Cache.slot l1 line in
+      if i >= 0 then
+        match Cache.slot_state l1 i with
+        | Cache.M -> Cache.set_slot_state l1 i Cache.O
+        | Cache.E -> Cache.set_slot_state l1 i Cache.S
+        | Cache.O | Cache.S | Cache.I -> ()
+    end
   done
 
 (* Invalidate every remote copy on a write (RdX / upgrade). *)
@@ -281,50 +302,47 @@ let invalidate_remotes t ~core line =
     if c <> core then Cache.invalidate t.l1d.(c) line
   done
 
-(* L1 data-side access; [write] distinguishes store from load. *)
+(* L1 data-side access; [write] distinguishes store from load. A hit probes
+   the L1D once and works on the slot. *)
 let access_data t ~now ~core ~write addr =
   let st = t.per_core.(core) in
   st.accesses <- st.accesses + 1;
   let line = dline t addr in
   let l1 = t.l1d.(core) in
-  let hit_state = Cache.find l1 line in
-  match hit_state with
-  | Some _ when not write ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
-  | Some (Cache.M | Cache.E) ->
-    Cache.touch l1 line;
-    Cache.set_state l1 line Cache.M;
-    now + t.cfg.lat_l1
-  | Some (Cache.O | Cache.S) ->
-    (* Write hit on a shared line: upgrade — invalidate other sharers over
-       the bus, no data transfer. *)
-    st.upgrades <- st.upgrades + 1;
-    let start = acquire_bus t ~now ~core in
-    invalidate_remotes t ~core line;
-    Cache.touch l1 line;
-    Cache.set_state l1 line Cache.M;
-    start + t.cfg.lat_upgrade
-  | Some Cache.I | None ->
+  let i = Cache.slot l1 line in
+  if i >= 0 then begin
+    if not write then begin
+      Cache.touch_slot l1 i;
+      now + t.cfg.lat_l1
+    end
+    else
+      match Cache.slot_state l1 i with
+      | Cache.M | Cache.E ->
+        Cache.touch_slot l1 i;
+        Cache.set_slot_state l1 i Cache.M;
+        now + t.cfg.lat_l1
+      | Cache.O | Cache.S | Cache.I ->
+        (* Write hit on a shared line: upgrade — invalidate other sharers
+           over the bus, no data transfer. *)
+        st.upgrades <- st.upgrades + 1;
+        let start = acquire_bus t ~now ~core in
+        invalidate_remotes t ~core line;
+        Cache.touch_slot l1 i;
+        Cache.set_slot_state l1 i Cache.M;
+        start + t.cfg.lat_upgrade
+  end
+  else begin
     (* L1 miss: bus transaction; serviced by a peer L1 (cache-to-cache),
        the shared L2, or main memory. *)
     st.l1d_misses <- st.l1d_misses + 1;
     let start = acquire_bus t ~now ~core in
-    let supplier, sharer = snoop t ~core line in
+    let found = snoop t ~core line in
     let duration =
-      match supplier with
-      | Some _ ->
+      match found with
+      | Supplied ->
         st.c2c_transfers <- st.c2c_transfers + 1;
         t.cfg.lat_c2c
-      | None -> (
-        match Cache.find t.l2 line with
-        | Some _ ->
-          Cache.touch t.l2 line;
-          t.cfg.lat_l2
-        | None ->
-          st.l2_misses <- st.l2_misses + 1;
-          l2_fill t line;
-          t.cfg.lat_mem)
+      | Shared_only | Absent -> l2_or_mem t ~core line
     in
     let my_state =
       if write then begin
@@ -333,36 +351,31 @@ let access_data t ~now ~core ~write addr =
       end
       else begin
         downgrade_for_read t ~core line;
-        if sharer then Cache.S else Cache.E
+        match found with Absent -> Cache.E | Supplied | Shared_only -> Cache.S
       end
     in
     fill t ~core l1 line my_state;
     start + duration
+  end
 
-let access_inst t ~now ~core addr =
-  let st = t.per_core.(core) in
-  let line = iline t core addr in
+(* [line] is the core's instruction line, already known to differ from the
+   one its previous fetch used (see [access]). *)
+let access_inst t ~now ~core line =
   let l1 = t.l1i.(core) in
-  match Cache.find l1 line with
-  | Some _ ->
-    Cache.touch l1 line;
+  let i = Cache.slot l1 line in
+  if i >= 0 then begin
+    Cache.touch_slot l1 i;
     now + t.cfg.lat_l1
-  | None ->
+  end
+  else begin
+    let st = t.per_core.(core) in
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_bus t ~now ~core in
-    let duration =
-      match Cache.find t.l2 line with
-      | Some _ ->
-        Cache.touch t.l2 line;
-        t.cfg.lat_l2
-      | None ->
-        st.l2_misses <- st.l2_misses + 1;
-        l2_fill t line;
-        t.cfg.lat_mem
-    in
-    (match Cache.insert l1 line Cache.S with
-    | None | Some _ -> () (* code is clean; victims need no writeback *));
+    let duration = l2_or_mem t ~core line in
+    (* Code is clean; victims need no writeback. *)
+    ignore (Cache.insert l1 line Cache.S);
     start + duration
+  end
 
 (* --- Directory backend (home-based MESI) ----------------------------------- *)
 
@@ -397,33 +410,20 @@ let dir_forget t ~core line =
     if e.owner = core then e.owner <- -1;
     if e.owner = -1 && Bitset.is_empty e.sharers then Hashtbl.remove t.dir line
 
-(* L2 inclusion for the directory backend: a dirty L2 victim occupies its
-   own home bank for the writeback instead of the (nonexistent) bus. *)
-let dir_l2_fill t line =
-  match Cache.find t.l2 line with
-  | Some _ -> Cache.touch t.l2 line
-  | None -> (
-    match Cache.insert t.l2 line Cache.S with
-    | None -> ()
-    | Some (victim, vstate) ->
-      if vstate = Cache.M || vstate = Cache.O then
-        let h = home_of t victim in
-        t.home_free.(h) <- t.home_free.(h) + t.cfg.dir_occupancy)
-
 (* Fill into an L1D under the directory: the victim's home is notified
    (precise sharer tracking), and a dirty victim writes back to L2. *)
 let dir_fill t ~core line st =
   match Cache.insert t.l1d.(core) line st with
   | None -> ()
-  | Some (victim, vstate) ->
+  | Some (victim, vstate) -> (
     dir_forget t ~core victim;
-    if vstate = Cache.M || vstate = Cache.O then begin
+    match vstate with
+    | Cache.M | Cache.O ->
       t.per_core.(core).writebacks <- t.per_core.(core).writebacks + 1;
       let h = home_of t victim in
       t.home_free.(h) <- t.home_free.(h) + t.cfg.dir_occupancy;
-      if Cache.find t.l2 victim = None then ignore (Cache.insert t.l2 victim Cache.S)
-      else Cache.touch t.l2 victim
-    end
+      l2_writeback t victim
+    | Cache.E | Cache.S | Cache.I -> ())
 
 (* Invalidate every remote sharer listed in [e]; returns whether any
    remote copy existed (pricing the invalidation round). The stale-sharer
@@ -455,48 +455,41 @@ let dir_invalidate_sharers t ~core e line =
     e.sharers ~n:t.n_cores;
   !any
 
-(* Fetch a line from L2/memory at the home (no cached owner). *)
-let dir_fetch t ~core line =
-  let st = t.per_core.(core) in
-  match Cache.find t.l2 line with
-  | Some _ ->
-    Cache.touch t.l2 line;
-    t.cfg.lat_l2
-  | None ->
-    st.l2_misses <- st.l2_misses + 1;
-    dir_l2_fill t line;
-    t.cfg.lat_mem
-
 let dir_access_data t ~now ~core ~write addr =
   let st = t.per_core.(core) in
   st.accesses <- st.accesses + 1;
   let line = dline t addr in
   let l1 = t.l1d.(core) in
-  match Cache.find l1 line with
-  | Some _ when not write ->
-    Cache.touch l1 line;
-    now + t.cfg.lat_l1
-  | Some (Cache.M | Cache.E) ->
-    Cache.touch l1 line;
-    Cache.set_state l1 line Cache.M;
-    now + t.cfg.lat_l1
-  | Some (Cache.O | Cache.S) ->
-    (* Write hit on a shared line: upgrade through the home — request
-       message, directory lookup, invalidations to the actual sharers
-       (no broadcast). *)
-    st.upgrades <- st.upgrades + 1;
-    let home = home_of t line in
-    let start = acquire_home t ~now ~core home in
-    st.dir_lookups <- st.dir_lookups + 1;
-    let e = dir_entry t line in
-    let had_remote = dir_invalidate_sharers t ~core e line in
-    e.owner <- core;
-    Bitset.add e.sharers core;
-    Cache.touch l1 line;
-    Cache.set_state l1 line Cache.M;
-    start + t.cfg.dir_lat_msg + t.cfg.dir_lat_lookup
-    + (if had_remote then t.cfg.dir_lat_inv else 0)
-  | Some Cache.I | None ->
+  let i = Cache.slot l1 line in
+  if i >= 0 then begin
+    if not write then begin
+      Cache.touch_slot l1 i;
+      now + t.cfg.lat_l1
+    end
+    else
+      match Cache.slot_state l1 i with
+      | Cache.M | Cache.E ->
+        Cache.touch_slot l1 i;
+        Cache.set_slot_state l1 i Cache.M;
+        now + t.cfg.lat_l1
+      | Cache.O | Cache.S | Cache.I ->
+        (* Write hit on a shared line: upgrade through the home — request
+           message, directory lookup, invalidations to the actual sharers
+           (no broadcast). *)
+        st.upgrades <- st.upgrades + 1;
+        let home = home_of t line in
+        let start = acquire_home t ~now ~core home in
+        st.dir_lookups <- st.dir_lookups + 1;
+        let e = dir_entry t line in
+        let had_remote = dir_invalidate_sharers t ~core e line in
+        e.owner <- core;
+        Bitset.add e.sharers core;
+        Cache.touch_slot l1 i;
+        Cache.set_slot_state l1 i Cache.M;
+        start + t.cfg.dir_lat_msg + t.cfg.dir_lat_lookup
+        + (if had_remote then t.cfg.dir_lat_inv else 0)
+  end
+  else begin
     st.l1d_misses <- st.l1d_misses + 1;
     let home = home_of t line in
     let start = acquire_home t ~now ~core home in
@@ -519,7 +512,7 @@ let dir_access_data t ~now ~core ~write addr =
           end
           else begin
             let had_remote = dir_invalidate_sharers t ~core e line in
-            dir_fetch t ~core line
+            l2_or_mem t ~core line
             + if had_remote then t.cfg.dir_lat_inv else 0
           end
         in
@@ -535,70 +528,84 @@ let dir_access_data t ~now ~core ~write addr =
                (dirty data refreshes L2 on the way). *)
             st.dir_indirections <- st.dir_indirections + 1;
             st.c2c_transfers <- st.c2c_transfers + 1;
-            (match Cache.find t.l1d.(remote_owner) line with
-            | Some Cache.M ->
+            let owner_l1 = t.l1d.(remote_owner) in
+            let r = Cache.slot owner_l1 line in
+            if r < 0 then raise Not_found;
+            (match Cache.slot_state owner_l1 r with
+            | Cache.M ->
               t.per_core.(remote_owner).writebacks <-
                 t.per_core.(remote_owner).writebacks + 1;
-              if Cache.find t.l2 line = None then
-                ignore (Cache.insert t.l2 line Cache.S)
-              else Cache.touch t.l2 line
-            | _ -> ());
-            Cache.set_state t.l1d.(remote_owner) line Cache.S;
+              l2_writeback t line
+            | Cache.O | Cache.E | Cache.S | Cache.I -> ());
+            Cache.set_slot_state owner_l1 r Cache.S;
             e.owner <- -1;
             t.cfg.dir_lat_fwd + t.cfg.lat_c2c
           end
-          else dir_fetch t ~core line
+          else l2_or_mem t ~core line
         in
         let my_state =
-          if e.owner = -1 && Bitset.is_empty e.sharers then Cache.E else Cache.S
+          if e.owner = -1 && Bitset.is_empty e.sharers then begin
+            e.owner <- core;
+            Cache.E
+          end
+          else Cache.S
         in
-        if my_state = Cache.E then e.owner <- core;
         Bitset.add e.sharers core;
         dir_fill t ~core line my_state;
         t.cfg.dir_lat_msg + t.cfg.dir_lat_lookup + base
       end
     in
     start + duration
+  end
 
 (* Instruction lines are per-core private (disjoint address spaces), so
    the directory keeps no entry for them: an ifetch miss is a plain
-   point-to-point fetch through the line's home bank. *)
-let dir_access_inst t ~now ~core addr =
-  let st = t.per_core.(core) in
-  let line = iline t core addr in
+   point-to-point fetch through the line's home bank. [line] differs from
+   the core's previous fetch line, as for [access_inst]. *)
+let dir_access_inst t ~now ~core line =
   let l1 = t.l1i.(core) in
-  match Cache.find l1 line with
-  | Some _ ->
-    Cache.touch l1 line;
+  let i = Cache.slot l1 line in
+  if i >= 0 then begin
+    Cache.touch_slot l1 i;
     now + t.cfg.lat_l1
-  | None ->
+  end
+  else begin
+    let st = t.per_core.(core) in
     st.l1i_misses <- st.l1i_misses + 1;
     let start = acquire_home t ~now ~core (home_of t line) in
-    let duration =
-      match Cache.find t.l2 line with
-      | Some _ ->
-        Cache.touch t.l2 line;
-        t.cfg.lat_l2
-      | None ->
-        st.l2_misses <- st.l2_misses + 1;
-        dir_l2_fill t line;
-        t.cfg.lat_mem
-    in
-    (match Cache.insert l1 line Cache.S with
-    | None | Some _ -> () (* code is clean; victims need no writeback *));
+    let duration = l2_or_mem t ~core line in
+    (* Code is clean; victims need no writeback. *)
+    ignore (Cache.insert l1 line Cache.S);
     start + t.cfg.dir_lat_msg + duration
+  end
 
 (* --- Common surface --------------------------------------------------------- *)
 
+(* The per-core I-line memo: a fetch from the same instruction line as the
+   core's previous fetch is an L1I hit that needs no set walk. Exact,
+   because only core c's fetches touch [l1i.(c)]: since that previous fetch
+   hit or filled the line, it is still present and already the most recent
+   way in its set, so the skipped promote would not change the LRU order. *)
 let access t ~now ~core kind addr =
   let completion =
-    match (t.cfg.protocol, kind) with
-    | Snoop, Ifetch -> access_inst t ~now ~core addr
-    | Snoop, Dload -> access_data t ~now ~core ~write:false addr
-    | Snoop, Dstore -> access_data t ~now ~core ~write:true addr
-    | Directory, Ifetch -> dir_access_inst t ~now ~core addr
-    | Directory, Dload -> dir_access_data t ~now ~core ~write:false addr
-    | Directory, Dstore -> dir_access_data t ~now ~core ~write:true addr
+    match kind with
+    | Ifetch ->
+      let line = iline t core addr in
+      if line = t.last_iline.(core) then now + t.cfg.lat_l1
+      else begin
+        t.last_iline.(core) <- line;
+        match t.cfg.protocol with
+        | Snoop -> access_inst t ~now ~core line
+        | Directory -> dir_access_inst t ~now ~core line
+      end
+    | Dload -> (
+      match t.cfg.protocol with
+      | Snoop -> access_data t ~now ~core ~write:false addr
+      | Directory -> dir_access_data t ~now ~core ~write:false addr)
+    | Dstore -> (
+      match t.cfg.protocol with
+      | Snoop -> access_data t ~now ~core ~write:true addr
+      | Directory -> dir_access_data t ~now ~core ~write:true addr)
   in
   (match t.monitor with None -> () | Some f -> f ~core ~completion kind addr);
   completion
@@ -624,15 +631,6 @@ let dir_owner t ~addr =
   | Some e -> if e.owner >= 0 then Some e.owner else None
 
 let test_inject_stale_sharer t = t.stale_sharer_bug <- true
-
-let would_hit t ~core kind addr =
-  match kind with
-  | Ifetch -> Cache.find t.l1i.(core) (iline t core addr) <> None
-  | Dload -> Cache.find t.l1d.(core) (dline t addr) <> None
-  | Dstore -> (
-    match Cache.find t.l1d.(core) (dline t addr) with
-    | Some (Cache.M | Cache.E) -> true
-    | Some (Cache.O | Cache.S | Cache.I) | None -> false)
 
 (* Directory bookkeeping must mirror the caches exactly: every valid L1D
    copy is a recorded sharer, every recorded sharer holds a valid copy,

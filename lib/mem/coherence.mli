@@ -86,6 +86,10 @@ type stats = {
 type t
 
 val create : config -> n_cores:int -> t
+(** Every cache is a flat {!Cache} tag store (three arrays each), so
+    building a hierarchy is a few dozen allocations: 19,026 words for the
+    default geometry at 8 cores, most of it the 4,096-slot L2. *)
+
 val config : t -> config
 
 val access : t -> now:int -> core:int -> kind -> int -> int
@@ -94,10 +98,13 @@ val access : t -> now:int -> core:int -> kind -> int -> int
     needs the bus/home bank; an L1 hit completes at [now + lat_l1]).
     [addr] is a word address: data addresses for [Dload]/[Dstore], the
     core's bundle address for [Ifetch]. All state (MOESI/MESI, LRU, L2,
-    bus or home-bank busy time, directory entries) is updated. *)
+    bus or home-bank busy time, directory entries) is updated.
 
-val would_hit : t -> core:int -> kind -> int -> bool
-(** Non-destructive hit test (no state update): used by the profiler. *)
+    Cost: an L1 hit probes its set once. A fetch from the same instruction
+    line as the core's previous fetch does not probe at all — only that
+    core's fetches touch its L1I, so the line is still present and already
+    most recent in its set. Misses add the snoop of every peer L1D
+    ([Snoop]) or the home's sharer set ([Directory]) and an L2 probe. *)
 
 val stats : t -> core:int -> stats
 val total_stats : t -> stats

@@ -113,14 +113,6 @@ let abort t ~core =
   clear_tx t ~core;
   match t.monitor with None -> () | Some m -> m.m_abort ~core
 
-let read_set t ~core =
-  Hashtbl.fold (fun addr () acc -> addr :: acc) t.txs.(core).reads []
-  |> List.sort compare
-
-let write_set t ~core =
-  Hashtbl.fold (fun addr _ acc -> addr :: acc) t.txs.(core).writes []
-  |> List.sort compare
-
 let commit_one t ~core =
   let tx = t.txs.(core) in
   Voltron_util.Vec.iter

@@ -54,9 +54,6 @@ val write : t -> core:int -> int -> int -> unit
 val abort : t -> core:int -> unit
 (** Discard the core's buffered writes and read set. *)
 
-val read_set : t -> core:int -> int list
-val write_set : t -> core:int -> int list
-
 val commit_round : t -> cores:int list -> [ `All_committed | `Conflict_at of int ]
 (** Commit the listed cores' transactions in list order (= logical
     iteration order). On the first core whose read set intersects the

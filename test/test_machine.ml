@@ -617,6 +617,33 @@ let test_energy_monotone () =
     (large.Energy.e_total > small.Energy.e_total);
   Alcotest.(check bool) "edp = total * cycles" true (large.Energy.edp > large.Energy.e_total)
 
+(* [Machine.create] checks bundle widths from the counts [Image.finish]
+   precomputed; an illegal bundle must still fail with [Bundle.check]'s own
+   diagnostic, and NOPs must not count against the issue width. *)
+let test_width_check () =
+  let add = Inst.Alu { op = Inst.Add; dst = 1; src1 = imm 2; src2 = imm 3 } in
+  let send = Inst.Send { target = 0; src = imm 1 } in
+  let br = Inst.Br { btr = 0; pred = None; invert = false } in
+  let expected bundle =
+    match Voltron_isa.Bundle.check ~issue_width:1 ~comm_width:1 bundle with
+    | () -> Alcotest.fail "bundle unexpectedly legal"
+    | exception Invalid_argument msg -> msg
+  in
+  List.iter
+    (fun bundle ->
+      let image =
+        assemble [ (None, [ Inst.Nop ]); (None, bundle); (None, [ Inst.Halt ]) ]
+      in
+      Alcotest.check_raises "same diagnostic" (Invalid_argument (expected bundle))
+        (fun () -> ignore (build_machine [| image |])))
+    [ [ add; add ]; [ send; send ]; [ br; br ]; [ add; Inst.Nop; Inst.Halt ] ];
+  let image =
+    assemble [ (None, [ add; Inst.Nop; Inst.Nop ]); (None, [ Inst.Halt ]) ]
+  in
+  let m = build_machine [| image |] in
+  let _ = run_ok m in
+  Alcotest.(check int) "NOPs ride along" 5 (Machine.reg m ~core:0 1)
+
 let () =
   Alcotest.run "machine"
     [
@@ -625,6 +652,7 @@ let () =
           Alcotest.test_case "arith and store" `Quick test_single_core_arith;
           Alcotest.test_case "loop sum" `Quick test_loop_sum;
           Alcotest.test_case "load interlock" `Quick test_load_latency_interlock;
+          Alcotest.test_case "width check" `Quick test_width_check;
         ] );
       ( "decoupled",
         [

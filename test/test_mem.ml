@@ -61,6 +61,143 @@ let test_cache_invalidate () =
   Alcotest.(check bool) "gone" true (Cache.find c 4 = None);
   Cache.invalidate c 4 (* idempotent *)
 
+(* Reference model of the cache directory's semantics, kept deliberately
+   naive: each set is an array of ways plus a recency list of way indices,
+   most recent first (initially way 0 first). A fill takes the lowest
+   invalid way, otherwise the way at the tail of the recency list. *)
+module Cache_model = struct
+  type set = { ways : (int * Cache.state) array; mutable recency : int list }
+  type t = set array
+
+  let create ~sets ~ways : t =
+    Array.init sets (fun _ ->
+        { ways = Array.make ways (0, Cache.I); recency = List.init ways Fun.id })
+
+  let set_of t line = t.(line mod Array.length t)
+
+  let way_of set line =
+    let found = ref None in
+    Array.iteri
+      (fun w (l, st) ->
+        if !found = None && l = line && st <> Cache.I then found := Some w)
+      set.ways;
+    !found
+
+  let promote set w = set.recency <- w :: List.filter (fun x -> x <> w) set.recency
+
+  let find t line =
+    let set = set_of t line in
+    Option.map (fun w -> snd set.ways.(w)) (way_of set line)
+
+  let touch t line =
+    let set = set_of t line in
+    Option.iter (promote set) (way_of set line)
+
+  let set_state t line st =
+    let set = set_of t line in
+    match way_of set line with
+    | None -> raise Not_found
+    | Some w -> set.ways.(w) <- (line, st)
+
+  let insert t line st =
+    let set = set_of t line in
+    if way_of set line <> None then invalid_arg "model insert: present";
+    let invalid = ref None in
+    Array.iteri
+      (fun w (_, s) -> if !invalid = None && s = Cache.I then invalid := Some w)
+      set.ways;
+    let w =
+      match !invalid with
+      | Some w -> w
+      | None -> List.nth set.recency (List.length set.recency - 1)
+    in
+    let victim =
+      match set.ways.(w) with _, Cache.I -> None | l, s -> Some (l, s)
+    in
+    set.ways.(w) <- (line, st);
+    promote set w;
+    victim
+
+  let invalidate t line =
+    let set = set_of t line in
+    Option.iter (fun w -> set.ways.(w) <- (line, Cache.I)) (way_of set line)
+
+  let valid_lines t =
+    Array.to_list t
+    |> List.concat_map (fun set ->
+           Array.to_list set.ways |> List.filter (fun (_, st) -> st <> Cache.I))
+end
+
+(* What one step returned, exceptions included, for comparing the two. *)
+type step_result =
+  | R_unit
+  | R_state of Cache.state option
+  | R_victim of (int * Cache.state) option
+  | R_raised of string
+
+let capture f =
+  try f () with
+  | Not_found -> R_raised "Not_found"
+  | Invalid_argument _ -> R_raised "Invalid_argument"
+
+let states = [| Cache.M; Cache.O; Cache.E; Cache.S; Cache.I |]
+
+(* Model-based property: random geometries and random operation sequences
+   (lines 0..15, so sets fill, evict and collide) must give the flat tag
+   store and the reference model the same results, victims and valid-line
+   lists after every step. Op 5 is the coherence write-hit path: one
+   [slot] probe, then [touch_slot] and [set_slot_state] on the slot. *)
+let test_cache_model =
+  QCheck.Test.make ~name:"flat cache matches the list LRU model" ~count:500
+    QCheck.(
+      pair
+        (pair (int_bound 3) (int_range 1 4))
+        (list (triple (int_bound 5) (int_bound 15) (int_bound 4))))
+    (fun ((log_sets, ways), ops) ->
+      let sets = 1 lsl log_sets in
+      let c = Cache.create ~sets ~ways and m = Cache_model.create ~sets ~ways in
+      List.for_all
+        (fun (op, line, si) ->
+          let st = states.(si) in
+          let real, model =
+            match op with
+            | 0 ->
+              ( capture (fun () -> R_state (Cache.find c line)),
+                capture (fun () -> R_state (Cache_model.find m line)) )
+            | 1 ->
+              ( capture (fun () -> Cache.touch c line; R_unit),
+                capture (fun () -> Cache_model.touch m line; R_unit) )
+            | 2 ->
+              ( capture (fun () -> Cache.set_state c line st; R_unit),
+                capture (fun () -> Cache_model.set_state m line st; R_unit) )
+            | 3 ->
+              ( capture (fun () -> R_victim (Cache.insert c line st)),
+                capture (fun () -> R_victim (Cache_model.insert m line st)) )
+            | 4 ->
+              ( capture (fun () -> Cache.invalidate c line; R_unit),
+                capture (fun () -> Cache_model.invalidate m line; R_unit) )
+            | _ ->
+              ( capture (fun () ->
+                    let i = Cache.slot c line in
+                    if i >= 0 then begin
+                      Cache.touch_slot c i;
+                      Cache.set_slot_state c i Cache.M
+                    end;
+                    R_unit),
+                capture (fun () ->
+                    if Cache_model.find m line <> None then begin
+                      Cache_model.touch m line;
+                      Cache_model.set_state m line Cache.M
+                    end;
+                    R_unit) )
+          in
+          real = model
+          && Cache.valid_lines c = Cache_model.valid_lines m
+          && List.for_all
+               (fun l -> Cache.find c l = Cache_model.find m l)
+               (List.init 16 Fun.id))
+        ops)
+
 (* --- Coherence ---------------------------------------------------------------- *)
 
 let mk_hier n = Coherence.create Coherence.default_config ~n_cores:n
@@ -371,6 +508,7 @@ let () =
           Alcotest.test_case "insert/find" `Quick test_cache_insert_find;
           Alcotest.test_case "lru eviction" `Quick test_cache_lru_eviction;
           Alcotest.test_case "invalidate" `Quick test_cache_invalidate;
+          QCheck_alcotest.to_alcotest test_cache_model;
         ] );
       ( "coherence",
         [

@@ -107,7 +107,7 @@ let test_differential_16_directory () =
 (* Per-cycle minor-heap budget, in words. The sweep's residual allocations
    are small and bounded (a [Some wait] per blocked core-cycle, a [Some
    target] per taken branch, TM read/write set entries per transactional
-   access); measured 9.4 at 4 cores and 16.9 (snoop) and 17.2 (directory)
+   access); measured 9.2 at 4 cores and 16.6 (snoop) and 17.0 (directory)
    at 16 cores on this workload, and the budget is set well above that so
    a regression that reintroduces per-cycle closures, lists or hashtables
    (tens to hundreds of words each) fails loudly while normal drift does
@@ -138,6 +138,40 @@ let test_allocation_budget ~cores ~protocol () =
     true
     (per_cycle <= alloc_budget_words_per_cycle)
 
+(* Words allocated by [f ()], minor and major heap together (arrays past
+   the minor-heap size limit go straight to the major heap). A full major
+   cycle on each side flushes the runtime's lazily updated major-heap
+   counters; measuring an empty thunk the same way cancels the probe's own
+   allocations. *)
+let allocated_words f =
+  let measure f =
+    Gc.full_major ();
+    let s0 = Gc.quick_stat () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.full_major ();
+    let s1 = Gc.quick_stat () in
+    s1.Gc.minor_words -. s0.Gc.minor_words
+    +. (s1.Gc.major_words -. s0.Gc.major_words)
+    -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  measure f -. measure (fun () -> ())
+
+(* Building a machine's cache hierarchy is a few flat arrays per cache:
+   19,026 words at 8 cores with the default geometry, most of it the
+   4,096-slot L2's three arrays. The per-set records this replaced took
+   53,815, which every fuzz-differential cell paid four times over. *)
+let create_budget_words = 25_000.0
+
+let test_create_budget () =
+  let words =
+    allocated_words (fun () ->
+        Coherence.create Coherence.default_config ~n_cores:8)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words within %.0f" words create_budget_words)
+    true
+    (words <= create_budget_words)
+
 let () =
   Alcotest.run "perf"
     [
@@ -155,5 +189,7 @@ let () =
             (test_allocation_budget ~cores:16 ~protocol:Coherence.Snoop);
           Alcotest.test_case "per-cycle budget, 16 cores directory" `Quick
             (test_allocation_budget ~cores:16 ~protocol:Coherence.Directory);
+          Alcotest.test_case "hierarchy construction budget" `Quick
+            test_create_budget;
         ] );
     ]
