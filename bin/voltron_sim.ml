@@ -11,6 +11,7 @@
 module Suite = Voltron_workloads.Suite
 module Stats = Voltron_machine.Stats
 module Machine = Voltron_machine.Machine
+module Trace = Voltron_machine.Trace
 module Select = Voltron_compiler.Select
 module Driver = Voltron_compiler.Driver
 module Config = Voltron_machine.Config
@@ -630,6 +631,24 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble the generated per-core code.")
     Term.(const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg)
 
+(* The stderr line for a machine run that did not finish, or [None]. *)
+let run_outcome_err (result : Machine.result) =
+  match result.Machine.outcome with
+  | Machine.Finished -> None
+  | Machine.Out_of_cycles -> Some "out of cycles"
+  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
+  | Machine.Fault_limit d ->
+    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
+  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
+
+(* Report a run that did not finish on stderr and exit 1. *)
+let exit_unless_finished result =
+  match run_outcome_err result with
+  | None -> ()
+  | Some e ->
+    prerr_endline e;
+    exit 1
+
 let asm_cmd =
   let asm file cores =
     let prog =
@@ -640,35 +659,16 @@ let asm_cmd =
         exit 2
     in
     let machine = Config.default ~n_cores:cores in
-    let m = Voltron_machine.Machine.create machine prog in
-    let result = Voltron_machine.Machine.run m in
-    (match result.Voltron_machine.Machine.outcome with
-    | Voltron_machine.Machine.Finished ->
-      Printf.printf "finished in %d cycles\n" result.Voltron_machine.Machine.cycles
-    | Voltron_machine.Machine.Out_of_cycles ->
-      Printf.eprintf "out of cycles\n";
-      exit 1
-    | Voltron_machine.Machine.Deadlock d ->
-      Printf.eprintf "deadlock:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1
-    | Voltron_machine.Machine.Fault_limit d ->
-      Printf.eprintf "fault limit reached:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1
-    | Voltron_machine.Machine.Stopped d ->
-      Printf.eprintf "stopped:\n%s\n"
-        (Voltron_machine.Machine.diagnosis_to_string d);
-      exit 1);
+    let m = Machine.create machine prog in
+    let result = Machine.run m in
+    exit_unless_finished result;
+    Printf.printf "finished in %d cycles\n" result.Machine.cycles;
     Stats.pp_summary
-      ~coherence:
-        (Voltron_mem.Coherence.total_stats (Voltron_machine.Machine.coherence m))
-      ~network:
-        (Voltron_net.Operand_network.stats (Voltron_machine.Machine.network m))
-      Format.std_formatter
-      (Voltron_machine.Machine.stats m);
+      ~coherence:(Coherence.total_stats (Machine.coherence m))
+      ~network:(Voltron_net.Operand_network.stats (Machine.network m))
+      Format.std_formatter (Machine.stats m);
     (* Show the first few data words, the usual place for results. *)
-    let mem = Voltron_machine.Machine.memory m in
+    let mem = Machine.memory m in
     let n = min 8 (Voltron_mem.Memory.size mem) in
     Printf.printf "mem[0..%d] =" (n - 1);
     for i = 0 to n - 1 do
@@ -692,36 +692,22 @@ let trace_cmd =
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
     let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
-    let m = Voltron_machine.Machine.create machine compiled.Driver.executable in
-    let tracer = Voltron_machine.Trace.create ~limit () in
-    Voltron_machine.Machine.set_tracer m tracer;
-    let result = Voltron_machine.Machine.run m in
-    let failed = ref false in
-    (match result.Voltron_machine.Machine.outcome with
-    | Voltron_machine.Machine.Finished -> ()
-    | Voltron_machine.Machine.Out_of_cycles ->
-      failed := true;
-      prerr_endline "out of cycles"
-    | Voltron_machine.Machine.Deadlock d ->
-      failed := true;
-      prerr_endline
-        ("deadlock: " ^ Voltron_machine.Machine.diagnosis_to_string d)
-    | Voltron_machine.Machine.Fault_limit d ->
-      failed := true;
-      prerr_endline
-        ("fault limit reached: " ^ Voltron_machine.Machine.diagnosis_to_string d)
-    | Voltron_machine.Machine.Stopped d ->
-      failed := true;
-      prerr_endline ("stopped: " ^ Voltron_machine.Machine.diagnosis_to_string d));
-    Voltron_machine.Trace.report ~timeline Format.std_formatter tracer
+    let m = Machine.create machine compiled.Driver.executable in
+    let tracer = Trace.create ~limit () in
+    Machine.attach_probe m
+      { Machine.null_probe with on_event = Some (Trace.record tracer) };
+    let result = Machine.run m in
+    let err = run_outcome_err result in
+    Option.iter prerr_endline err;
+    Trace.report ~timeline Format.std_formatter tracer
       compiled.Driver.executable;
     (match json_out with
     | None -> ()
     | Some path ->
       Voltron_obs.Chrome_trace.write ~path ~n_cores:cores
-        ~cycles:result.Voltron_machine.Machine.cycles tracer;
+        ~cycles:result.Machine.cycles tracer;
       Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path);
-    if !failed then exit 1
+    if Option.is_some err then exit 1
   in
   let limit_arg =
     Arg.(value & opt int 100_000 & info [ "limit" ] ~docv:"N" ~doc:"Events to keep.")
@@ -760,20 +746,7 @@ let profile_cmd =
       else None
     in
     let result = Machine.run m in
-    (match result.Machine.outcome with
-    | Machine.Finished -> ()
-    | Machine.Out_of_cycles ->
-      Printf.eprintf "out of cycles\n";
-      exit 1
-    | Machine.Deadlock d ->
-      Printf.eprintf "deadlock:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1
-    | Machine.Fault_limit d ->
-      Printf.eprintf "fault limit reached:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1
-    | Machine.Stopped d ->
-      Printf.eprintf "stopped:\n%s\n" (Machine.diagnosis_to_string d);
-      exit 1);
+    exit_unless_finished result;
     Printf.printf "benchmark  : %s\n" name;
     Printf.printf "strategy   : %s on %d cores\n" strategy cores;
     Printf.printf "cycles     : %d\n\n" result.Machine.cycles;
@@ -847,15 +820,6 @@ let profile_cmd =
       $ scale_arg $ sample_arg $ metrics_arg $ json_arg)
 
 (* --- blame: cross-core critical path, wait-for blame, what-if ------------ *)
-
-let run_outcome_err (result : Machine.result) =
-  match result.Machine.outcome with
-  | Machine.Finished -> None
-  | Machine.Out_of_cycles -> Some "out of cycles"
-  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
 
 let blame_cmd =
   let run_with_blame ~cores ~choice ~tweak p =

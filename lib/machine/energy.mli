@@ -26,8 +26,6 @@ type weights = {
   w_leak_core_cycle : float;  (** static power, per core per cycle *)
 }
 
-val default_weights : weights
-
 type report = {
   e_dynamic : float;
   e_static : float;

@@ -30,14 +30,20 @@ type wait =
   | W_asleep
   | W_halted
 
-(* One cycle (or [k] identical cycles) of one core's time, as reported to
-   the causal profiler's blame hook: busy issuing, waiting (with the wait
-   and the peer core it resolves to, when it names one), or held by the
-   coupled-mode stall bus on a peer's behalf. *)
+(* One cycle (or [k] identical cycles) of one core's time, as the probe
+   sees it: busy issuing, waiting, or held by the coupled-mode stall bus on
+   a peer's behalf. *)
 type blame_event =
   | Blame_busy
-  | Blame_wait of { b_wait : wait; b_on : int  (** -1: no blamed core *) }
+  | Blame_wait of wait
   | Blame_lockstep of { b_kind : Stats.stall_kind }
+
+type probe = {
+  on_core_cycles :
+    core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit;
+  on_event : (Trace.event -> unit) option;
+  every_cycle : (now:int -> unit) option;
+}
 
 type core_diag = {
   d_core : int;
@@ -134,32 +140,24 @@ type t = {
   mutable now : int;
   mutable serial_queue : int list;
   mutable last_progress : int;
-  mutable tracer : Trace.t option;
-  (* Per-region cycle attribution: the store plus the pc->region map the
-     observability layer derived from the compiler's region extents. *)
-  mutable attr : (Stats.region_acct * (core:int -> pc:int -> int)) option;
-  mutable on_cycle : (now:int -> unit) option;
-  (* Runtime sanitizer: a per-cycle check hook (runs after [on_cycle]) plus
-     a stop request it can raise from any monitor callback; the run loop
-     converts the request into a [Stopped] outcome at the end of the cycle. *)
-  mutable on_sanity : (now:int -> unit) option;
+  (* The one observer of the machine's own activity: every core-cycle
+     classification, the structured events and a per-cycle check. [None]
+     (the default) keeps every report site to a single branch, off the
+     allocation path. *)
+  mutable probe : probe option;
+  (* A stop request any probe or monitor callback can raise; the run loop
+     converts it into a [Stopped] outcome at the end of the cycle. *)
   mutable stop_requested : bool;
-  (* Causal profiler: every core-cycle is reported exactly once as busy /
-     waiting / lockstep-held, with a repeat count [k] so the fast-forward
-     bulk paths stay exact. [None] (the default) keeps every report site to
-     a single branch, off the allocation path. *)
-  mutable blame :
-    (core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit) option;
   (* Cycle-window hook: called once per run-loop iteration with the closed
      cycle interval that iteration covered (a fast-forward jump covers
-     many). Unlike [on_cycle], attaching it does NOT disable fast-forward —
-     that is its whole point. *)
+     many). Attaching it does NOT disable fast-forward — that is its whole
+     point. *)
   mutable on_window : (from:int -> upto:int -> unit) option;
   (* Stall fast-forward (Config.fast_forward). [ff_active] is resolved once
-     at run entry: on when nothing per-cycle-observing is attached (tracer,
-     sampler hook, fault injector — attribution is fine, its cells take bulk
-     credit). [wake] is a scratch out-parameter of [blocker]: the first
-     cycle its verdict can change. [sc_wait]/[sc_waiting] are per-core
+     at run entry: on unless something must see every cycle (a probe's
+     [on_event] or [every_cycle], the fault injector — core-cycle reports
+     take bulk credit). [wake] is a scratch out-parameter of [blocker]: the
+     first cycle its verdict can change. [sc_wait]/[sc_waiting] are per-core
      scratch for the step functions, preallocated to stay off the per-cycle
      allocation path. *)
   mutable ff_active : bool;
@@ -272,12 +270,8 @@ let create cfg (prog : Program.t) =
       now = 0;
       serial_queue = [];
       last_progress = 0;
-      tracer = None;
-      attr = None;
-      on_cycle = None;
-      on_sanity = None;
+      probe = None;
       stop_requested = false;
-      blame = None;
       on_window = None;
       ff_active = false;
       wake = max_int;
@@ -296,35 +290,29 @@ let network t = t.net
 let tm t = t.tm
 let now t = t.now
 let mode t = t.mode
-let set_tracer t tr = t.tracer <- Some tr
 
-let set_attribution t ~region_of acct =
-  if acct.Stats.ra_n_cores <> t.cfg.Config.n_cores then
-    invalid_arg "Machine.set_attribution: core count mismatch";
-  t.attr <- Some (acct, region_of)
+let null_probe =
+  {
+    on_core_cycles = (fun ~core:_ ~pc:_ ~k:_ ~redo:_ _ -> ());
+    on_event = None;
+    every_cycle = None;
+  }
 
-let set_on_cycle t f = t.on_cycle <- Some f
-let set_sanity_cycle t f = t.on_sanity <- Some f
-let set_blame t f = t.blame <- Some f
+let attach_probe t p =
+  match t.probe with
+  | Some _ -> invalid_arg "Machine.attach_probe: a probe is already attached"
+  | None -> t.probe <- Some p
+
 let set_on_window t f = t.on_window <- Some f
 let request_stop t = t.stop_requested <- true
 let pc t ~core = t.cores.(core).pc
 let config t = t.cfg
 
-let trace t ev =
-  match t.tracer with None -> () | Some tr -> Trace.record tr ev
-
-(* The attribution cell for [core] at [pc] under the current mode, when an
-   attribution is attached and the map yields a region in range. *)
-let att_cell t ~core ~pc =
-  match t.attr with
-  | None -> None
-  | Some (acct, region_of) ->
-    let r = region_of ~core ~pc in
-    if r < 0 || r >= acct.Stats.ra_n_regions then None
-    else
-      let mode_idx = match t.mode with Inst.Coupled -> 0 | Inst.Decoupled -> 1 in
-      Some acct.Stats.ra_cells.(r).(mode_idx).(core)
+(* Forward a structured event to the probe. Only rare events come through
+   here: frequent ones build their record inside the probe match, so the
+   probe-less path allocates nothing. *)
+let emit t ev =
+  match t.probe with Some { on_event = Some f; _ } -> f ev | Some _ | None -> ()
 
 (* --- Register file with growth ------------------------------------------- *)
 
@@ -359,26 +347,6 @@ let write_reg cs r v ~ready ~prod =
 
 let reg t ~core r = read_reg t.cores.(core) r
 
-(* Credit [k] consecutive stall cycles of the same kind at the core's
-   current pc — [k = 1] is the ordinary per-cycle path, [k > 1] the
-   fast-forward bulk credit (never traced: fast-forward is off whenever a
-   tracer is attached). *)
-let record_stalls t ~core kind k =
-  Stats.add_stall t.st ~core kind k;
-  match att_cell t ~core ~pc:t.cores.(core).pc with
-  | None -> ()
-  | Some cell ->
-    let i = Stats.stall_kind_index kind in
-    cell.Stats.rc_stalls.(i) <- cell.Stats.rc_stalls.(i) + k
-
-let record_stall t ~core kind =
-  record_stalls t ~core kind 1;
-  (* Guarded rather than routed through [trace]: the event record must not
-     be allocated on the (tracerless) hot path. *)
-  match t.tracer with
-  | None -> ()
-  | Some tr -> Trace.record tr (Trace.Stall { cycle = t.now; core; kind })
-
 (* --- Stall analysis ------------------------------------------------------ *)
 
 let producer_stall = function
@@ -398,12 +366,12 @@ let stall_of_wait = function
   | W_commit | W_serial | W_asleep | W_halted ->
     Stats.Sync
 
-(* Which core is [cs] waiting on, when its wait names one — shared by the
+(* Which core is [core] waiting on, when its wait names one — shared by the
    watchdog's diagnosis and the causal profiler's blame edges. *)
-let blame_of t cs w =
+let blame_of t ~core w =
   match w with
   | W_recv { sender; _ } -> Some sender
-  | W_get_latch dir -> Mesh.neighbour (Net.mesh t.net) cs.id dir
+  | W_get_latch dir -> Mesh.neighbour (Net.mesh t.net) core dir
   | W_send_full dst -> Some dst
   | W_commit ->
     Array.to_list t.cores
@@ -417,14 +385,14 @@ let blame_of t cs w =
     |> Option.map (fun c -> c.id)
   | W_serial -> (
     match t.serial_queue with
-    | head :: _ when head <> cs.id -> Some head
+    | head :: _ when head <> core -> Some head
     | _ -> None)
   | W_reg _ | W_ifetch | W_dmem | W_btr | W_getb | W_stall_fault | W_asleep
   | W_halted ->
     None
 
-(* The wait a non-Running status stands for. Only called with the blame
-   hook attached — the [W_barrier] case allocates. *)
+(* The wait a non-Running status stands for. Only called with a probe
+   attached — the [W_barrier] case allocates. *)
 let wait_of_status = function
   | Running -> assert false
   | Asleep -> W_asleep
@@ -434,25 +402,85 @@ let wait_of_status = function
   | Wait_serial -> W_serial
   | Stuck w -> w
 
-(* Report [k] cycles of [cs] blocked on [w], resolving the blamed peer.
-   The [None] check comes first so the detached path allocates nothing. *)
-let blame_wait t cs w k =
-  match t.blame with
-  | None -> ()
-  | Some f ->
-    let b_on = match blame_of t cs w with Some c -> c | None -> -1 in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
-      (Blame_wait { b_wait = w; b_on })
+(* --- Core-cycle credit -----------------------------------------------------
 
-(* Same, for a core whose status (rather than its blocker) is the wait. *)
-let blame_status t cs k =
-  match t.blame with
+   Every core-cycle is classified exactly once, through one of the five
+   functions below: each updates [Stats] and reports to the probe, [k]
+   identical cycles at a time ([k > 1] only from a fast-forward bulk
+   credit). Stalls and issues are also trace events; [on_event] turns
+   fast-forward off, so it only ever sees [k = 1]. With no probe attached
+   each site costs one branch and allocates nothing. *)
+
+let trace_stall t cs (p : probe) kind =
+  match p.on_event with
   | None -> ()
-  | Some f ->
-    let w = wait_of_status cs.status in
-    let b_on = match blame_of t cs w with Some c -> c | None -> -1 in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
-      (Blame_wait { b_wait = w; b_on })
+  | Some f -> f (Trace.Stall { cycle = t.now; core = cs.id; kind })
+
+(* A running core blocked on its own wait [w]. *)
+let credit_wait t cs w k =
+  let kind = stall_of_wait w in
+  Stats.add_stall t.st ~core:cs.id kind k;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial (Blame_wait w);
+    trace_stall t cs p kind
+
+(* A core whose status is the wait — at a barrier or commit round, queued
+   for the serial token, or wedged: a sync stall. *)
+let credit_status t cs k =
+  Stats.add_stall t.st ~core:cs.id Stats.Sync k;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
+      (Blame_wait (wait_of_status cs.status));
+    trace_stall t cs p Stats.Sync
+
+(* An issueable coupled core held by the stall bus: charged with the
+   peers' dominant stall [kind], the lock-step overhead the coupled mode
+   pays. *)
+let credit_lockstep t cs kind =
+  Stats.add_stall t.st ~core:cs.id kind 1;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
+      (Blame_lockstep { b_kind = kind });
+    trace_stall t cs p kind
+
+(* An asleep or halted core. *)
+let credit_idle t cs k =
+  let core_st = Stats.core t.st cs.id in
+  core_st.idle <- core_st.idle + k;
+  match t.probe with
+  | None -> ()
+  | Some p ->
+    (* A just-woken core (status already Running in [try_wake]) spent the
+       cycle asleep waiting for its START — report it as such. *)
+    let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:false (Blame_wait w)
+
+(* A core that issued the bundle [d] at [pc]; [redo] marks serial TM
+   re-execution work. *)
+let credit_busy t cs ~pc ~redo (d : Image.decoded) =
+  let core_st = Stats.core t.st cs.id in
+  core_st.busy <- core_st.busy + 1;
+  core_st.bundles <- core_st.bundles + 1;
+  core_st.ops <- core_st.ops + d.Image.d_real_ops;
+  core_st.ops_mem <- core_st.ops_mem + d.Image.d_n_mem;
+  core_st.ops_comm <- core_st.ops_comm + d.Image.d_n_comm;
+  core_st.ops_mul_div <- core_st.ops_mul_div + d.Image.d_n_muldiv;
+  match t.probe with
+  | None -> ()
+  | Some p -> (
+    p.on_core_cycles ~core:cs.id ~pc ~k:1 ~redo Blame_busy;
+    match p.on_event with
+    | None -> ()
+    | Some f ->
+      f
+        (Trace.Issue
+           { cycle = t.now; core = cs.id; pc; ops = d.Image.d_real_ops }))
 
 (* First reason the core cannot issue its current bundle this cycle, or
    [None] when it can. Architecturally side-effect-free; as an
@@ -598,12 +626,11 @@ let exec_comm_out t cs op =
     Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src)
   | Inst.Send { target; src } -> (
     let payload = Net.Value (read_operand cs src) in
-    (* Guarded, not routed through [trace]: SENDs are frequent and the
-       event record must not be allocated on the tracerless path. *)
-    (match t.tracer with
-    | None -> ()
-    | Some tr ->
-      Trace.record tr (Trace.Sent { cycle = now; src = cs.id; dst = target }));
+    (* Not routed through [emit]: SENDs are frequent. *)
+    (match t.probe with
+    | Some { on_event = Some f; _ } ->
+      f (Trace.Sent { cycle = now; src = cs.id; dst = target })
+    | Some _ | None -> ());
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
     | Ok () -> ()
     | Error Net.Channel_full ->
@@ -619,7 +646,7 @@ let exec_comm_out t cs op =
   | Inst.Spawn { target; entry } -> (
     let addr = Image.resolve t.prog.images.(target) entry in
     t.st.spawns <- t.st.spawns + 1;
-    trace t (Trace.Spawned { cycle = t.now; by = cs.id; target });
+    emit t (Trace.Spawned { cycle = t.now; by = cs.id; target });
     let payload = Net.Start addr in
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
     | Ok () -> ()
@@ -731,10 +758,10 @@ let exec_main t cs (d : Image.decoded) i : int option =
   | Inst.Recv { sender; dst; kind } -> (
     match Net.recv t.net ~now ~core:cs.id ~sender with
     | Some v ->
-      (match t.tracer with
-      | None -> ()
-      | Some tr ->
-        Trace.record tr (Trace.Recvd { cycle = now; core = cs.id; sender }));
+      (match t.probe with
+      | Some { on_event = Some f; _ } ->
+        f (Trace.Recvd { cycle = now; core = cs.id; sender })
+      | Some _ | None -> ());
       let prod =
         match kind with
         | Inst.Rv_data -> P_recv_data
@@ -788,19 +815,6 @@ let finish_issue t cs (d : Image.decoded) =
       | None -> ()
   done;
   let target = !target in
-  let core_st = Stats.core t.st cs.id in
-  core_st.busy <- core_st.busy + 1;
-  core_st.bundles <- core_st.bundles + 1;
-  (match att_cell t ~core:cs.id ~pc:issued_pc with
-  | None -> ()
-  | Some cell -> cell.Stats.rc_busy <- cell.Stats.rc_busy + 1);
-  (match t.blame with
-  | None -> ()
-  | Some f -> f ~core:cs.id ~pc:issued_pc ~k:1 ~redo:was_redo Blame_busy);
-  core_st.ops <- core_st.ops + d.Image.d_real_ops;
-  core_st.ops_mem <- core_st.ops_mem + d.Image.d_n_mem;
-  core_st.ops_comm <- core_st.ops_comm + d.Image.d_n_comm;
-  core_st.ops_mul_div <- core_st.ops_mul_div + d.Image.d_n_muldiv;
   t.last_progress <- t.now;
   (match cs.status with
   | Running ->
@@ -814,39 +828,18 @@ let finish_issue t cs (d : Image.decoded) =
     (* Resume point: past this bundle (barrier ops never co-issue with a
        taken branch in generated code, but honour one if present). *)
     cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1));
-  match t.tracer with
-  | None -> ()
-  | Some tr ->
-    Trace.record tr
-      (Trace.Issue
-         { cycle = t.now; core = cs.id; pc = issued_pc; ops = d.Image.d_real_ops })
+  credit_busy t cs ~pc:issued_pc ~redo:was_redo d
 
 (* --- Per-cycle stepping --------------------------------------------------- *)
 
-let record_idles t cs k =
-  let core_st = Stats.core t.st cs.id in
-  core_st.idle <- core_st.idle + k;
-  (match t.blame with
-  | None -> ()
-  | Some f ->
-    (* A just-woken core (status already Running in [try_wake]) spent the
-       cycle asleep waiting for its START — report it as such. *)
-    let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
-    f ~core:cs.id ~pc:cs.pc ~k ~redo:false (Blame_wait { b_wait = w; b_on = -1 }));
-  match att_cell t ~core:cs.id ~pc:cs.pc with
-  | None -> ()
-  | Some cell -> cell.Stats.rc_idle <- cell.Stats.rc_idle + k
-
-let record_idle t cs = record_idles t cs 1
-
 let try_wake t cs =
-  match Net.take_start t.net ~now:t.now ~core:cs.id with
+  (match Net.take_start t.net ~now:t.now ~core:cs.id with
   | Some addr ->
     cs.pc <- addr;
     cs.status <- Running;
-    initiate_fetch t cs;
-    record_idle t cs
-  | None -> record_idle t cs
+    initiate_fetch t cs
+  | None -> ());
+  credit_idle t cs 1
 
 (* --- Stall fast-forward ----------------------------------------------------
 
@@ -855,9 +848,9 @@ let try_wake t cs =
    condition (scoreboard thresholds and message arrival times are fixed
    while nothing issues, and event-driven waits cannot clear on their
    own). The step functions detect that configuration, credit the whole
-   window's stalls/idles in one bulk update to the very same counters and
-   attribution cells, and jump [t.now] to the window end — bit-identical
-   to stepping each cycle, minus the wall-clock. *)
+   window's stalls/idles in one bulk update through the very same credit
+   functions, and jump [t.now] to the window end — bit-identical to
+   stepping each cycle, minus the wall-clock. *)
 
 (* Last cycle of the window starting at [t.now]: the cycle before the
    earliest verdict change, clipped so Out_of_cycles and the watchdog fire
@@ -868,23 +861,22 @@ let window_end t ~min_wake =
   min (min_wake - 1)
     (min t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
 
-(* Credit [k] cycles of the frozen configuration captured in [sc_wait]:
-   exactly what [k] repetitions of the per-cycle sweep would record. *)
+(* Credit [k] cycles of core [i] in the frozen configuration captured in
+   [sc_wait]: exactly what [k] repetitions of the per-cycle sweep would
+   record for it. *)
+let credit_frozen t i k =
+  let cs = t.cores.(i) in
+  match cs.status with
+  | Halted | Asleep -> credit_idle t cs k
+  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs k
+  | Running -> (
+    match t.sc_wait.(i) with
+    | Some w -> credit_wait t cs w k
+    | None -> assert false)
+
 let bulk_credit t k =
-  let cores = t.cores in
-  for i = 0 to Array.length cores - 1 do
-    let cs = cores.(i) in
-    match cs.status with
-    | Halted | Asleep -> record_idles t cs k
-    | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-      blame_status t cs k;
-      record_stalls t ~core:cs.id Stats.Sync k
-    | Running -> (
-      match t.sc_wait.(i) with
-      | Some w ->
-        blame_wait t cs w k;
-        record_stalls t ~core:cs.id (stall_of_wait w) k
-      | None -> assert false)
+  for i = 0 to Array.length t.cores - 1 do
+    credit_frozen t i k
   done
 
 (* Issue one decoupled core's bundle: snapshot, phase 1 (communication
@@ -897,16 +889,12 @@ let issue_decoupled t cs =
 
 let decoupled_core_step t cs =
   match cs.status with
-  | Halted -> record_idle t cs
+  | Halted -> credit_idle t cs 1
   | Asleep -> try_wake t cs
-  | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-    blame_status t cs 1;
-    record_stall t ~core:cs.id Stats.Sync
+  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs 1
   | Running -> (
     match blocker t cs with
-    | Some w ->
-      blame_wait t cs w 1;
-      record_stall t ~core:cs.id (stall_of_wait w)
+    | Some w -> credit_wait t cs w 1
     | None -> issue_decoupled t cs)
 
 (* Decoupled: each core progresses independently, in core order — a core's
@@ -961,18 +949,7 @@ let decoupled_step t =
          live core's [None] verdict still holds (the replay changes no
          machine state), so it issues without a second [blocker]. *)
       for j = 0 to !live - 1 do
-        let cs = cores.(j) in
-        match cs.status with
-        | Halted | Asleep -> record_idle t cs
-        | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-          blame_status t cs 1;
-          record_stall t ~core:cs.id Stats.Sync
-        | Running -> (
-          match t.sc_wait.(j) with
-          | Some w ->
-            blame_wait t cs w 1;
-            record_stall t ~core:cs.id (stall_of_wait w)
-          | None -> assert false)
+        credit_frozen t j 1
       done;
       let cs = cores.(!live) in
       (match cs.status with
@@ -1053,18 +1030,8 @@ let coupled_step t =
       let cs = cores.(i) in
       if is_running cs then
         match t.sc_wait.(i) with
-        | Some w ->
-          blame_wait t cs w 1;
-          record_stall t ~core:cs.id (stall_of_wait w)
-        | None ->
-          (* Issueable, held only by the stall bus: blamed on the dominant
-             peer reason, the lock-step overhead the coupled mode pays. *)
-          (match t.blame with
-          | None -> ()
-          | Some f ->
-            f ~core:cs.id ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
-              (Blame_lockstep { b_kind = dominant }));
-          record_stall t ~core:cs.id dominant
+        | Some w -> credit_wait t cs w 1
+        | None -> credit_lockstep t cs dominant
     done
   end
   else begin
@@ -1093,10 +1060,7 @@ let coupled_step t =
      path credited them inside [bulk_credit].) *)
   if not bulked then
     for i = 0 to n - 1 do
-      if t.sc_waiting.(i) then begin
-        blame_status t cores.(i) 1;
-        record_stall t ~core:cores.(i).id Stats.Sync
-      end
+      if t.sc_waiting.(i) then credit_status t cores.(i) 1
     done
 
 (* --- Fault injection ------------------------------------------------------ *)
@@ -1153,7 +1117,7 @@ let resolve_mode_barrier t =
       t.cores;
     t.mode <- target;
     t.st.mode_switches <- t.st.mode_switches + 1;
-    trace t (Trace.Mode_change { cycle = t.now; mode = target });
+    emit t (Trace.Mode_change { cycle = t.now; mode = target });
     t.last_progress <- t.now
   end
 
@@ -1178,7 +1142,7 @@ let abort_and_serialize t aborted =
     let cs = t.cores.(head) in
     cs.status <- Running;
     initiate_fetch t cs;
-    trace t (Trace.Serial_start { cycle = t.now; core = head });
+    emit t (Trace.Serial_start { cycle = t.now; core = head });
     List.iter (fun c -> t.cores.(c).status <- Wait_serial) rest);
   t.serial_queue <- aborted
 
@@ -1233,18 +1197,18 @@ let resolve_tm_round t =
       List.iter
         (fun c -> if c >= v then Tm.abort t.tm ~core:c)
         participants;
-      trace t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
+      emit t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
       let committed, aborted = List.partition (fun c -> c < first) participants in
       release_committed t committed;
       abort_and_serialize t aborted)
     | None -> (
       match Tm.commit_round t.tm ~cores:participants with
       | `All_committed ->
-        trace t (Trace.Tm_round { cycle = t.now; conflict_at = None });
+        emit t (Trace.Tm_round { cycle = t.now; conflict_at = None });
         release_committed t participants
       | `Conflict_at first ->
         t.st.tm_conflicts <- t.st.tm_conflicts + 1;
-        trace t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
+        emit t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
         let committed, aborted = List.partition (fun c -> c < first) participants in
         release_committed t committed;
         abort_and_serialize t aborted)
@@ -1268,7 +1232,7 @@ let resolve_serial_queue t =
         let ncs = t.cores.(next) in
         ncs.status <- Running;
         initiate_fetch t ncs;
-        trace t (Trace.Serial_start { cycle = t.now; core = next });
+        emit t (Trace.Serial_start { cycle = t.now; core = next });
         t.last_progress <- t.now
     end
 
@@ -1345,7 +1309,7 @@ let diagnose t =
            match d.d_wait with
            | Some ((W_asleep | W_halted) as _w) -> None
            | Some w ->
-             Option.map (fun b -> (d.d_core, b)) (blame_of t t.cores.(d.d_core) w)
+             Option.map (fun b -> (d.d_core, b)) (blame_of t ~core:d.d_core w)
            | None -> None)
     |> function
     | [] -> None
@@ -1410,15 +1374,17 @@ let finalize_counters t =
 
 let run t =
   (* Fast-forward needs every skipped cycle to be observationally dead:
-     any per-cycle observer (tracer, sampler hook) or per-cycle randomness
-     (fault injector) forces the cycle-by-cycle path. Attribution stays
-     compatible — its cells take the same credit in bulk. *)
+     a per-cycle observer (the probe's [on_event] or [every_cycle]) or
+     per-cycle randomness (fault injector) forces the cycle-by-cycle path.
+     Core-cycle reports stay compatible — they take the same credit in
+     bulk. *)
   t.ff_active <-
     t.cfg.Config.fast_forward
     && (match t.inj with None -> true | Some _ -> false)
-    && (match t.tracer with None -> true | Some _ -> false)
-    && (match t.on_cycle with None -> true | Some _ -> false)
-    && (match t.on_sanity with None -> true | Some _ -> false);
+    && (match t.probe with
+       | Some { on_event = Some _; _ } | Some { every_cycle = Some _; _ } ->
+         false
+       | Some _ | None -> true);
   let outcome = ref None in
   while match !outcome with None -> true | Some _ -> false do
     t.now <- t.now + 1;
@@ -1437,11 +1403,12 @@ let run t =
       resolve_mode_barrier t;
       resolve_tm_round t;
       resolve_serial_queue t;
-      (match t.on_cycle with None -> () | Some f -> f ~now:t.now);
       (* The step may have fast-forwarded: report the whole covered window.
          [c0 = t.now] when it stepped one cycle. *)
       (match t.on_window with None -> () | Some f -> f ~from:c0 ~upto:t.now);
-      (match t.on_sanity with None -> () | Some f -> f ~now:t.now);
+      (match t.probe with
+      | Some { every_cycle = Some f; _ } -> f ~now:t.now
+      | Some _ | None -> ());
       if t.stop_requested then outcome := Some (Stopped (diagnose t))
       else if finished t then outcome := Some Finished
       else if (match t.inj with Some f -> Fault.exceeded f | None -> false)

@@ -57,6 +57,9 @@ type wait =
 
 val wait_to_string : wait -> string
 
+val stall_of_wait : wait -> Stats.stall_kind
+(** The Fig. 12 stall kind a running core's wait is counted as. *)
+
 type core_diag = {
   d_core : int;
   d_pc : int;
@@ -76,7 +79,6 @@ type diagnosis = {
           core: the edge to start a hang investigation from *)
 }
 
-val pp_diagnosis : Format.formatter -> diagnosis -> unit
 val diagnosis_to_string : diagnosis -> string
 
 type outcome =
@@ -109,8 +111,8 @@ val network : t -> Voltron_net.Operand_network.t
 val tm : t -> Voltron_mem.Tm.t
 
 val now : t -> int
-(** Current simulated cycle (valid mid-run, e.g. from an {!set_on_cycle}
-    hook; equals [Stats.cycles] once the run finishes). *)
+(** Current simulated cycle (valid mid-run, e.g. from a probe callback;
+    equals [Stats.cycles] once the run finishes). *)
 
 val mode : t -> Voltron_isa.Inst.mode
 (** Current execution mode. *)
@@ -124,64 +126,57 @@ val config : t -> Config.t
 val reg : t -> core:int -> int -> int
 (** Inspect a register after (or during) a run — used by tests. *)
 
-val set_tracer : t -> Trace.t -> unit
-(** Attach a structured tracer recording issues, stalls, mode switches,
-    spawns and TM rounds (see {!Trace}). *)
+val blame_of : t -> core:int -> wait -> int option
+(** The peer core [core]'s wait names, if any (a RECV's sender, the first
+    core missing from a commit round, ...), as of now — from a probe
+    callback, as of the reported cycle. *)
 
-(** {1 Observability hooks} *)
+(** {1 Observability} *)
 
-val set_attribution :
-  t -> region_of:(core:int -> pc:int -> int) -> Stats.region_acct -> unit
-(** Attach per-region cycle attribution. Every busy cycle is credited at
-    its issue pc, and every stall/idle cycle at the core's current pc,
-    into the acct cell for [region_of ~core ~pc] x the machine's execution
-    mode at that cycle. Out-of-range region indices are dropped — map
-    every pc (glue, HALT, ...) to a catch-all region to keep the acct's
-    totals equal to the run's core-cycles. Raises [Invalid_argument] on a
-    core-count mismatch. *)
-
-val set_on_cycle : t -> (now:int -> unit) -> unit
-(** Invoke a callback at the end of every simulated cycle (after the step
-    and barrier/TM resolution) — the interval sampler's hook. The callback
-    may read [stats], [coherence], [network] and [now], but must not
-    mutate the machine. *)
-
-(** One core-cycle (or [k] identical core-cycles) as reported to the causal
-    profiler's blame hook. *)
+(** One core-cycle (or [k] identical core-cycles) as the probe sees it. *)
 type blame_event =
   | Blame_busy  (** the core issued a bundle *)
-  | Blame_wait of {
-      b_wait : wait;
-      b_on : int;  (** the peer core the wait resolves to, or -1 *)
-    }
+  | Blame_wait of wait
+      (** the core could not issue; {!blame_of} names the peer it waits on *)
   | Blame_lockstep of { b_kind : Stats.stall_kind }
       (** coupled mode only: the core could issue but the stall bus held it
           for a peer whose dominant stall reason is [b_kind] *)
 
-val set_blame :
-  t -> (core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit) -> unit
-(** Attach the causal profiler's per-core-cycle classifier. Every simulated
-    core-cycle is reported exactly once — [k] > 1 when a stall fast-forward
-    window credited [k] identical cycles in bulk, so attaching this hook
-    does {e not} disable fast-forward (unlike a tracer). [pc] is the issue
-    pc for {!Blame_busy} and the stuck pc otherwise; [redo] marks serial TM
-    re-execution work. The callback must not mutate the machine. Unset (the
-    default), every report site pays a single branch and allocates
-    nothing. *)
+type probe = {
+  on_core_cycles :
+    core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit;
+      (** Every simulated core-cycle is reported exactly once, right where
+          [Stats] counts it — [k] > 1 when a stall fast-forward window
+          credited [k] identical cycles in bulk. [pc] is the issue pc for
+          {!Blame_busy} and the stuck pc otherwise; [redo] marks serial TM
+          re-execution work. A [Blame_wait] on [W_asleep] or [W_halted] is
+          an idle cycle; any other wait is a stall of {!stall_of_wait}. *)
+  on_event : (Trace.event -> unit) option;
+      (** Issues, stalls, SEND/RECV, spawns, mode changes, TM rounds and
+          serial re-execution starts, in simulation order (see {!Trace}). *)
+  every_cycle : (now:int -> unit) option;
+      (** Runs at the end of every cycle, after {!set_on_window}'s callback
+          — the sanitizer's check. May call {!request_stop}. *)
+}
+(** Every callback is read-only: it may inspect the machine (stats,
+    coherence, network, [now], [mode], [pc]) but not mutate it. Fast-forward
+    stays on unless [on_event] or [every_cycle] is present, since those
+    must see every cycle. *)
+
+val null_probe : probe
+(** Reports nothing — the base to override the fields one consumer needs. *)
+
+val attach_probe : t -> probe -> unit
+(** Attach the probe; call before {!run}. With none attached (the default)
+    every report site pays a single branch and allocates nothing. Raises
+    [Invalid_argument] if a probe is already attached. *)
 
 val set_on_window : t -> (from:int -> upto:int -> unit) -> unit
 (** Invoke a callback once per run-loop iteration with the closed cycle
     interval [\[from, upto\]] that iteration covered — [from = upto] on an
     ordinary cycle, [from < upto] across a stall fast-forward jump.
-    Attaching it does {e not} disable fast-forward; it is how the interval
-    sampler observes runs it used to force cycle-by-cycle. Runs after
-    {!set_on_cycle}'s callback, same read-only contract. *)
-
-val set_sanity_cycle : t -> (now:int -> unit) -> unit
-(** The runtime sanitizer's per-cycle check hook: runs after {!set_on_cycle}'s
-    callback, under the same read-only contract (with the one sanctioned
-    mutation of {!request_stop}). Attaching it disables stall fast-forward
-    for the run, like a tracer — every cycle must be observed. *)
+    Attaching it does {e not} disable fast-forward. Same read-only contract
+    as the probe; a later call displaces the callback. *)
 
 val request_stop : t -> unit
 (** Ask the run loop to stop at the end of the current cycle with a

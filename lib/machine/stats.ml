@@ -94,8 +94,6 @@ let add_stall t ~core kind k =
   | Recv_pred -> c.recv_pred_stall <- c.recv_pred_stall + k
   | Sync -> c.sync_stall <- c.sync_stall + k
 
-let record_stall t ~core kind = add_stall t ~core kind 1
-
 let core t i = t.per_core.(i)
 
 let total_stalls c =
@@ -130,46 +128,6 @@ let stall_kind_label = function
   | Recv_data -> "recv-data"
   | Recv_pred -> "recv-pred"
   | Sync -> "sync"
-
-(* --- Per-region attribution store ----------------------------------------- *)
-
-type region_cell = {
-  mutable rc_busy : int;
-  mutable rc_idle : int;
-  rc_stalls : int array;  (** indexed by [stall_kind_index] *)
-}
-
-type region_acct = {
-  ra_n_regions : int;
-  ra_n_cores : int;
-  ra_cells : region_cell array array array;
-      (** [region][mode (0 coupled, 1 decoupled)][core] *)
-}
-
-let fresh_region_cell () =
-  { rc_busy = 0; rc_idle = 0; rc_stalls = Array.make n_stall_kinds 0 }
-
-let create_region_acct ~n_regions ~n_cores =
-  {
-    ra_n_regions = n_regions;
-    ra_n_cores = n_cores;
-    ra_cells =
-      Array.init n_regions (fun _ ->
-          Array.init 2 (fun _ ->
-              Array.init n_cores (fun _ -> fresh_region_cell ())));
-  }
-
-let region_cell_cycles c =
-  c.rc_busy + c.rc_idle + Array.fold_left ( + ) 0 c.rc_stalls
-
-let avg_stall_fraction t kind =
-  if t.cycles = 0 then 0.
-  else
-    let per_core =
-      Array.to_list t.per_core
-      |> List.map (fun c -> float_of_int (stall_of c kind) /. float_of_int t.cycles)
-    in
-    Voltron_util.Stat.mean per_core
 
 let rate num den = if den = 0 then 0. else float_of_int num /. float_of_int den
 

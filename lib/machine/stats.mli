@@ -51,18 +51,16 @@ type stall_kind =
   | Sync
 
 val create : n_cores:int -> t
-val record_stall : t -> core:int -> stall_kind -> unit
 
-(** [add_stall t ~core kind k] is [record_stall] x [k] in one update — the
-    stall fast-forward's bulk credit. *)
+(** [add_stall t ~core kind k] credits [k] stall cycles of [kind] to
+    [core] in one update ([k] > 1 is the stall fast-forward's bulk
+    credit). *)
 val add_stall : t -> core:int -> stall_kind -> int -> unit
 
 val core : t -> int -> core
 
 val total_stalls : core -> int
 val stall_of : core -> stall_kind -> int
-val avg_stall_fraction : t -> stall_kind -> float
-(** Average over cores of (stall cycles of that kind) / total cycles. *)
 
 val all_stall_kinds : stall_kind list
 (** In [stall_kind_index] order. *)
@@ -73,33 +71,6 @@ val stall_kind_label : stall_kind -> string
 (** The one canonical rendering ("I-stall", "D-stall", "latency",
     "recv-data", "recv-pred", "sync") shared by the trace, the watchdog
     and the observability layer. *)
-
-(** {1 Per-region attribution}
-
-    A [region_acct] is a passive store the machine fills when an
-    attribution hook is attached ({!Machine.set_attribution}): every
-    busy/stall/idle cycle of every core is credited to the cell for (the
-    region enclosing that core's pc) x (the machine's execution mode at
-    that cycle). The observability layer builds the pc->region map from
-    the compiler's region extents and renders the per-region Fig. 12-style
-    report. *)
-
-type region_cell = {
-  mutable rc_busy : int;
-  mutable rc_idle : int;
-  rc_stalls : int array;  (** indexed by [stall_kind_index] *)
-}
-
-type region_acct = {
-  ra_n_regions : int;
-  ra_n_cores : int;
-  ra_cells : region_cell array array array;
-      (** [region][mode (0 coupled, 1 decoupled)][core] *)
-}
-
-val create_region_acct : n_regions:int -> n_cores:int -> region_acct
-val region_cell_cycles : region_cell -> int
-(** busy + idle + every stall of that cell. *)
 
 val pp_summary :
   ?coherence:Voltron_mem.Coherence.stats ->

@@ -29,8 +29,6 @@ let events t = Vec.to_list t.buf
 
 let dropped t = t.n_dropped
 
-let limit t = t.limit
-
 type hotspot = {
   hs_core : int;
   hs_label : string;
@@ -63,13 +61,12 @@ let hotspots t (prog : Program.t) =
     table []
   |> List.sort (fun a b -> compare b.hs_issues a.hs_issues)
 
-let stall_name = Stats.stall_kind_label
-
 let pp_event ppf = function
   | Issue { cycle; core; pc; ops } ->
     Format.fprintf ppf "[%6d] core %d issue pc=%d (%d ops)" cycle core pc ops
   | Stall { cycle; core; kind } ->
-    Format.fprintf ppf "[%6d] core %d stall (%s)" cycle core (stall_name kind)
+    Format.fprintf ppf "[%6d] core %d stall (%s)" cycle core
+      (Stats.stall_kind_label kind)
   | Mode_change { cycle; mode } ->
     Format.fprintf ppf "[%6d] mode -> %a" cycle Inst.pp_mode mode
   | Spawned { cycle; by; target } ->

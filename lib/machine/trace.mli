@@ -1,7 +1,8 @@
 (** Structured execution traces.
 
-    A tracer attached to a {!Machine} records issue, stall, mode-switch,
-    spawn and transactional events up to a configurable limit (events past
+    A tracer fed by a machine probe ([{ Machine.null_probe with on_event =
+    Some (Trace.record tr) }]) records issue, stall, mode-switch, spawn,
+    message and transactional events up to a configurable limit (events past
     the limit are counted but not stored). Post-run, {!report} renders a
     cycle timeline and {!hotspots} aggregates issue counts by code label —
     the tool one actually wants when asking "where do the cycles go?". *)
@@ -32,12 +33,6 @@ val events : t -> event list
 val dropped : t -> int
 (** Events beyond the limit (counted, not stored). *)
 
-val limit : t -> int
-(** The cap this tracer was created with. *)
-
-val stall_name : Stats.stall_kind -> string
-(** Alias of {!Stats.stall_kind_label}. *)
-
 type hotspot = {
   hs_core : int;
   hs_label : string;  (** nearest preceding label in that core's image *)
@@ -47,8 +42,6 @@ type hotspot = {
 
 val hotspots : t -> Voltron_isa.Program.t -> hotspot list
 (** Issue counts aggregated by (core, enclosing label), hottest first. *)
-
-val pp_event : Format.formatter -> event -> unit
 
 val report :
   ?timeline:int -> Format.formatter -> t -> Voltron_isa.Program.t -> unit

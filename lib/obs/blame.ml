@@ -3,7 +3,6 @@ module Config = Voltron_machine.Config
 module Stats = Voltron_machine.Stats
 module Net = Voltron_net.Operand_network
 module Mesh = Voltron_net.Mesh
-module Coherence = Voltron_mem.Coherence
 module Tm = Voltron_mem.Tm
 module Driver = Voltron_compiler.Driver
 module Program = Voltron_isa.Program
@@ -109,13 +108,10 @@ type t = {
   machine : Machine.t;
   n_cores : int;
   names : string array;
-  strategies : string array;
   region_of : core:int -> pc:int -> int;
   ivs : interval Vec.t array;  (** per core, in time order, tiling the run *)
   dvs : delivery Vec.t array;  (** per destination core, in delivery order *)
   tm : tm_counts array;  (** per region *)
-  fill_count : int array;  (** per core: accesses that missed in L1 *)
-  fill_cycles : int array;  (** per core: fill latency beyond an L1 hit *)
   hop_cost : int;
   hops : int -> int -> int;
 }
@@ -129,7 +125,9 @@ let record t ~core ~pc ~k ~redo (ev : Machine.blame_event) =
     match ev with
     | Machine.Blame_busy -> ((if redo then K_redo else K_compute), -1)
     | Machine.Blame_lockstep _ -> (K_lockstep, -1)
-    | Machine.Blame_wait { b_wait; b_on } -> (kind_of_wait b_wait, b_on)
+    | Machine.Blame_wait w ->
+      ( kind_of_wait w,
+        match Machine.blame_of t.machine ~core w with Some c -> c | None -> -1 )
   in
   let region = t.region_of ~core ~pc in
   let mode = mode_index (Machine.mode t.machine) in
@@ -156,7 +154,7 @@ let record t ~core ~pc ~k ~redo (ev : Machine.blame_event) =
       }
 
 let attach m (compiled : Driver.compiled) =
-  let names, strategies, region_of = Region_profile.lookup compiled in
+  let names, _, region_of = Region_profile.lookup compiled in
   let n_cores = Program.n_cores compiled.Driver.executable in
   let net = Machine.network m in
   let t =
@@ -164,19 +162,16 @@ let attach m (compiled : Driver.compiled) =
       machine = m;
       n_cores;
       names;
-      strategies;
       region_of;
       ivs = Array.init n_cores (fun _ -> Vec.create ());
       dvs = Array.init n_cores (fun _ -> Vec.create ());
       tm = Array.init (Array.length names) (fun _ ->
           { tr_begins = 0; tr_commits = 0; tr_aborts = 0 });
-      fill_count = Array.make n_cores 0;
-      fill_cycles = Array.make n_cores 0;
       hop_cost = (Machine.config m).Config.net_hop_cost;
       hops = Mesh.hops (Net.mesh net);
     }
   in
-  Machine.set_blame m (fun ~core ~pc ~k ~redo ev -> record t ~core ~pc ~k ~redo ev);
+  Machine.attach_probe m { Machine.null_probe with on_core_cycles = record t };
   Net.set_monitor net (fun ev ->
       match ev with
       | Net.Ev_deliver { ev_src; ev_dst; ev_payload; ev_sent; ev_seq = _ } ->
@@ -201,20 +196,11 @@ let attach m (compiled : Driver.compiled) =
         (fun ~core -> let r = tm_at core in r.tr_commits <- r.tr_commits + 1);
       m_abort = (fun ~core -> let r = tm_at core in r.tr_aborts <- r.tr_aborts + 1);
     };
-  let lat_l1 = (Coherence.config (Machine.coherence m)).Coherence.lat_l1 in
-  Coherence.set_monitor (Machine.coherence m)
-    (fun ~core ~completion _kind _addr ->
-      let extra = completion - Machine.now m - lat_l1 in
-      if extra > 0 then begin
-        t.fill_count.(core) <- t.fill_count.(core) + 1;
-        t.fill_cycles.(core) <- t.fill_cycles.(core) + extra
-      end);
   t
 
 let n_cores t = t.n_cores
 let cycles t = Machine.now t.machine
 let region_names t = t.names
-let strategy_names t = t.strategies
 let hop_cost t = t.hop_cost
 let hops t = t.hops
 let intervals t core = Vec.to_array t.ivs.(core)
@@ -276,5 +262,3 @@ let tm_regions t =
       out := (t.names.(r), c.tr_begins, c.tr_commits, c.tr_aborts) :: !out
   done;
   !out
-
-let fills t core = (t.fill_count.(core), t.fill_cycles.(core))

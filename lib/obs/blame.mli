@@ -1,8 +1,8 @@
 (** Wait-for blame recorder — the causal profiler's data-collection half.
 
-    [attach] installs the machine's passive blame hook
-    ({!Voltron_machine.Machine.set_blame}) plus the network, TM and
-    coherence monitors, and records a per-core sequence of {e blame
+    [attach] attaches a machine probe reading the core-cycle stream
+    ({!Voltron_machine.Machine.probe.on_core_cycles}) plus the network and
+    TM monitors, and records a per-core sequence of {e blame
     intervals}: every core-cycle of the run classified as compute or as a
     wait on a named edge kind, with the blamed peer core where the wait
     names one. Contiguous cycles with identical classification are merged,
@@ -34,7 +34,6 @@ type kind =
   | K_fault  (** injected transient stall fault *)
   | K_drain  (** halted, waiting for the machine to finish *)
 
-val all_kinds : kind list
 val kind_label : kind -> string
 val kind_of_label : string -> kind option
 
@@ -58,10 +57,10 @@ type delivery = {
 type t
 
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
-(** Install the blame hook and the network/TM/coherence monitors
-    (displacing any previously attached monitors, e.g. the sanitizer's).
-    Call before {!Voltron_machine.Machine.run}. Recording does not disable
-    stall fast-forward. *)
+(** Attach the blame probe and the network/TM monitors. Call before
+    {!Voltron_machine.Machine.run}. Raises [Invalid_argument] when the
+    machine already has a probe (the sanitizer's, say), so the two never
+    displace each other. Recording does not disable stall fast-forward. *)
 
 val n_cores : t -> int
 
@@ -69,7 +68,6 @@ val cycles : t -> int
 (** The machine's current cycle — the run length once the run finished. *)
 
 val region_names : t -> string array
-val strategy_names : t -> string array
 val hop_cost : t -> int
 val hops : t -> int -> int -> int
 
@@ -96,6 +94,3 @@ val msgs_matrix : t -> int array array
 val tm_regions : t -> (string * int * int * int) list
 (** Per-region TM history [(region, begins, commits, aborts)], regions
     with any transactions only. *)
-
-val fills : t -> int -> int * int
-(** That core's (cache-miss count, total fill cycles beyond an L1 hit). *)

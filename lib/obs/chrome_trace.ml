@@ -1,4 +1,5 @@
 module Trace = Voltron_machine.Trace
+module Stats = Voltron_machine.Stats
 module Inst = Voltron_isa.Inst
 
 let mode_name = Tabulate.mode_name
@@ -81,7 +82,7 @@ let of_trace ~n_cores ~cycles trace =
              ])
       | Trace.Stall { cycle; core; kind } ->
         push cycle
-          (event ~name:(Trace.stall_name kind) ~cat:"stall" ~ph:"i" ~ts:cycle
+          (event ~name:(Stats.stall_kind_label kind) ~cat:"stall" ~ph:"i" ~ts:cycle
              ~tid:core
              [ ("s", Json.Str "t") ])
       | Trace.Mode_change { cycle; mode } ->

@@ -1,6 +1,6 @@
 (** JSON export of the machine's structured watchdog diagnosis, so a
     deadlock, fault-limit or sanitizer stop in [run --json] is machine
-    readable — the same information {!Voltron_machine.Machine.pp_diagnosis}
+    readable — the same information {!Voltron_machine.Machine.diagnosis_to_string}
     renders for humans. *)
 
 val diagnosis_to_json : Voltron_machine.Machine.diagnosis -> Json.t

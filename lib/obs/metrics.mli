@@ -89,8 +89,8 @@ val of_stats :
 
 val snapshot : ?label:string -> Voltron_machine.Machine.t -> t
 (** Read every counter of a live (or finished) machine, including
-    per-core cache stats. Safe to call from a {!Voltron_machine.Machine.set_on_cycle}
-    hook. *)
+    per-core cache stats. Safe to call from a probe callback or the
+    {!Voltron_machine.Machine.set_on_window} hook. *)
 
 val delta : before:t -> after:t -> t
 (** Pointwise [after - before] over every counter ([max_occupancy], a
@@ -102,14 +102,11 @@ val counters : t -> (string * int) list
     summed over cores, under stable snake_case names ("cycles",
     "busy", "l1d_misses", "msgs_sent", ...). *)
 
-val gauges : t -> (string * float) list
-(** Derived rates: "ipc" (ops per core-cycle), "bundle_ipc",
-    "occupancy" (busy fraction), "l1d_miss_rate", "l1i_miss_rate",
-    "l2_miss_rate", "avg_net_latency", "avg_tm_conflict_rate". Zero
-    denominators read as 0. *)
-
 val find : string -> t -> float option
-(** Look a name up in {!counters} (coerced) then {!gauges}. *)
+(** Look a name up in {!counters} (coerced), then in the derived rates:
+    "ipc" (ops per core-cycle), "bundle_ipc", "occupancy" (busy fraction),
+    "l1d_miss_rate", "l1i_miss_rate", "l2_miss_rate", "avg_net_latency",
+    "avg_tm_conflict_rate". Zero denominators read as 0. *)
 
 val pp : Format.formatter -> t -> unit
 (** The flat registry — every counter then every gauge — as one

@@ -8,10 +8,13 @@ module Select = Voltron_compiler.Select
 module Driver = Voltron_compiler.Driver
 module Table = Voltron_util.Table
 
+(* [counts.(region).(mode)] (mode 0 coupled, 1 decoupled) holds, summed
+   over cores: busy, the stall kinds in [Stats.stall_kind_index] order,
+   then idle. *)
 type t = {
-  names : string array;  (** length [ra_n_regions]; last is ["<other>"] *)
+  names : string array;  (** one per region; last is ["<other>"] *)
   strategies : string array;
-  acct : Stats.region_acct;
+  counts : int array array array;
 }
 
 type row = {
@@ -63,60 +66,64 @@ let lookup (compiled : Driver.compiled) =
   in
   (names, strategies, region_of)
 
+let busy_slot = 0
+let stall_slot kind = 1 + Stats.stall_kind_index kind
+let idle_slot = 1 + Stats.n_stall_kinds
+
+(* The probe's core-cycle stream, folded by (region of pc, current mode). *)
 let attach m (compiled : Driver.compiled) =
+  if
+    Program.n_cores compiled.Driver.executable
+    <> (Machine.config m).Voltron_machine.Config.n_cores
+  then invalid_arg "Region_profile.attach: core count mismatch";
   let names, strategies, region_of = lookup compiled in
-  let acct =
-    Stats.create_region_acct ~n_regions:(Array.length names)
-      ~n_cores:(Program.n_cores compiled.Driver.executable)
+  let counts =
+    Array.init (Array.length names) (fun _ ->
+        Array.init 2 (fun _ -> Array.make (idle_slot + 1) 0))
   in
-  Machine.set_attribution m ~region_of acct;
-  { names; strategies; acct }
+  let on_core_cycles ~core ~pc ~k ~redo:_ (ev : Machine.blame_event) =
+    let slot =
+      match ev with
+      | Machine.Blame_busy -> busy_slot
+      | Machine.Blame_wait (Machine.W_asleep | Machine.W_halted) -> idle_slot
+      | Machine.Blame_wait w -> stall_slot (Machine.stall_of_wait w)
+      | Machine.Blame_lockstep { b_kind } -> stall_slot b_kind
+    in
+    let mode =
+      match Machine.mode m with Inst.Coupled -> 0 | Inst.Decoupled -> 1
+    in
+    let cell = counts.(region_of ~core ~pc).(mode) in
+    cell.(slot) <- cell.(slot) + k
+  in
+  Machine.attach_probe m { Machine.null_probe with on_core_cycles };
+  { names; strategies; counts }
 
-let mode_of_index = function 0 -> Inst.Coupled | _ -> Inst.Decoupled
-
-let row_of_cells t r mode_idx =
-  let cells = t.acct.Stats.ra_cells.(r).(mode_idx) in
-  let stalls = Array.make Stats.n_stall_kinds 0 in
-  let busy = ref 0 and idle = ref 0 in
-  Array.iter
-    (fun (c : Stats.region_cell) ->
-      busy := !busy + c.Stats.rc_busy;
-      idle := !idle + c.Stats.rc_idle;
-      Array.iteri (fun k v -> stalls.(k) <- stalls.(k) + v) c.Stats.rc_stalls)
-    cells;
-  let total = !busy + !idle + Array.fold_left ( + ) 0 stalls in
+let row_of_cell t r mode_idx =
+  let cell = t.counts.(r).(mode_idx) in
   {
     r_region = t.names.(r);
     r_strategy = t.strategies.(r);
-    r_mode = mode_of_index mode_idx;
-    r_busy = !busy;
-    r_stalls = stalls;
-    r_idle = !idle;
-    r_cycles = total;
+    r_mode = (if mode_idx = 0 then Inst.Coupled else Inst.Decoupled);
+    r_busy = cell.(busy_slot);
+    r_stalls = Array.sub cell 1 Stats.n_stall_kinds;
+    r_idle = cell.(idle_slot);
+    r_cycles = Array.fold_left ( + ) 0 cell;
   }
 
 let rows t =
   let out = ref [] in
-  for r = t.acct.Stats.ra_n_regions - 1 downto 0 do
+  for r = Array.length t.names - 1 downto 0 do
     for mode_idx = 1 downto 0 do
-      let row = row_of_cells t r mode_idx in
+      let row = row_of_cell t r mode_idx in
       if row.r_cycles > 0 then out := row :: !out
     done
   done;
   !out
 
 let total_cycles t =
-  let total = ref 0 in
-  Array.iter
-    (fun modes ->
-      Array.iter
-        (fun cells ->
-          Array.iter
-            (fun c -> total := !total + Stats.region_cell_cycles c)
-            cells)
-        modes)
-    t.acct.Stats.ra_cells;
-  !total
+  Array.fold_left
+    (Array.fold_left (Array.fold_left ( + )))
+    0 t.counts
 
 let mode_name = Tabulate.mode_name
 

@@ -1,10 +1,12 @@
 (** Per-region cycle attribution (the paper's Fig. 12, per region).
 
     [attach] builds a pc->region map for every core from the compiler's
-    {!Voltron_compiler.Codegen.region_extent}s and installs it into the
-    machine ({!Voltron_machine.Machine.set_attribution}); after the run,
-    every core-cycle of the program sits in exactly one (region, mode)
-    cell — busy, one of the six stall kinds, or idle. Pcs outside every
+    {!Voltron_compiler.Codegen.region_extent}s and folds the machine
+    probe's core-cycle stream
+    ({!Voltron_machine.Machine.probe.on_core_cycles}) by (region of the pc,
+    execution mode); after the run, every core-cycle of the program sits in
+    exactly one (region, mode) cell — busy, one of the six stall kinds, or
+    idle. Fast-forward stays on. Pcs outside every
     planned region (spawn/join glue, HALT) land in a catch-all ["<other>"]
     region so the profile's total always equals [n_cores * cycles]. *)
 
@@ -27,13 +29,14 @@ val lookup :
     installing anything on a machine. [names] and [strategies] are indexed
     by region id, catch-all ["<other>"] (strategy ["-"]) last; [region_of]
     maps any (core, pc) to a region id, falling back to the catch-all.
-    Shared with the causal profiler's {!Blame}, which needs the same
-    attribution keyed by its own hooks. *)
+    Shared with the causal profiler's {!Blame}, which keys its intervals by
+    the same regions. *)
 
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
-(** Install attribution on a machine created from [compiled.executable].
-    Call before {!Voltron_machine.Machine.run}. Raises [Invalid_argument]
-    on a core-count mismatch. *)
+(** Attach the attribution probe to a machine created from
+    [compiled.executable]. Call before {!Voltron_machine.Machine.run}.
+    Raises [Invalid_argument] on a core-count mismatch, or when the machine
+    already has a probe. *)
 
 val rows : t -> row list
 (** One row per (region, mode) with any cycles, in plan order (catch-all

@@ -4,7 +4,9 @@
     cycles, records the interval's IPC, occupancy, L1D miss rate, average
     network latency and message count as a {!Metrics.delta} between
     consecutive snapshots — "what was the machine doing {e then}", not
-    just the end-of-run average.
+    just the end-of-run average. The window hook is not the machine's
+    probe, so a sampler runs alongside the one probe consumer a machine
+    takes (region profile, blame recorder, tracer or sanitizer).
 
     Sampling is fast-forward-compatible: a window that jumps a long stall
     region reports all the boundaries it crossed at once — the first takes

@@ -341,8 +341,6 @@ let on_cycle t ~now:_ =
 
 (* --- Attachment ------------------------------------------------------------ *)
 
-let policy t = t.san_policy
-
 let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
   let mem = Machine.memory m in
   let size = Memory.size mem in
@@ -376,6 +374,9 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
       by_class = Hashtbl.create 8;
     }
   in
+  (* The probe first: if the machine already has one, nothing is wired. *)
+  Machine.attach_probe m
+    { Machine.null_probe with every_cycle = Some (on_cycle t) };
   Coherence.set_monitor hier (fun ~core ~completion:_ kind addr ->
       on_access t ~core kind addr);
   Tm.set_monitor (Machine.tm m)
@@ -387,7 +388,6 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
       m_abort = (fun ~core -> on_abort t ~core);
     };
   Net.set_monitor net (fun ev -> on_net_event t ev);
-  Machine.set_sanity_cycle m (fun ~now -> on_cycle t ~now);
   t
 
 let finalize t ~completed =

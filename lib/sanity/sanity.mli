@@ -105,7 +105,6 @@ type violation = {
 }
 
 val violation_to_string : violation -> string
-val violation_to_json : violation -> Voltron_obs.Json.t
 
 (** {1 Attachment} *)
 
@@ -116,9 +115,10 @@ val attach :
 (** Wire the sanitizer into a machine created but not yet run. [policy]
     defaults to [Abort]; [log] (default: silent) receives each recorded
     violation's rendering as it happens; [limit] (default 32) bounds the
-    violations kept and logged — everything past it is still counted. *)
-
-val policy : t -> policy
+    violations kept and logged — everything past it is still counted.
+    The per-cycle check runs as the machine's probe ([every_cycle], which
+    turns stall fast-forward off); raises [Invalid_argument] when the
+    machine already has a probe. *)
 
 val finalize : t -> completed:bool -> unit
 (** End-of-run checks, to call once the machine has stopped: the

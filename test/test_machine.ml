@@ -416,7 +416,8 @@ let test_trace_events () =
   in
   let m = build_machine ~n_cores:2 [| master; worker |] in
   let tracer = Trace.create () in
-  Machine.set_tracer m tracer;
+  Machine.attach_probe m
+    { Machine.null_probe with on_event = Some (Trace.record tracer) };
   let _ = run_ok m in
   let events = Trace.events tracer in
   let has p = List.exists p events in
@@ -457,7 +458,8 @@ let test_trace_limit () =
   in
   let m = build_machine [| image |] in
   let tracer = Trace.create ~limit:10 () in
-  Machine.set_tracer m tracer;
+  Machine.attach_probe m
+    { Machine.null_probe with on_event = Some (Trace.record tracer) };
   let _ = run_ok m in
   Alcotest.(check int) "stored capped" 10 (List.length (Trace.events tracer));
   Alcotest.(check bool) "dropped counted" true (Trace.dropped tracer > 0)

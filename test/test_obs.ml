@@ -130,7 +130,8 @@ let test_chrome_trace_export () =
   let compiled = Driver.compile ~machine p in
   let m = Machine.create machine compiled.Driver.executable in
   let tracer = Trace.create () in
-  Machine.set_tracer m tracer;
+  Machine.attach_probe m
+    { Machine.null_probe with on_event = Some (Trace.record tracer) };
   let result = Machine.run m in
   (match result.Machine.outcome with
   | Machine.Finished -> ()
@@ -487,6 +488,55 @@ let test_blame_side_tables () =
   let sent = Array.fold_left (Array.fold_left ( + )) 0 msgs in
   Alcotest.(check bool) "messages observed" true (sent > 0)
 
+(* A bulk-credited fast-forward window must land in exactly the intervals
+   per-cycle stepping records: kind, blamed core, region, mode, redo and
+   span of every interval, on every core. *)
+let test_blame_fast_forward_invariant () =
+  let render (iv : Blame.interval) =
+    Printf.sprintf "%s blame=%d region=%d mode=%d redo=%b [%d..%d]"
+      (Blame.kind_label iv.Blame.iv_kind)
+      iv.Blame.iv_blame iv.Blame.iv_region iv.Blame.iv_mode iv.Blame.iv_redo
+      iv.Blame.iv_from iv.Blame.iv_to
+  in
+  List.iter
+    (fun name ->
+      let p = (Suite.by_name name).Suite.build ~scale:0.25 () in
+      let intervals ~fast_forward =
+        let tweak c = { c with Config.fast_forward } in
+        let b, _ = run_blame ~tweak ~choice:`Hybrid ~n_cores:4 p in
+        List.init 4 (fun core ->
+            Array.to_list (Array.map render (Blame.intervals b core)))
+      in
+      let slow = intervals ~fast_forward:false in
+      let fast = intervals ~fast_forward:true in
+      List.iteri
+        (fun core slow_ivs ->
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s core %d intervals" name core)
+            slow_ivs (List.nth fast core))
+        slow)
+    [ "cjpeg"; "164.gzip" ]
+
+(* One probe per machine: a second attach is refused instead of silently
+   displacing the first, which keeps observing the run. *)
+let test_one_probe () =
+  let p = Suite.micro_gsm_llp ~scale:0.5 () in
+  let machine = Config.default ~n_cores:2 in
+  let compiled = Driver.compile ~machine ~choice:`Llp p in
+  let m = Machine.create machine compiled.Driver.executable in
+  let rp = Region_profile.attach m compiled in
+  let refused attach =
+    match attach () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "second probe refused" true
+    (refused (fun () -> Machine.attach_probe m Machine.null_probe));
+  Alcotest.(check bool) "blame on a profiled machine refused" true
+    (refused (fun () -> ignore (Blame.attach m compiled)));
+  let result = Machine.run m in
+  Alcotest.(check int) "first probe still attributes every core-cycle"
+    (2 * result.Machine.cycles)
+    (Region_profile.total_cycles rp)
+
 let () =
   Alcotest.run "obs"
     [
@@ -495,6 +545,7 @@ let () =
           Alcotest.test_case "per-core invariant" `Quick test_per_core_invariant;
           Alcotest.test_case "region attribution reconciles" `Quick
             test_region_attribution_reconciles;
+          Alcotest.test_case "one probe per machine" `Quick test_one_probe;
         ] );
       ( "export",
         [
@@ -517,5 +568,7 @@ let () =
           Alcotest.test_case "blame report json roundtrip" `Quick
             test_blame_report_roundtrip;
           Alcotest.test_case "blame side tables" `Quick test_blame_side_tables;
+          Alcotest.test_case "blame fast-forward invariant" `Quick
+            test_blame_fast_forward_invariant;
         ] );
     ]

@@ -40,12 +40,14 @@ let check_class name cls r =
 let stopped m =
   match m.Run.outcome with Run.Sanity_stopped _ -> true | _ -> false
 
-(* Arm a one-shot sabotage from the machine's per-cycle hook; returns the
-   cycle it fired on. *)
+(* Arm a one-shot sabotage from the machine's window hook; returns the
+   cycle it fired on. The sanitizer turns fast-forward off, so every window
+   is one cycle, and the hook runs before the sanitizer's check of that
+   same cycle. *)
 let arm_once m f =
   let fired = ref (-1) in
-  Machine.set_on_cycle m (fun ~now ->
-      if !fired < 0 && f () then fired := now);
+  Machine.set_on_window m (fun ~from:_ ~upto ->
+      if !fired < 0 && f () then fired := upto);
   fired
 
 (* --- Policies ------------------------------------------------------------- *)
@@ -168,9 +170,9 @@ let test_detects_dropped_message () =
   let drop_cycle = ref (-1) in
   let prepare _ m =
     drop_cycle := -1;
-    Machine.set_on_cycle m (fun ~now ->
+    Machine.set_on_window m (fun ~from:_ ~upto ->
         if !drop_cycle < 0 && Net.test_drop (Machine.network m) then
-          drop_cycle := now)
+          drop_cycle := upto)
   in
   let m = Run.run ~choice:`Tlp ~prepare ~sanitize:Sanity.Abort ~n_cores:2 p in
   let r = report_exn m in
