@@ -27,17 +27,15 @@ module Blame = Voltron_obs.Blame
 module Critpath = Voltron_obs.Critpath
 module Coherence = Voltron_mem.Coherence
 
-let print_diags oc diags =
-  let ppf = Format.formatter_of_out_channel oc in
-  List.iter (fun d -> Format.fprintf ppf "  %a@." Check.pp_diag d) diags;
-  Format.pp_print_flush ppf ()
+let print_diags ppf diags =
+  List.iter (fun d -> Format.fprintf ppf "  %a@." Check.pp_diag d) diags
 
 (* Run [f], rendering a static-checker failure as a normal CLI error. *)
 let or_check_failure f =
   try f ()
   with Check.Failed diags ->
     prerr_endline "static check failed:";
-    print_diags stderr diags;
+    print_diags Format.err_formatter diags;
     exit 1
 
 let micros =
@@ -143,13 +141,6 @@ let apply_opts optimize unroll p =
     Voltron_compiler.Opt.program
       ~options:{ base with Voltron_compiler.Opt.unroll = max 1 unroll }
       p
-
-let string_of_choice = function
-  | `Seq -> "seq"
-  | `Ilp -> "ilp"
-  | `Tlp -> "tlp"
-  | `Llp -> "llp"
-  | `Hybrid -> "hybrid"
 
 let short_outcome = function
   | Voltron.Run.Completed -> "completed"
@@ -267,12 +258,36 @@ let jobs_arg =
 
 let resolve_jobs j = if j <= 0 then Pool.default_jobs () else j
 
-(* Sweep cells run on arbitrary domains, so they render their report into
-   a buffer; the pool's ordered completion frontier prints each cell's
-   chunk in cell order, keeping the transcript independent of [jobs]. *)
-let emit_chunk (chunk : string) =
-  print_string chunk;
-  flush stdout
+(* One cell per target on the pool. Cells run on arbitrary domains, so
+   [cell buf ~err target] renders its report into [buf] and reports each
+   failure as one line through [err]; the pool's ordered completion
+   frontier prints every report on stdout, then its failure lines on
+   stderr, in target order, keeping the transcript independent of [jobs].
+   Returns the cells' results in target order and the number of failure
+   lines. *)
+let sweep ~jobs targets cell =
+  let run target =
+    let buf = Buffer.create 512 and errs = ref [] in
+    let r = cell buf ~err:(fun e -> errs := e :: !errs) target in
+    (Buffer.contents buf, List.rev !errs, r)
+  in
+  let failures = ref 0 in
+  let emit _ (chunk, errs, _) =
+    print_string chunk;
+    flush stdout;
+    List.iter prerr_endline errs;
+    failures := !failures + List.length errs
+  in
+  let results =
+    Pool.parallel_map_emit ~jobs ~emit run (Array.of_list targets)
+  in
+  (List.map (fun (_, _, r) -> r) (Array.to_list results), !failures)
+
+(* Compile [p] for [machine] and simulate it through [Run.simulate];
+   [attach] sees the machine and the compiled program before the run. *)
+let observe ~machine ~choice p attach =
+  let compiled = Driver.compile ~machine ~choice p in
+  Voltron.Run.simulate ~attach:(fun m -> attach m compiled) machine compiled
 
 (* Shared by run's normal and --json output: the pieces that only exist on
    some outcomes. *)
@@ -305,28 +320,18 @@ let sanity_clean (m : Voltron.Run.measurement) =
    strategy at the given core count, one line per cell — the CI's sanitized
    sweep entry point. *)
 let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
-  let targets = sweep_targets scale in
-  let strategies = [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] in
   (* One cell per benchmark: the profile is collected once and shared by
      the five strategy runs, all inside the cell. *)
-  let cell (name, p) =
-    let buf = Buffer.create 512 in
-    let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    let failures = ref 0 in
+  let cell buf ~err:_ (name, p) =
     let profile = profile_for ~no_profile p in
-    List.iter
-      (fun s ->
-        let choice = choice_of_string s in
+    List.fold_left
+      (fun failures choice ->
         let m =
           Voltron.Run.run ~choice ~check ~profile ?sanitize
             ~tweak:(Config.with_coherence coherence) ~n_cores:cores p
         in
-        let ok =
-          m.Voltron.Run.outcome = Voltron.Run.Completed
-          && m.Voltron.Run.verified && sanity_clean m
-        in
-        if not ok then incr failures;
-        out "%-24s %-7s %-10d %s%s%s\n" name s
+        Printf.bprintf buf "%-24s %-7s %-10d %s%s%s\n" name
+          (Voltron.Run.choice_name choice)
           m.Voltron.Run.cycles
           (short_outcome m.Voltron.Run.outcome)
           (if m.Voltron.Run.verified then "" else ", NOT VERIFIED")
@@ -335,21 +340,21 @@ let run_sweep ~cores ~coherence ~scale ~check ~sanitize ~no_profile ~jobs () =
           | Some r when Sanity.clean r -> ", sanitizer clean"
           | Some r ->
             Printf.sprintf ", SANITIZER: %d violation(s)" r.Sanity.r_total);
-        match m.Voltron.Run.sanity with
+        (match m.Voltron.Run.sanity with
         | Some r when not (Sanity.clean r) ->
           List.iter
-            (fun v -> out "    %s\n" (Sanity.violation_to_string v))
+            (fun v -> Printf.bprintf buf "    %s\n" (Sanity.violation_to_string v))
             r.Sanity.r_recorded
-        | _ -> ())
-      strategies;
-    (Buffer.contents buf, !failures)
+        | _ -> ());
+        let ok =
+          m.Voltron.Run.outcome = Voltron.Run.Completed
+          && m.Voltron.Run.verified && sanity_clean m
+        in
+        if ok then failures else failures + 1)
+      0 Voltron.Run.default_strategies
   in
-  let per_target =
-    Pool.parallel_map_emit ~jobs
-      ~emit:(fun _ (chunk, _) -> emit_chunk chunk)
-      cell (Array.of_list targets)
-  in
-  let failures = Array.fold_left (fun acc (_, f) -> acc + f) 0 per_target in
+  let per_target, _ = sweep ~jobs (sweep_targets scale) cell in
+  let failures = List.fold_left ( + ) 0 per_target in
   if failures > 0 then begin
     Printf.eprintf "%d failing cell(s) in the sweep\n" failures;
     exit 1
@@ -407,7 +412,7 @@ let run_cmd =
             (fun (a : Voltron.Run.attempt) ->
               Printf.printf "  rung     : %-14s %s on %d cores -> %s\n"
                 (Voltron_fault.Fault.level_name a.Voltron.Run.a_level)
-                (string_of_choice a.Voltron.Run.a_choice)
+                (Voltron.Run.choice_name a.Voltron.Run.a_choice)
                 a.Voltron.Run.a_n_cores
                 (short_outcome a.Voltron.Run.a_measurement.Voltron.Run.outcome))
             r.Voltron.Run.attempts;
@@ -526,25 +531,18 @@ let check_cmd =
       if all then sweep_targets scale else [ resolve_program bench file scale ]
     in
     let strategies =
-      if all then [ "seq"; "ilp"; "tlp"; "llp"; "hybrid" ] else [ strategy ]
+      if all then Voltron.Run.default_strategies
+      else [ choice_of_string strategy ]
     in
     let machine = Config.default ~n_cores:cores in
-    let cell (name, p) =
-      let buf = Buffer.create 256 in
-      let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-      let out_diags diags =
-        let b = Buffer.create 128 in
-        let ppf = Format.formatter_of_buffer b in
-        List.iter (fun d -> Format.fprintf ppf "  %a@." Check.pp_diag d) diags;
-        Format.pp_print_flush ppf ();
-        Buffer.add_buffer buf b
-      in
+    let cell buf ~err:_ (name, p) =
+      let out_diags = print_diags (Format.formatter_of_buffer buf) in
       let failures = ref 0 in
       let cells = ref [] in
       let profile = Voltron_analysis.Profile.collect p in
       List.iter
-        (fun s ->
-          let choice = choice_of_string s in
+        (fun choice ->
+          let s = Voltron.Run.choice_name choice in
           let record status diags =
             cells :=
               Json.Obj
@@ -560,33 +558,27 @@ let check_cmd =
           | c ->
             if c.Driver.check_diags = [] then begin
               record "clean" [];
-              out "%-24s %-7s clean\n" name s
+              Printf.bprintf buf "%-24s %-7s clean\n" name s
             end
             else begin
               record "warnings" c.Driver.check_diags;
-              out "%-24s %-7s %d warning(s)\n" name s
+              Printf.bprintf buf "%-24s %-7s %d warning(s)\n" name s
                 (List.length c.Driver.check_diags);
               out_diags c.Driver.check_diags
             end
           | exception Check.Failed diags ->
             incr failures;
             record "failed" diags;
-            out "%-24s %-7s FAILED\n" name s;
+            Printf.bprintf buf "%-24s %-7s FAILED\n" name s;
             out_diags diags)
         strategies;
-      (Buffer.contents buf, !failures, List.rev !cells)
+      (!failures, List.rev !cells)
     in
-    let per_target =
-      Pool.parallel_map_emit ~jobs:(if all then resolve_jobs jobs else 1)
-        ~emit:(fun _ (chunk, _, _) -> emit_chunk chunk)
-        cell (Array.of_list targets)
+    let per_target, _ =
+      sweep ~jobs:(if all then resolve_jobs jobs else 1) targets cell
     in
-    let failures =
-      Array.fold_left (fun acc (_, f, _) -> acc + f) 0 per_target
-    in
-    let cells =
-      List.concat_map (fun (_, _, cs) -> cs) (Array.to_list per_target)
-    in
+    let failures = List.fold_left (fun acc (f, _) -> acc + f) 0 per_target in
+    let cells = List.concat_map snd per_target in
     (match json_out with
     | None -> ()
     | Some path ->
@@ -631,24 +623,6 @@ let disasm_cmd =
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble the generated per-core code.")
     Term.(const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg)
 
-(* The stderr line for a machine run that did not finish, or [None]. *)
-let run_outcome_err (result : Machine.result) =
-  match result.Machine.outcome with
-  | Machine.Finished -> None
-  | Machine.Out_of_cycles -> Some "out of cycles"
-  | Machine.Deadlock d -> Some ("deadlock:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Some ("fault limit reached:\n" ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Some ("stopped:\n" ^ Machine.diagnosis_to_string d)
-
-(* Report a run that did not finish on stderr and exit 1. *)
-let exit_unless_finished result =
-  match run_outcome_err result with
-  | None -> ()
-  | Some e ->
-    prerr_endline e;
-    exit 1
-
 let asm_cmd =
   let asm file cores =
     let prog =
@@ -661,7 +635,11 @@ let asm_cmd =
     let machine = Config.default ~n_cores:cores in
     let m = Machine.create machine prog in
     let result = Machine.run m in
-    exit_unless_finished result;
+    (match Voltron.Run.outcome_of_machine result.Machine.outcome with
+    | Voltron.Run.Completed -> ()
+    | o ->
+      prerr_endline (Voltron.Run.outcome_to_string o);
+      exit 1);
     Printf.printf "finished in %d cycles\n" result.Machine.cycles;
     Stats.pp_summary
       ~coherence:(Coherence.total_stats (Machine.coherence m))
@@ -691,23 +669,24 @@ let trace_cmd =
     or_check_failure @@ fun () ->
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
-    let m = Machine.create machine compiled.Driver.executable in
     let tracer = Trace.create ~limit () in
-    Machine.attach_probe m
-      { Machine.null_probe with on_event = Some (Trace.record tracer) };
-    let result = Machine.run m in
-    let err = run_outcome_err result in
-    Option.iter prerr_endline err;
-    Trace.report ~timeline Format.std_formatter tracer
-      compiled.Driver.executable;
+    let r, executable =
+      observe ~machine ~choice:(choice_of_string strategy) p (fun m c ->
+          Machine.attach_probe m
+            { Machine.null_probe with on_event = Some (Trace.record tracer) };
+          c.Driver.executable)
+    in
+    let completed = Voltron.Run.completed r in
+    if not completed then
+      prerr_endline (Voltron.Run.outcome_to_string r.Voltron.Run.outcome);
+    Trace.report ~timeline Format.std_formatter tracer executable;
     (match json_out with
     | None -> ()
     | Some path ->
       Voltron_obs.Chrome_trace.write ~path ~n_cores:cores
-        ~cycles:result.Machine.cycles tracer;
+        ~cycles:r.Voltron.Run.cycles tracer;
       Printf.printf "wrote Chrome trace to %s (open in chrome://tracing)\n" path);
-    if Option.is_some err then exit 1
+    if not completed then exit 1
   in
   let limit_arg =
     Arg.(value & opt int 100_000 & info [ "limit" ] ~docv:"N" ~doc:"Events to keep.")
@@ -737,19 +716,24 @@ let profile_cmd =
     or_check_failure @@ fun () ->
     let name, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
-    let m = Machine.create machine compiled.Driver.executable in
-    let rp = Voltron_obs.Region_profile.attach m compiled in
-    let sampler =
-      if sample_every > 0 then
-        Some (Voltron_obs.Sampler.attach ~every:sample_every m)
-      else None
+    let r, (m, rp, sampler) =
+      observe ~machine ~choice:(choice_of_string strategy) p (fun m c ->
+          let rp = Region_profile.attach m c in
+          let sampler =
+            if sample_every > 0 then
+              Some (Voltron_obs.Sampler.attach ~every:sample_every m)
+            else None
+          in
+          (m, rp, sampler))
     in
-    let result = Machine.run m in
-    exit_unless_finished result;
+    (match r.Voltron.Run.outcome with
+    | Voltron.Run.Completed -> ()
+    | o ->
+      prerr_endline (Voltron.Run.outcome_to_string o);
+      exit 1);
     Printf.printf "benchmark  : %s\n" name;
     Printf.printf "strategy   : %s on %d cores\n" strategy cores;
-    Printf.printf "cycles     : %d\n\n" result.Machine.cycles;
+    Printf.printf "cycles     : %d\n\n" r.Voltron.Run.cycles;
     Format.printf "%a" Voltron_obs.Region_profile.pp rp;
     (* When most core-cycles are not busy, the per-region table says where
        the waiting happened but not whom it waited on — point at the
@@ -786,7 +770,7 @@ let profile_cmd =
               ("benchmark", Json.Str name);
               ("strategy", Json.Str strategy);
               ("cores", Json.Int cores);
-              ("cycles", Json.Int result.Machine.cycles);
+              ("cycles", Json.Int r.Voltron.Run.cycles);
               ("regions", Voltron_obs.Region_profile.to_json rp);
               ("metrics", Metrics.to_json metrics);
             ]
@@ -822,22 +806,6 @@ let profile_cmd =
 (* --- blame: cross-core critical path, wait-for blame, what-if ------------ *)
 
 let blame_cmd =
-  let run_with_blame ~cores ~choice ~tweak p =
-    let machine = tweak (Config.default ~n_cores:cores) in
-    let compiled = Driver.compile ~machine ~choice p in
-    let m = Machine.create machine compiled.Driver.executable in
-    let b = Blame.attach m compiled in
-    (b, Machine.run m)
-  in
-  let measure ~cores ~choice ~tweak p =
-    let machine = tweak (Config.default ~n_cores:cores) in
-    let compiled = Driver.compile ~machine ~choice p in
-    let m = Machine.create machine compiled.Driver.executable in
-    let result = Machine.run m in
-    match result.Machine.outcome with
-    | Machine.Finished -> Some result.Machine.cycles
-    | _ -> None
-  in
   let blame bench file cores strategy scale all top net_scale validate tm_rate
       fault_seed json_out jobs =
     or_check_failure @@ fun () ->
@@ -845,12 +813,14 @@ let blame_cmd =
     (* [err] records one failure line; cells buffer these so the sweep can
        run on the pool and still report in cell order. *)
     let analyze ~err name p =
-      let b, result = run_with_blame ~cores ~choice ~tweak:(fun c -> c) p in
-      match run_outcome_err result with
-      | Some e ->
-        err (Printf.sprintf "%s: %s" name e);
+      let machine = Config.default ~n_cores:cores in
+      match observe ~machine ~choice p Blame.attach with
+      | r, _ when not (Voltron.Run.completed r) ->
+        err
+          (Printf.sprintf "%s: %s" name
+             (Voltron.Run.outcome_to_string r.Voltron.Run.outcome));
         None
-      | None ->
+      | _, b ->
         (match Blame.coverage b with
         | Ok () -> ()
         | Error e -> err (Printf.sprintf "%s: blame recording hole: %s" name e));
@@ -873,24 +843,24 @@ let blame_cmd =
       let scaled_hop = int_of_float ((net_scale *. float_of_int hop) +. 0.5) in
       let net_row =
         let predicted = Critpath.whatif_net cp ~scale:net_scale in
-        match
-          measure ~cores ~choice
+        let rerun =
+          Voltron.Run.run ~choice ~n_cores:cores
             ~tweak:(fun c -> { c with Config.net_hop_cost = scaled_hop })
             p
-        with
-        | None -> None
-        | Some rerun ->
+        in
+        if not (Voltron.Run.completed rerun) then None
+        else
           Some
             ( Printf.sprintf "net-hop-cost %d->%d" hop scaled_hop,
               float_of_int base /. float_of_int (max 1 predicted),
-              float_of_int base /. float_of_int (max 1 rerun) )
+              float_of_int base /. float_of_int (max 1 rerun.Voltron.Run.cycles) )
       in
       let tm_row =
         if tm_rate <= 0. then None
         else begin
-          let tweak c =
+          let machine =
             {
-              c with
+              (Config.default ~n_cores:cores) with
               Config.fault =
                 {
                   Voltron_fault.Fault.disabled with
@@ -899,12 +869,13 @@ let blame_cmd =
                 };
             }
           in
-          let b_f, r_f = run_with_blame ~cores ~choice ~tweak p in
-          match run_outcome_err r_f with
-          | Some e ->
-            err (Printf.sprintf "%s (tm injection): %s" name e);
+          match observe ~machine ~choice p Blame.attach with
+          | r, _ when not (Voltron.Run.completed r) ->
+            err
+              (Printf.sprintf "%s (tm injection): %s" name
+                 (Voltron.Run.outcome_to_string r.Voltron.Run.outcome));
             None
-          | None ->
+          | _, b_f ->
             let cp_f = Critpath.compute b_f in
             let injected = Critpath.total cp_f in
             let predicted = Critpath.whatif_tm cp_f in
@@ -947,31 +918,19 @@ let blame_cmd =
     in
     let failed = ref false in
     if all then begin
-      let progs = sweep_targets scale in
-      let cell (name, p) =
-        let out_buf = Buffer.create 256 and errs = ref [] in
-        let out s = Buffer.add_string out_buf s in
-        let err s = errs := s :: !errs in
-        let rep =
-          match analyze ~err name p with
-          | None -> None
-          | Some (rep, cp) ->
-            if validate then validate_whatifs ~out ~err name p cp;
-            Some rep
-        in
-        (Buffer.contents out_buf, List.rev !errs, rep)
+      let cell buf ~err (name, p) =
+        match analyze ~err name p with
+        | None -> None
+        | Some (rep, cp) ->
+          if validate then
+            validate_whatifs ~out:(Buffer.add_string buf) ~err name p cp;
+          Some rep
       in
-      let per_target =
-        Pool.parallel_map_emit ~jobs:(resolve_jobs jobs)
-          ~emit:(fun _ (chunk, errs, _) ->
-            emit_chunk chunk;
-            List.iter (fun e -> Printf.eprintf "%s\n" e) errs;
-            if errs <> [] then failed := true)
-          cell (Array.of_list progs)
+      let reps, failures =
+        sweep ~jobs:(resolve_jobs jobs) (sweep_targets scale) cell
       in
-      let reps =
-        List.filter_map (fun (_, _, rep) -> rep) (Array.to_list per_target)
-      in
+      if failures > 0 then failed := true;
+      let reps = List.filter_map Fun.id reps in
       let wf (r : Critpath.report) i =
         match List.nth_opt r.Critpath.r_whatif i with
         | Some w -> Printf.sprintf "x%.2f" w.Critpath.w_speedup
@@ -1078,11 +1037,8 @@ let absint_diag_json (d : Absint.diag) =
       ("text", Json.Str (Absint.diag_to_string d));
     ]
 
-let print_absint_diags diags =
-  List.iter
-    (fun d -> Format.printf "  %a@." Absint.pp_diag d)
-    diags;
-  Format.pp_print_flush Format.std_formatter ()
+let print_absint_diags ppf diags =
+  List.iter (fun d -> Format.fprintf ppf "  %a@." Absint.pp_diag d) diags
 
 (* Estimated cycles of one region under each mode family (None when the
    mode does not apply — no legal DOALL decomposition). *)
@@ -1109,31 +1065,21 @@ let region_mode_estimates ~machine ~profile est (pr : Select.planned_region) =
 let noise_floor = 64.
 
 let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
-  let targets = sweep_targets scale in
   (* One cell per benchmark: analysis, hybrid run, per-region reconcile.
      Geomean inputs, JSON rows and printed chunks are all reassembled in
      benchmark order, so the report is identical at any [jobs]. *)
-  let cell (name, p) =
-    let buf = Buffer.create 512 in
-    let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
+  let cell buf ~err (name, p) =
+    let out fmt = Printf.bprintf buf fmt in
     let summary = Absint.analyze p in
     let diags = Absint.diags summary in
     if diags <> [] then begin
       out "%s: %d diagnostic(s)\n" name (List.length diags);
-      let b = Buffer.create 128 in
-      let ppf = Format.formatter_of_buffer b in
-      List.iter (fun d -> Format.fprintf ppf "  %a@." Absint.pp_diag d) diags;
-      Format.pp_print_flush ppf ();
-      Buffer.add_buffer buf b
+      print_absint_diags (Format.formatter_of_buffer buf) diags
     end;
     let diag_jsons = List.map absint_diag_json diags in
     let est = Estimate.create ~machine ~summary p in
-    let compiled = Driver.compile ~machine ~choice:`Hybrid p in
-    let m = Machine.create machine compiled.Driver.executable in
-    let rp = Region_profile.attach m compiled in
-    let result = Machine.run m in
-    match result.Machine.outcome with
-    | Machine.Finished ->
+    match observe ~machine ~choice:`Hybrid p Region_profile.attach with
+    | { Voltron.Run.outcome = Voltron.Run.Completed; plan; _ }, rp ->
       let measured region =
         List.fold_left
           (fun acc (r : Region_profile.row) ->
@@ -1169,31 +1115,19 @@ let analyze_sweep ~machine ~cores ~scale ~json_out ~jobs () =
                 ("counted", Json.Bool counted);
               ]
             :: !rows)
-        (Estimate.table est compiled.Driver.plan);
-      Ok (Buffer.contents buf, diag_jsons, List.rev !rows, List.rev !errs)
-    | _ -> Error (Buffer.contents buf, name)
+        (Estimate.table est plan);
+      Some (diag_jsons, List.rev !rows, List.rev !errs)
+    | _ ->
+      err (name ^ ": hybrid run did not finish");
+      None
   in
-  let fatal = ref false in
-  let per_target =
-    Pool.parallel_map_emit ~jobs
-      ~emit:(fun _ r ->
-        match r with
-        | Ok (chunk, _, _, _) -> emit_chunk chunk
-        | Error (chunk, name) ->
-          emit_chunk chunk;
-          Printf.eprintf "%s: hybrid run did not finish\n" name;
-          fatal := true)
-      cell (Array.of_list targets)
-  in
-  if !fatal then exit 1;
-  let results =
-    List.filter_map (function Ok r -> Some r | Error _ -> None)
-      (Array.to_list per_target)
-  in
-  let all_diags = List.concat_map (fun (_, d, _, _) -> d) results in
+  let results, failures = sweep ~jobs (sweep_targets scale) cell in
+  if failures > 0 then exit 1;
+  let results = List.filter_map Fun.id results in
+  let all_diags = List.concat_map (fun (d, _, _) -> d) results in
   let diag_count = List.length all_diags in
-  let rows = List.concat_map (fun (_, _, r, _) -> r) results in
-  let errs = List.concat_map (fun (_, _, _, e) -> e) results in
+  let rows = List.concat_map (fun (_, r, _) -> r) results in
+  let errs = List.concat_map (fun (_, _, e) -> e) results in
   let geo =
     match errs with
     | [] -> 1.
@@ -1232,7 +1166,7 @@ let analyze_cmd =
       let diags = Absint.diags summary in
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "diagnostics: %d\n" (List.length diags);
-      print_absint_diags diags;
+      print_absint_diags Format.std_formatter diags;
       let est = Estimate.create ~machine ~summary p in
       let profile = Estimate.static_profile est in
       let plan = Select.plan ~machine ~profile `Hybrid p in

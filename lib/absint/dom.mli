@@ -25,7 +25,6 @@ val with_stride : m:int -> r:int -> t -> t
 (** Intersect [t] with the congruence class r (mod m). *)
 
 val is_bot : t -> bool
-val is_top : t -> bool
 val is_const : t -> int option
 val equal : t -> t -> bool
 

@@ -107,15 +107,3 @@ let build ~cfg ~memdep ~latency =
     priority;
     weight;
   }
-
-let pos_in_block t i =
-  let bi = t.block_of.(i) in
-  let pos = ref 0 in
-  let count = ref 0 in
-  Array.iteri
-    (fun j _ ->
-      if j < i && t.block_of.(j) = bi then incr count;
-      ignore j)
-    t.ops;
-  pos := !count;
-  !pos

@@ -34,5 +34,3 @@ val build :
   latency:(Voltron_isa.Inst.t -> int) ->
   t
 
-val pos_in_block : t -> int -> int
-(** Program-order position of a node within its block. *)

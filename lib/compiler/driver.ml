@@ -1,5 +1,4 @@
 module Config = Voltron_machine.Config
-module Machine = Voltron_machine.Machine
 module Hir = Voltron_ir.Hir
 module Check = Voltron_check.Check
 module Profile = Voltron_analysis.Profile
@@ -53,23 +52,3 @@ let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?max_steps
     array_footprint;
     check_diags;
   }
-
-let verify machine compiled =
-  let m = Machine.create machine compiled.executable in
-  let result = Machine.run m in
-  match result.Machine.outcome with
-  | Machine.Out_of_cycles -> Error "out of cycles"
-  | Machine.Deadlock d -> Error ("deadlock: " ^ Machine.diagnosis_to_string d)
-  | Machine.Fault_limit d ->
-    Error ("fault limit reached: " ^ Machine.diagnosis_to_string d)
-  | Machine.Stopped d -> Error ("stopped: " ^ Machine.diagnosis_to_string d)
-  | Machine.Finished ->
-    let sum =
-      Voltron_mem.Memory.checksum_prefix (Machine.memory m)
-        compiled.array_footprint
-    in
-    if sum = compiled.oracle_checksum then Ok result.Machine.cycles
-    else
-      Error
-        (Printf.sprintf "checksum mismatch: oracle %x, machine %x"
-           compiled.oracle_checksum sum)

@@ -23,7 +23,8 @@ val compile :
   compiled
 (** Profiles (unless given), selects a strategy per region ([`Hybrid] by
     default), generates per-core code, and records the oracle checksum
-    over the array footprint for verification.
+    over the array footprint; [Voltron.Run.simulate] runs the result and
+    judges its memory image against that checksum.
 
     The oracle comes from the profiling run
     ({!Voltron_analysis.Profile.oracle}), so a dynamic profile of this
@@ -39,7 +40,3 @@ val compile :
     post-codegen gate: checker errors raise {!Voltron_check.Check.Failed}
     with the full diagnostic list; warnings are returned in
     [check_diags]. *)
-
-val verify : Voltron_machine.Config.t -> compiled -> (int, string) result
-(** Run the compiled program and compare its array-footprint checksum to
-    the oracle; [Ok cycles] on success. *)

@@ -30,9 +30,6 @@ val static_profile : t -> Voltron_analysis.Profile.t
     hand this to {!Select.plan} / {!Driver.compile} for profile-free
     selection. *)
 
-val seq_cycles : t -> Voltron_ir.Hir.stmt list -> float
-(** Estimated single-core cycles for a region. *)
-
 val strategy_cycles : t -> Voltron_ir.Hir.stmt list -> Codegen.strategy -> float
 (** Estimated cycles for a region under one strategy on the full
     machine. *)

@@ -439,6 +439,3 @@ let dswp ~n_cores ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~memdep =
       end
     end
   end
-
-let all_on_core0 ~(dg : Depgraph.t) =
-  { core_of = Array.make (Array.length dg.Depgraph.ops) 0; participants = [ 0 ] }

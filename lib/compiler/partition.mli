@@ -50,5 +50,3 @@ val dswp :
   (t * float) option
 (** [Some (partition, estimated_speedup)] when at least two stages emerge;
     [None] when the region is one big recurrence. *)
-
-val all_on_core0 : dg:Voltron_analysis.Depgraph.t -> t

@@ -17,6 +17,7 @@ type measurement = {
   coh_stats : Voltron_mem.Coherence.stats;
   net_stats : Voltron_net.Operand_network.stats;
   outcome : run_outcome;
+  checksum : int;
   verified : bool;
   plan : Voltron_compiler.Select.planned_region list;
   energy : Voltron_machine.Energy.report;
@@ -41,41 +42,46 @@ let outcome_of_machine = function
   | Machine.Fault_limit d -> Fault_limited d
   | Machine.Stopped d -> Sanity_stopped d
 
-let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
-    ?(prepare = fun _ _ -> ()) ?sanitize ?(sanitize_log = fun _ -> ())
-    ~n_cores program =
-  let machine = tweak (Config.default ~n_cores) in
-  let compiled = Driver.compile ~machine ~choice ~check ?profile program in
-  let m = Machine.create machine compiled.Driver.executable in
+let simulate ?sanitize ?sanitize_log ~attach config
+    (compiled : Driver.compiled) =
+  let m = Machine.create config compiled.Driver.executable in
   let san =
-    match sanitize with
-    | None -> None
-    | Some policy -> Some (Sanity.attach ~policy ~log:sanitize_log m)
+    Option.map (fun policy -> Sanity.attach ~policy ?log:sanitize_log m) sanitize
   in
-  prepare compiled m;
+  let observer = attach m in
   let result = Machine.run m in
-  (match san with
-  | None -> ()
-  | Some s ->
-    Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished));
+  Option.iter
+    (fun s ->
+      Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished))
+    san;
   let outcome = outcome_of_machine result.Machine.outcome in
-  let sum =
+  let checksum =
     Voltron_mem.Memory.checksum_prefix (Machine.memory m)
       compiled.Driver.array_footprint
   in
-  {
-    cycles = result.Machine.cycles;
-    stats = Machine.stats m;
-    coh_stats = Voltron_mem.Coherence.total_stats (Machine.coherence m);
-    net_stats = Voltron_net.Operand_network.stats (Machine.network m);
-    outcome;
-    verified = outcome = Completed && sum = compiled.Driver.oracle_checksum;
-    plan = compiled.Driver.plan;
-    energy =
-      Voltron_machine.Energy.of_run ~stats:(Machine.stats m)
-        ~coherence:(Machine.coherence m) ~network:(Machine.network m) ();
-    sanity = Option.map Sanity.report san;
-  }
+  ( {
+      cycles = result.Machine.cycles;
+      stats = Machine.stats m;
+      coh_stats = Voltron_mem.Coherence.total_stats (Machine.coherence m);
+      net_stats = Voltron_net.Operand_network.stats (Machine.network m);
+      outcome;
+      checksum;
+      verified = outcome = Completed && checksum = compiled.Driver.oracle_checksum;
+      plan = compiled.Driver.plan;
+      energy =
+        Voltron_machine.Energy.of_run ~stats:(Machine.stats m)
+          ~coherence:(Machine.coherence m) ~network:(Machine.network m) ();
+      sanity = Option.map Sanity.report san;
+    },
+    observer )
+
+let run ?(choice = `Hybrid) ?(check = true) ?profile ?(tweak = fun c -> c)
+    ?(prepare = fun _ _ -> ()) ?sanitize ?sanitize_log ~n_cores program =
+  let machine = tweak (Config.default ~n_cores) in
+  let compiled = Driver.compile ~machine ~choice ~check ?profile program in
+  fst
+    (simulate ?sanitize ?sanitize_log ~attach:(prepare compiled) machine
+       compiled)
 
 (* --- Graceful degradation ladder ------------------------------------------ *)
 
@@ -259,26 +265,6 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
   let cell (d_cores, d_strategy) =
     let runs = ref 0 and warnings = ref 0 and divs = ref [] in
     let push d = divs := d :: !divs in
-    let simulate config (compiled : Driver.compiled) =
-      incr runs;
-      let m = Machine.create config compiled.Driver.executable in
-      let san =
-        match sanitize with
-        | None -> None
-        | Some policy -> Some (Sanity.attach ~policy m)
-      in
-      let result = Machine.run m in
-      (match san with
-      | None -> ()
-      | Some s ->
-        Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished));
-      let outcome = outcome_of_machine result.Machine.outcome in
-      let sum =
-        Voltron_mem.Memory.checksum_prefix (Machine.memory m)
-          compiled.Driver.array_footprint
-      in
-      (outcome, result.Machine.cycles, sum, Option.map Sanity.report san)
-    in
     let config =
       let c = tweak (Config.default ~n_cores:d_cores) in
       { c with Config.max_cycles = min c.Config.max_cycles max_cycles }
@@ -307,17 +293,19 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
               else c
             in
             let run_ff ff config =
-              simulate { config with Config.fast_forward = ff } compiled
+              incr runs;
+              fst
+                (simulate ?sanitize ~attach:ignore
+                   { config with Config.fast_forward = ff }
+                   compiled)
             in
-            let o_on, cyc_on, sum_on, san_on = run_ff true config in
-            let o_off, cyc_off, sum_off, san_off =
-              run_ff false (ff_tweak config)
-            in
+            let on = run_ff true config in
+            let off = run_ff false (ff_tweak config) in
             (* A dirty sanitizer report is its own divergence class and
                supersedes the non-completion judgement for that run (an
                Abort-policy stop is the sanitizer working, not a hang). *)
-            let check_sanity ff san =
-              match san with
+            let check_sanity ff m =
+              match m.sanity with
               | Some r when not (Sanity.clean r) ->
                 push
                   (Sanity_violation
@@ -325,15 +313,16 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
                 true
               | _ -> false
             in
-            let dirty_on = check_sanity true san_on in
-            let dirty_off = check_sanity false san_off in
-            let check_completed ff o expected sum dirty =
+            let dirty_on = check_sanity true on in
+            let dirty_off = check_sanity false off in
+            let check_completed ff m expected dirty =
               if not dirty then
-                match o with
+                match m.outcome with
                 | Completed ->
-                  if sum <> expected then
+                  if m.checksum <> expected then
                     push
-                      (Checksum_mismatch { cm_case = case; expected; got = sum })
+                      (Checksum_mismatch
+                         { cm_case = case; expected; got = m.checksum })
                 | o ->
                   push
                     (Non_completion
@@ -343,14 +332,12 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
                per-cycle reference run is judged against the fast-forward
                run, so one miscompile is one divergence, and any on/off
                disagreement (cycles or memory) is a simulator bug. *)
-            check_completed true o_on compiled.Driver.oracle_checksum sum_on
-              dirty_on;
-            check_completed false o_off sum_on sum_off dirty_off;
-            if o_on = Completed && o_off = Completed && cyc_on <> cyc_off
-            then
+            check_completed true on compiled.Driver.oracle_checksum dirty_on;
+            check_completed false off on.checksum dirty_off;
+            if completed on && completed off && on.cycles <> off.cycles then
               push
                 (Ff_cycle_mismatch
-                   { fc_case = case; ff_on = cyc_on; ff_off = cyc_off }))
+                   { fc_case = case; ff_on = on.cycles; ff_off = off.cycles }))
           coherence
       end);
     (!runs, !warnings, List.rev !divs)
@@ -383,11 +370,3 @@ let baseline_cycles ?profile program =
   let m = run ~choice:`Seq ?profile ~n_cores:1 program in
   require_completed "baseline" m;
   m.cycles
-
-let speedup ?(choice = `Hybrid) ~n_cores program =
-  let profile = Voltron_analysis.Profile.collect program in
-  let base = baseline_cycles ~profile program in
-  let m = run ~choice ~profile ~n_cores program in
-  require_completed "speedup" m;
-  if not m.verified then failwith "speedup: memory image diverged from oracle";
-  float_of_int base /. float_of_int m.cycles

@@ -12,6 +12,12 @@ type run_outcome =
           machine at a violation's detection cycle *)
 
 val outcome_to_string : run_outcome -> string
+(** The one text rendering of an outcome: a summary line, followed by the
+    structured diagnosis for a deadlock, fault limit or sanitizer stop. *)
+
+val outcome_of_machine : Voltron_machine.Machine.outcome -> run_outcome
+(** For a caller that runs a machine itself, with no compiled program to
+    judge (the CLI's [asm]). *)
 
 type measurement = {
   cycles : int;
@@ -20,8 +26,11 @@ type measurement = {
       (** whole-hierarchy cache/coherence totals *)
   net_stats : Voltron_net.Operand_network.stats;
   outcome : run_outcome;
+  checksum : int;
+      (** checksum of the array footprint the run left in memory *)
   verified : bool;
-      (** [Completed] and memory image matched the reference interpreter *)
+      (** [Completed] and [checksum] equals the compiled program's oracle
+          checksum (the reference interpreter's) *)
   plan : Voltron_compiler.Select.planned_region list;
   energy : Voltron_machine.Energy.report;
   sanity : Voltron_sanity.Sanity.report option;
@@ -29,6 +38,29 @@ type measurement = {
 }
 
 val completed : measurement -> bool
+
+val simulate :
+  ?sanitize:Voltron_sanity.Sanity.policy ->
+  ?sanitize_log:(string -> unit) ->
+  attach:(Voltron_machine.Machine.t -> 'a) ->
+  Voltron_machine.Config.t ->
+  Voltron_compiler.Driver.compiled ->
+  measurement * 'a
+(** The machine half of {!run}, and the one place a compiled program is
+    simulated and judged: build a machine for the configuration, attach
+    the runtime sanitizer when [sanitize] is given (disabling stall
+    fast-forward for the run; [sanitize_log] sees each recorded violation
+    as it happens), then call [attach] on the machine, run it, finalize
+    the sanitizer and judge the outcome and memory image. The sanitizer
+    attaches first because it snapshots memory: anything [attach] does —
+    an observer (tracer, region attribution, blame, sampler) or a test's
+    tampering backdoor — is seen by it. [attach]'s result is returned
+    with the measurement.
+
+    [verified] holds when the run completed and the array-footprint
+    checksum equals [compiled]'s oracle checksum. A deadlock, cycle-cap
+    overrun, fault limit or sanitizer stop is returned as the
+    measurement's [outcome] (with [verified = false]), not raised. *)
 
 val run :
   ?choice:Voltron_compiler.Select.choice ->
@@ -41,21 +73,18 @@ val run :
   n_cores:int ->
   Voltron_ir.Hir.program ->
   measurement
-(** Compile (default [`Hybrid]) for an [n_cores] Voltron and simulate to
-    completion. [profile] is collected when absent; see
-    {!Voltron_compiler.Driver.compile} for when it doubles as the oracle.
-    [tweak] adjusts the machine configuration (cache
+(** {!Voltron_compiler.Driver.compile} (default [`Hybrid]) for an
+    [n_cores] Voltron, then {!simulate}. [profile] is collected when
+    absent; see {!Voltron_compiler.Driver.compile} for when it doubles as
+    the oracle. [tweak] adjusts the machine configuration (cache
     latencies, network capacity, fault injection, ...) before compiling —
-    used by the ablation benches and the resilience sweep. [prepare] sees
-    the compiled program and the machine before the run starts — the
-    observability layer's attachment point (tracers, region attribution,
-    samplers); it runs after the sanitizer attaches, so test harnesses can
-    also arm tampering backdoors there. [sanitize] attaches the runtime
-    invariant sanitizer under that policy (disabling stall fast-forward
-    for the run) and fills the measurement's [sanity] report;
-    [sanitize_log] sees each recorded violation as it happens. A simulator
-    deadlock, cycle-cap overrun, fault-limit or sanitizer stop is returned
-    as the measurement's [outcome] (with [verified = false]), not raised.
+    used by the ablation benches and the resilience sweep. [prepare] is
+    {!simulate}'s [attach] for the compiled program: the observability
+    layer's attachment point (tracers, region attribution, samplers),
+    called after the sanitizer attaches, so test harnesses can also arm
+    tampering backdoors there. [sanitize] and [sanitize_log] are passed
+    to {!simulate}; the measurement's [sanity] report is filled when
+    [sanitize] is given.
 
     The static cross-core checker gates compilation by default: checker
     errors raise {!Voltron_check.Check.Failed}. Pass [~check:false] to
@@ -181,7 +210,7 @@ val differential :
 (** Profile the program once — that interpreter run is also the oracle
     — then for every strategy x core count: compile once with that
     profile (static checker on), then for every coherence backend on the [coherence] axis (default
-    {!default_coherence} — snoop and directory both), simulate twice —
+    {!default_coherence} — snoop and directory both), {!simulate} twice —
     stall fast-forward on, then off — and record every contract
     violation. The coherence protocol is timing-only, so each backend's
     fast-forward image is judged against the timing-independent reference
@@ -216,11 +245,3 @@ val differential :
 val baseline_cycles : ?profile:Voltron_analysis.Profile.t -> Voltron_ir.Hir.program -> int
 (** Single-core sequential cycles (the paper's 1.0 reference). Pass the
     [profile] the parallel run uses, so the program is interpreted once. *)
-
-val speedup :
-  ?choice:Voltron_compiler.Select.choice ->
-  n_cores:int ->
-  Voltron_ir.Hir.program ->
-  float
-(** [baseline / parallel] cycles from one shared profile; also asserts
-    verification. *)

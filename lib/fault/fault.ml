@@ -2,13 +2,6 @@ module Rng = Voltron_util.Rng
 
 type kind = Msg_drop | Msg_corrupt | Mem_flip | Tm_abort | Core_stall
 
-let kind_name = function
-  | Msg_drop -> "msg-drop"
-  | Msg_corrupt -> "msg-corrupt"
-  | Mem_flip -> "mem-flip"
-  | Tm_abort -> "tm-abort"
-  | Core_stall -> "core-stall"
-
 type config = {
   fault_seed : int;
   drop_rate : float;

@@ -25,8 +25,6 @@ type kind =
   | Tm_abort  (** spurious transaction abort at a commit round *)
   | Core_stall  (** transient stall fault freezing one core briefly *)
 
-val kind_name : kind -> string
-
 type config = {
   fault_seed : int;  (** seed for the injection RNG *)
   drop_rate : float;  (** per queue-mode SEND *)

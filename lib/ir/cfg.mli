@@ -50,9 +50,6 @@ type t = {
           (Fig. 5(c)). *)
 }
 
-val block_index : t -> string -> int
-(** Raises [Not_found] for unknown labels. *)
-
 val all_ops : t -> lop list
 val n_ops : t -> int
 

@@ -21,8 +21,6 @@ let fresh_label ctx hint =
   ctx.next_label <- n + 1;
   Printf.sprintf "%s_%d" hint n
 
-let max_vreg ctx = ctx.next_vreg
-
 let operand (o : Hir.operand) : Inst.operand =
   match o with Hir.Reg r -> Inst.Reg r | Hir.Imm i -> Inst.Imm i
 

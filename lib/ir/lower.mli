@@ -17,8 +17,6 @@ val fresh_vreg : ctx -> Hir.vreg
 val fresh_label : ctx -> string -> string
 (** [fresh_label ctx hint] makes a globally unique label. *)
 
-val max_vreg : ctx -> int
-(** One past the highest virtual register allocated so far. *)
 
 val region : ctx -> Hir.stmt list -> Cfg.t
 (** Lower one region to a fresh CFG ending in [Stop]. *)

@@ -21,7 +21,6 @@ val rows : t -> int
 val coords : t -> int -> int * int
 (** [coords t c] is [(x, y)] with [x] the column, [y] the row. *)
 
-val core_at : t -> x:int -> y:int -> int option
 val neighbour : t -> int -> Voltron_isa.Inst.dir -> int option
 val hops : t -> int -> int -> int
 (** Manhattan distance. *)

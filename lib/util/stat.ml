@@ -10,14 +10,8 @@ let geomean = function
     let logs = List.map (fun x -> assert (x > 0.); log x) xs in
     exp (mean logs)
 
-let min_max = function
-  | [] -> invalid_arg "Stat.min_max: empty list"
-  | x :: xs -> List.fold_left (fun (lo, hi) y -> (min lo y, max hi y)) (x, x) xs
-
 let normalize xs =
   let total = sum xs in
   if total = 0. then xs else List.map (fun x -> x /. total) xs
 
 let percent part whole = if whole = 0. then 0. else 100. *. part /. whole
-
-let round2 x = Float.round (x *. 100.) /. 100.

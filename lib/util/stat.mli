@@ -7,14 +7,9 @@ val geomean : float list -> float
 (** Geometric mean; 0. on the empty list. Requires positive elements. *)
 
 val sum : float list -> float
-val min_max : float list -> float * float
-(** Requires a non-empty list. *)
 
 val normalize : float list -> float list
 (** Scale so the elements sum to 1. Identity on an all-zero list. *)
 
 val percent : float -> float -> float
 (** [percent part whole] is [100 * part / whole], 0 when [whole = 0]. *)
-
-val round2 : float -> float
-(** Round to two decimal places, for stable printed output. *)

@@ -6,8 +6,21 @@ module B = Voltron_ir.Builder
 module Inst = Voltron_isa.Inst
 module Config = Voltron_machine.Config
 module Driver = Voltron_compiler.Driver
+module Run = Voltron.Run
 
 let imm = B.imm
+
+(* Simulate a compiled program and fail the test unless it completes with
+   the oracle's memory image; its cycle count. *)
+let verified_cycles ?(what = "run") machine compiled =
+  let m, () = Run.simulate ~attach:ignore machine compiled in
+  (match m.Run.outcome with
+  | Run.Completed when not m.Run.verified ->
+    Alcotest.failf "%s: checksum mismatch: oracle %x, machine %x" what
+      compiled.Driver.oracle_checksum m.Run.checksum
+  | Run.Completed -> ()
+  | o -> Alcotest.failf "%s: %s" what (Run.outcome_to_string o));
+  m.Run.cycles
 
 (* p1: straight-line arithmetic with stores. *)
 let prog_straight () =
@@ -147,9 +160,7 @@ let check_one prog_f choice n_cores () =
   let p = prog_f () in
   let machine = Config.default ~n_cores in
   let compiled = Driver.compile ~machine ~choice p in
-  match Driver.verify machine compiled with
-  | Ok cycles -> Alcotest.(check bool) "ran" true (cycles > 0)
-  | Error msg -> Alcotest.fail msg
+  Alcotest.(check bool) "ran" true (verified_cycles machine compiled > 0)
 
 let matrix_tests =
   List.concat_map
@@ -166,14 +177,38 @@ let matrix_tests =
         choices)
     programs
 
+(* [Run.simulate] is the one judgement of a compiled program: [Run.run] is
+   compile-then-simulate, and a capped or miscompiled run comes back as a
+   judged measurement, not an exception. *)
+let test_simulate_judges () =
+  let p = (Voltron_workloads.Suite.by_name "cjpeg").build ~scale:0.25 () in
+  let machine = Config.default ~n_cores:4 in
+  let compiled = Driver.compile ~machine ~choice:`Hybrid p in
+  let simulate machine compiled =
+    fst (Run.simulate ~attach:ignore machine compiled)
+  in
+  let judged (m : Run.measurement) = (m.cycles, m.checksum, m.verified) in
+  let m = simulate machine compiled in
+  Alcotest.(check bool) "verified" true m.Run.verified;
+  Alcotest.(check (triple int int bool))
+    "simulate = run" (judged (Run.run ~n_cores:4 p)) (judged m);
+  let capped = simulate { machine with Config.max_cycles = 10 } compiled in
+  Alcotest.(check bool) "cycle-capped" true (capped.Run.outcome = Run.Cycle_capped);
+  Alcotest.(check bool) "capped not verified" false capped.Run.verified;
+  let wrong =
+    simulate machine
+      { compiled with Driver.oracle_checksum = compiled.Driver.oracle_checksum + 1 }
+  in
+  Alcotest.(check bool) "completed" true (Run.completed wrong);
+  Alcotest.(check bool) "wrong oracle not verified" false wrong.Run.verified;
+  Alcotest.(check int) "checksum is the machine's" m.Run.checksum wrong.Run.checksum
+
 (* Speedup sanity: parallelisable programs should not slow down much, and
    DOALL-friendly ones should speed up on 4 cores. *)
 let cycles_of p choice n_cores =
   let machine = Config.default ~n_cores in
   let compiled = Driver.compile ~machine ~choice p in
-  match Driver.verify machine compiled with
-  | Ok cycles -> cycles
-  | Error msg -> Alcotest.fail msg
+  verified_cycles machine compiled
 
 let test_llp_speedup () =
   let base = cycles_of (prog_streams ()) `Seq 1 in
@@ -326,9 +361,7 @@ let test_wide_issue_schedules_pack () =
       { (Config.default ~n_cores:1) with Config.issue_width = width }
     in
     let compiled = Driver.compile ~machine ~choice:`Seq p in
-    match Driver.verify machine compiled with
-    | Ok c -> c
-    | Error e -> Alcotest.fail e
+    verified_cycles machine compiled
   in
   let narrow = cycles 1 and wide = cycles 4 in
   Alcotest.(check bool)
@@ -431,9 +464,7 @@ let test_optimized_compiles_verified () =
     (fun choice ->
       let machine = Config.default ~n_cores:4 in
       let compiled = Driver.compile ~machine ~choice p in
-      match Driver.verify machine compiled with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
+      ignore (verified_cycles machine compiled))
     [ `Seq; `Ilp; `Tlp; `Llp; `Hybrid ]
 
 (* --- Static estimator vs measured attribution ---------------------------------- *)
@@ -596,14 +627,11 @@ let test_window_proven_beats_speculative () =
     spec_plan;
   let spec_exe = Codegen.finalize cg in
   let proven_cycles =
-    match Driver.verify machine compiled with
-    | Ok c -> c
-    | Error e -> Alcotest.fail ("proven build: " ^ e)
+    verified_cycles ~what:"proven build" machine compiled
   in
   let spec_cycles =
-    match Driver.verify machine { compiled with Driver.executable = spec_exe } with
-    | Ok c -> c
-    | Error e -> Alcotest.fail ("speculative build: " ^ e)
+    verified_cycles ~what:"speculative build" machine
+      { compiled with Driver.executable = spec_exe }
   in
   Alcotest.(check bool)
     (Printf.sprintf "proven %d < speculative %d" proven_cycles spec_cycles)
@@ -661,9 +689,7 @@ let test_twin_profile_keeps_own_oracle () =
   let machine = Config.default ~n_cores:4 in
   let compiled = Driver.compile ~machine ~choice:`Llp ~profile:clean_profile p in
   Alcotest.(check (pair int int)) "own oracle" (interp_oracle p) (compiled_oracle compiled);
-  match Driver.verify machine compiled with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+  ignore (verified_cycles machine compiled)
 
 (* eBUG reads the miss rates of the profile the strategy carries: a profile
    from a one-line cache (every access misses) moves the partition. Both
@@ -694,15 +720,16 @@ let test_strands_honour_caller_profile () =
   let compiled = Driver.compile ~machine ~choice:`Seq p in
   List.iter
     (fun exe ->
-      match Driver.verify machine { compiled with Driver.executable = exe } with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e)
+      ignore
+        (verified_cycles machine { compiled with Driver.executable = exe }))
     [ measured; thrashing ]
 
 let () =
   Alcotest.run "compiler"
     [
       ("matrix", matrix_tests);
+      ( "simulate",
+        [ Alcotest.test_case "one judgement path" `Quick test_simulate_judges ] );
       ( "properties",
         [
           Alcotest.test_case "llp speedup" `Quick test_llp_speedup;

@@ -237,7 +237,8 @@ let test_random_all_strategies =
         (fun choice ->
           let machine = Config.default ~n_cores:4 in
           let compiled = Driver.compile ~machine ~choice p in
-          match Driver.verify machine compiled with Ok _ -> true | Error _ -> false)
+          (fst (Voltron.Run.simulate ~attach:ignore machine compiled))
+            .Voltron.Run.verified)
         [ `Seq; `Ilp; `Tlp; `Llp; `Hybrid ])
 
 let () =

@@ -248,12 +248,11 @@ let test_random_lower_simulate =
       let oracle = Interp.run p in
       let machine = Voltron_machine.Config.default ~n_cores:1 in
       let compiled = Voltron_compiler.Driver.compile ~machine ~choice:`Seq p in
-      match Voltron_compiler.Driver.verify machine compiled with
-      | Ok _ ->
-        compiled.Voltron_compiler.Driver.oracle_checksum
-        = Voltron_mem.Memory.checksum_prefix oracle.Interp.memory
-            compiled.Voltron_compiler.Driver.array_footprint
-      | Error _ -> false)
+      (fst (Voltron.Run.simulate ~attach:ignore machine compiled))
+        .Voltron.Run.verified
+      && compiled.Voltron_compiler.Driver.oracle_checksum
+         = Voltron_mem.Memory.checksum_prefix oracle.Interp.memory
+             compiled.Voltron_compiler.Driver.array_footprint)
 
 (* Pretty-printers do not raise and produce non-trivial text. *)
 let test_printers_smoke () =
@@ -287,7 +286,11 @@ let test_run_speedup_facade () =
           let v = B.load b src i in
           B.store b dst i (B.mul b v v)));
   let p = B.finish b in
-  let s = Voltron.Run.speedup ~n_cores:4 p in
+  let profile = Voltron_analysis.Profile.collect p in
+  let base = Voltron.Run.baseline_cycles ~profile p in
+  let m = Voltron.Run.run ~profile ~n_cores:4 p in
+  Alcotest.(check bool) "verified" true m.Voltron.Run.verified;
+  let s = float_of_int base /. float_of_int m.Voltron.Run.cycles in
   Alcotest.(check bool) (Printf.sprintf "speedup %.2f > 1.3" s) true (s > 1.3)
 
 let () =
