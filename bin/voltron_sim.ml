@@ -1167,9 +1167,10 @@ let analyze_cmd =
       Printf.printf "benchmark  : %s\n" name;
       Printf.printf "diagnostics: %d\n" (List.length diags);
       print_absint_diags Format.std_formatter diags;
-      let est = Estimate.create ~machine ~summary p in
+      let regions = Voltron_compiler.Regions.of_program p in
+      let est = Estimate.create ~machine ~summary ~regions p in
       let profile = Estimate.static_profile est in
-      let plan = Select.plan ~machine ~profile `Hybrid p in
+      let plan = Select.plan ~regions ~machine ~profile `Hybrid p in
       Printf.printf "\nstatic cycle estimates on %d cores (profile-free):\n"
         cores;
       let cells pr = region_mode_estimates ~machine ~profile est pr in

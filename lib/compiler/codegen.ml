@@ -36,23 +36,33 @@ type region_extent = {
 type t = {
   machine : Config.t;
   program : Hir.program;
-  lay : Layout.t;
-  lctx : Lower.ctx;
-  synth : Synth.t;
+  regions : Regions.t;  (** shared: read, never written *)
+  mutable next_region : int;  (** program-order index of the next region *)
+  lay : Layout.t;  (** this compile's copy: DOALL scratch lands here *)
+  lctx : Lower.ctx;  (** this compile's glue names, after every region's *)
+  mutable next_sid : int;  (** synthesised HIR sites, above the program's *)
   builders : Image.builder array;
   mutable infos : Check.region_info list;  (** reverse emission order *)
   mutable extents : region_extent list;  (** reverse emission order *)
 }
 
-let create machine (program : Hir.program) =
-  let lay = Layout.compute program in
-  let lctx = Lower.make_ctx ~layout:lay ~first_vreg:program.Hir.n_vregs in
+let create ?regions machine (program : Hir.program) =
+  let regions =
+    match regions with Some rs -> rs | None -> Regions.of_program program
+  in
+  let max_sid = ref 0 in
+  List.iter
+    (fun (r : Hir.region) ->
+      Hir.iter_stmts (fun s -> max_sid := max !max_sid s.Hir.sid) r.Hir.stmts)
+    program.Hir.regions;
   {
     machine;
     program;
-    lay;
-    lctx;
-    synth = Synth.create program lctx;
+    regions;
+    next_region = 0;
+    lay = Layout.copy (Regions.layout regions);
+    lctx = Regions.fresh_ctx regions;
+    next_sid = !max_sid + 1;
     builders = Array.init machine.Config.n_cores (fun _ -> Image.builder ());
     infos = [];
     extents = [];
@@ -119,11 +129,12 @@ let emit_blocks t core (cfg : Cfg.t) (code : Voltron_isa.Bundle.t list array) =
 
 let emit_one t core bundle = Image.emit t.builders.(core) bundle
 
-(* Lower + schedule a statement list entirely onto one core and emit it. *)
-let emit_solo t core stmts =
-  let cfg = Lower.region t.lctx stmts in
-  let memdep = Memdep.create ~region_stmts:stmts cfg in
-  let dg = Depgraph.build ~cfg ~memdep ~latency:Config.latency in
+(* A statement list codegen synthesised (DOALL fragments), analysed under
+   this compile's glue names. *)
+let fragment t stmts = Regions.analyse t.lctx stmts
+
+(* Schedule an analysed region entirely onto one core and emit it. *)
+let emit_solo t core { Regions.cfg; dg; _ } =
   let partition =
     {
       Partition.core_of = Array.make (Array.length dg.Depgraph.ops) core;
@@ -136,12 +147,24 @@ let emit_solo t core stmts =
   in
   emit_blocks t core cfg sched.Sched.block_code.(core)
 
+(* Master side of the spawn glue: SPAWN worker [w] at a fresh entry label,
+   returned for the caller to place in [w]'s image. *)
+let spawn t ~name w =
+  let entry = Lower.fresh_label t.lctx (Printf.sprintf "%s_w%d" name w) in
+  emit_one t 0 [ Inst.Spawn { target = w; entry } ];
+  entry
+
+(* Join: each worker reports completion through the queue network. *)
+let join t workers =
+  List.iter
+    (fun w ->
+      let sink = Lower.fresh_vreg t.lctx in
+      emit_one t 0 [ Inst.Recv { sender = w; dst = sink; kind = Inst.Rv_sync } ])
+    workers
+
 (* --- Generic parallel region (ILP / strands / DSWP) ----------------------- *)
 
-let emit_parallel t ~name stmts strategy =
-  let cfg = Lower.region t.lctx stmts in
-  let memdep = Memdep.create ~region_stmts:stmts cfg in
-  let dg = Depgraph.build ~cfg ~memdep ~latency:Config.latency in
+let emit_parallel t ~name { Regions.cfg; memdep; dg; _ } strategy =
   let n_cores = t.machine.Config.n_cores in
   let ebug profile =
     (Partition.ebug ~n_cores ~comm_latency:3 ~dg ~cfg ~memdep ~profile, Inst.Decoupled)
@@ -174,14 +197,8 @@ let emit_parallel t ~name stmts strategy =
     let participants = sched.Sched.participants in
     let workers = List.filter (fun c -> c <> 0) participants in
     let coupled = mode = Inst.Coupled in
-    (* Master side. *)
-    List.iter
-      (fun w ->
-        let entry = Lower.fresh_label t.lctx (Printf.sprintf "%s_w%d" name w) in
-        emit_one t 0 [ Inst.Spawn { target = w; entry } ];
-        (* Worker side, emitted in full here. *)
-        Image.place_label t.builders.(w) entry)
-      workers;
+    (* Worker sides are emitted in full here. *)
+    List.iter (fun w -> Image.place_label t.builders.(w) (spawn t ~name w)) workers;
     if coupled then emit_one t 0 [ Inst.Mode_switch Inst.Coupled ];
     List.iter
       (fun w -> if coupled then emit_one t w [ Inst.Mode_switch Inst.Coupled ])
@@ -193,12 +210,7 @@ let emit_parallel t ~name stmts strategy =
       List.iter (fun w -> emit_one t w [ Inst.Mode_switch Inst.Decoupled ]) workers
     end
     else begin
-      (* Join: each worker reports completion through the queue network. *)
-      List.iter
-        (fun w ->
-          let sink = Lower.fresh_vreg t.lctx in
-          emit_one t 0 [ Inst.Recv { sender = w; dst = sink; kind = Inst.Rv_sync } ])
-        workers;
+      join t workers;
       List.iter
         (fun w -> emit_one t w [ Inst.Send { target = 0; src = Inst.Imm 1 } ])
         workers
@@ -208,25 +220,33 @@ let emit_parallel t ~name stmts strategy =
 
 (* --- DOALL region ---------------------------------------------------------- *)
 
+(* A compiler-synthesised statement (chunk bounds, accumulator resets,
+   loop-variable fix-ups), its site id above the program's so the
+   analysis tables never collide. *)
+let synth t node =
+  let sid = t.next_sid in
+  t.next_sid <- sid + 1;
+  { Hir.sid; node }
+
 (* Chunk-bound synthesis for core [k] of [n]: iteration count
    N = max(0, (limit - init + step - 1) / step); core k runs iterations
    [k*N/n, (k+1)*N/n), i.e. var in [init + step*lo, init + step*hi). *)
 let chunk_bounds t (loop : Hir.for_loop) ~k ~n =
-  let s = t.synth in
+  let stmts = ref [] in
+  let bin op a b =
+    let v = Lower.fresh_vreg t.lctx in
+    stmts := synth t (Hir.Assign (v, Hir.Alu (op, a, b))) :: !stmts;
+    Hir.Reg v
+  in
   let step = loop.Hir.step in
-  let s1, d = Synth.bin s Inst.Sub loop.Hir.limit loop.Hir.init in
-  let s2, d2 = Synth.bin s Inst.Add d (Hir.Imm (step - 1)) in
-  let s3, n0 = Synth.bin s Inst.Div d2 (Hir.Imm step) in
-  let s4, total = Synth.bin s Inst.Max n0 (Hir.Imm 0) in
-  let s5, lo_n = Synth.bin s Inst.Mul total (Hir.Imm k) in
-  let s6, lo = Synth.bin s Inst.Div lo_n (Hir.Imm n) in
-  let s7, hi_n = Synth.bin s Inst.Mul total (Hir.Imm (k + 1)) in
-  let s8, hi = Synth.bin s Inst.Div hi_n (Hir.Imm n) in
-  let s9, from_off = Synth.bin s Inst.Mul lo (Hir.Imm step) in
-  let s10, from_ = Synth.bin s Inst.Add loop.Hir.init from_off in
-  let s11, to_off = Synth.bin s Inst.Mul hi (Hir.Imm step) in
-  let s12, to_ = Synth.bin s Inst.Add loop.Hir.init to_off in
-  ([ s1; s2; s3; s4; s5; s6; s7; s8; s9; s10; s11; s12 ], from_, to_, total)
+  let d = bin Inst.Sub loop.Hir.limit loop.Hir.init in
+  let n0 = bin Inst.Div (bin Inst.Add d (Hir.Imm (step - 1))) (Hir.Imm step) in
+  let total = bin Inst.Max n0 (Hir.Imm 0) in
+  let lo = bin Inst.Div (bin Inst.Mul total (Hir.Imm k)) (Hir.Imm n) in
+  let hi = bin Inst.Div (bin Inst.Mul total (Hir.Imm (k + 1))) (Hir.Imm n) in
+  let from_ = bin Inst.Add loop.Hir.init (bin Inst.Mul lo (Hir.Imm step)) in
+  let to_ = bin Inst.Add loop.Hir.init (bin Inst.Mul hi (Hir.Imm step)) in
+  (List.rev !stmts, from_, to_, total)
 
 let emit_doall t ~name plan =
   let n = t.machine.Config.n_cores in
@@ -237,8 +257,7 @@ let emit_doall t ~name plan =
     if n_accs > 0 then Layout.scratch_alloc t.lay ((n - 1) * n_accs) else 0
   in
   let chunk_for from_ to_ =
-    Synth.stmt t.synth
-      (Hir.For { loop with Hir.init = from_; limit = to_ })
+    synth t (Hir.For { loop with Hir.init = from_; limit = to_ })
   in
   let tm_wrap core body =
     if plan.dp_speculative then begin
@@ -252,27 +271,15 @@ let emit_doall t ~name plan =
      work — the empty-chunk loops below keep that invariant. *)
   let workers = List.init (n - 1) (fun i -> i + 1) in
   (* Master: spawn first so workers overlap the prefix. *)
-  let entries =
-    List.map
-      (fun w ->
-        let entry = Lower.fresh_label t.lctx (Printf.sprintf "%s_w%d" name w) in
-        emit_one t 0 [ Inst.Spawn { target = w; entry } ];
-        (w, entry))
-      workers
-  in
+  let entries = List.map (fun w -> (w, spawn t ~name w)) workers in
   (* Master fragment A: prefix + bounds. *)
   let bounds0, from0, to0, total0 = chunk_bounds t loop ~k:0 ~n in
-  emit_solo t 0 (plan.dp_prefix @ bounds0);
+  emit_solo t 0 (fragment t (plan.dp_prefix @ bounds0));
   let master_total =
     match total0 with Hir.Reg r -> r | Hir.Imm _ -> assert false
   in
-  tm_wrap 0 (fun () -> emit_solo t 0 [ chunk_for from0 to0 ]);
-  (* Join. *)
-  List.iter
-    (fun (w, _) ->
-      let sink = Lower.fresh_vreg t.lctx in
-      emit_one t 0 [ Inst.Recv { sender = w; dst = sink; kind = Inst.Rv_sync } ])
-    entries;
+  tm_wrap 0 (fun () -> emit_solo t 0 (fragment t [ chunk_for from0 to0 ]));
+  join t workers;
   (* Accumulator reduction: master partial + committed worker partials. *)
   List.iteri
     (fun j (acc : Doall_a.accumulator) ->
@@ -294,11 +301,14 @@ let emit_doall t ~name plan =
         workers)
     accs;
   (* Loop variable fix-up: after a serial run, var = init + step * N. *)
-  let fix1, off = Synth.bin t.synth Inst.Mul (Hir.Reg master_total) (Hir.Imm loop.Hir.step) in
-  let fix2 =
-    Synth.assign t.synth loop.Hir.var (Hir.Alu (Inst.Add, loop.Hir.init, off))
+  let off = Lower.fresh_vreg t.lctx in
+  let fix1 =
+    synth t (Hir.Assign (off, Hir.Alu (Inst.Mul, Hir.Reg master_total, Hir.Imm loop.Hir.step)))
   in
-  emit_solo t 0 ([ fix1; fix2 ] @ plan.dp_suffix);
+  let fix2 =
+    synth t (Hir.Assign (loop.Hir.var, Hir.Alu (Inst.Add, loop.Hir.init, Hir.Reg off)))
+  in
+  emit_solo t 0 (fragment t ([ fix1; fix2 ] @ plan.dp_suffix));
   (* Workers. *)
   List.iteri
     (fun wi (w, entry) ->
@@ -307,12 +317,12 @@ let emit_doall t ~name plan =
       let resets =
         List.map
           (fun (acc : Doall_a.accumulator) ->
-            Synth.assign t.synth acc.Doall_a.acc_vreg (Hir.Operand (Hir.Imm 0)))
+            synth t (Hir.Assign (acc.Doall_a.acc_vreg, Hir.Operand (Hir.Imm 0))))
           accs
       in
-      emit_solo t w (plan.dp_prefix @ bounds @ resets);
+      emit_solo t w (fragment t (plan.dp_prefix @ bounds @ resets));
       tm_wrap w (fun () ->
-          emit_solo t w [ chunk_for from_ to_ ];
+          emit_solo t w (fragment t [ chunk_for from_ to_ ]);
           (* Partials are stored inside the transaction so the commit
              publishes them with the chunk. *)
           List.iteri
@@ -332,18 +342,28 @@ let emit_doall t ~name plan =
 
 let emit_region t ~name stmts strategy =
   check_register_closed ~name stmts;
+  (* Plans emit the program's regions in order, so the shared analysis of
+     the next one is this region's; a hand-made region is analysed here. *)
+  let shared =
+    match Regions.region t.regions t.next_region with
+    | Some r when r.Regions.stmts == stmts ->
+      t.next_region <- t.next_region + 1;
+      Some r
+    | Some _ | None -> None
+  in
+  let region () =
+    match shared with Some r -> r | None -> fragment t stmts
+  in
   (* Every bundle the region adds — master glue, spawns, worker bodies,
      joins — lands between these two snapshots, so the extent is exact
      per core (regions are contiguous in emission order). *)
   let lo = Array.map Image.next_addr t.builders in
+  let parallel = t.machine.Config.n_cores > 1 in
   (match strategy with
-  | Seq -> emit_solo t 0 stmts
-  | Coupled_ilp | Strands _ | Dswp _ ->
-    if t.machine.Config.n_cores <= 1 then emit_solo t 0 stmts
-    else emit_parallel t ~name stmts strategy
-  | Doall plan ->
-    if t.machine.Config.n_cores <= 1 then emit_solo t 0 stmts
-    else emit_doall t ~name plan);
+  | Doall plan when parallel -> emit_doall t ~name plan
+  | (Coupled_ilp | Strands _ | Dswp _) when parallel ->
+    emit_parallel t ~name (region ()) strategy
+  | Seq | Coupled_ilp | Strands _ | Dswp _ | Doall _ -> emit_solo t 0 (region ()));
   let ranges =
     Array.mapi (fun c lo_c -> (lo_c, Image.next_addr t.builders.(c))) lo
   in

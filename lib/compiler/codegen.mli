@@ -38,7 +38,11 @@ and doall_plan = {
 
 type t
 
-val create : Voltron_machine.Config.t -> Voltron_ir.Hir.program -> t
+val create : ?regions:Regions.t -> Voltron_machine.Config.t -> Voltron_ir.Hir.program -> t
+(** [regions] is the program's shared analysis ({!Regions.of_program} of
+    this program, built here when absent); the executable is the same
+    either way. Codegen only reads it: scratch words go to a private copy
+    of its layout and glue names to {!Regions.fresh_ctx}. *)
 
 type region_extent = {
   re_name : string;
@@ -60,7 +64,9 @@ val check_infos : t -> Voltron_check.Check.region_info list
     in scope so the checker never has to re-derive compiler state. *)
 
 val emit_region : t -> name:string -> Voltron_ir.Hir.stmt list -> strategy -> unit
-(** Raises [Invalid_argument] if the region reads registers it does not
+(** Emits the program's regions from the shared analysis when called with
+    each region's own statement list in program order (as a plan does);
+    any other statement list is lowered and analysed here. Raises [Invalid_argument] if the region reads registers it does not
     define (regions must be register-closed; pass data between regions
     through memory). *)
 

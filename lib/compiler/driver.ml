@@ -12,8 +12,8 @@ type compiled = {
   check_diags : Check.diag list;
 }
 
-let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?max_steps
-    (p : Hir.program) =
+let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?regions
+    ?max_steps (p : Hir.program) =
   let profile =
     match profile with Some pr -> pr | None -> Profile.collect ?max_steps p
   in
@@ -26,8 +26,11 @@ let compile ~machine ?(choice = `Hybrid) ?(check = true) ?profile ?max_steps
       let words = Voltron_ir.Layout.mem_size r.Voltron_ir.Interp.layout in
       (words, Voltron_mem.Memory.checksum_prefix r.Voltron_ir.Interp.memory words)
   in
-  let plan = Select.plan ~machine ~profile choice p in
-  let cg = Codegen.create machine p in
+  let regions =
+    match regions with Some rs -> rs | None -> Regions.of_program p
+  in
+  let plan = Select.plan ~regions ~machine ~profile choice p in
+  let cg = Codegen.create ~regions machine p in
   List.iter
     (fun (pr : Select.planned_region) ->
       Codegen.emit_region cg ~name:pr.Select.pr_name pr.Select.pr_stmts

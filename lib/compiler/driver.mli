@@ -18,6 +18,7 @@ val compile :
   ?choice:Select.choice ->
   ?check:bool ->
   ?profile:Voltron_analysis.Profile.t ->
+  ?regions:Regions.t ->
   ?max_steps:int ->
   Voltron_ir.Hir.program ->
   compiled
@@ -34,6 +35,11 @@ val compile :
     itself, for the oracle alone. [max_steps] bounds whichever
     interpreter run happens here (see {!Voltron_ir.Interp.run}) — the
     fuzzing harness uses it to reject runaway shrink candidates quickly.
+
+    [regions] is the program's region analysis ({!Regions.of_program} of
+    this program), built here when absent. Selection and codegen both
+    read it and never change it, so one value can serve every compile of
+    the program, on any domain; the result is the same either way.
 
     Unless [~check:false] is given, the static cross-core checker
     ({!Voltron_check.Check}) runs over the generated images as a

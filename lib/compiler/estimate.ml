@@ -19,47 +19,29 @@ type t = {
   machine : Config.t;
   summary : Absint.summary;
   static_profile : Profile.t;
+  regions : Regions.t;
 }
 
-let create ~machine ?summary (p : Hir.program) =
+let create ~machine ?summary ?regions (p : Hir.program) =
   let summary = match summary with Some s -> s | None -> Absint.analyze p in
   {
     machine;
     summary;
     static_profile = Profile.of_static ~summary ~cache:machine.Config.cache p;
+    regions =
+      (match regions with Some rs -> rs | None -> Regions.of_program p);
   }
 
 let static_profile t = t.static_profile
 
 let miss_penalty = 20.
 
-(* Throwaway lowering, as in Select.dswp_estimate: base addresses do not
-   matter for schedule shapes. *)
-let lower_region stmts =
-  let max_v =
-    List.fold_left max 0 (Hir.defined_vregs stmts @ Hir.used_vregs stmts) + 1
-  in
-  let max_arr = ref (-1) in
-  Hir.iter_stmts
-    (fun ({ Hir.node; _ } : Hir.stmt) ->
-      match node with
-      | Hir.Assign (_, Hir.Load (a, _)) | Hir.Store (a, _, _) ->
-        max_arr := max !max_arr a
-      | Hir.Assign _ | Hir.If _ | Hir.For _ | Hir.Do_while _ -> ())
-    stmts;
-  let fake =
-    {
-      Hir.prog_name = "estimate";
-      arrays =
-        Array.init (!max_arr + 1) (fun i ->
-            { Hir.arr_name = Printf.sprintf "a%d" i; size = 1024; init = None });
-      regions = [];
-      n_vregs = max_v;
-    }
-  in
-  let lay = Voltron_ir.Layout.compute fake in
-  let lctx = Voltron_ir.Lower.make_ctx ~layout:lay ~first_vreg:max_v in
-  Voltron_ir.Lower.region lctx stmts
+(* A whole region's analysis is the shared one; DOALL prefix, loop and
+   suffix fragments are lowered here against the same real layout. *)
+let region_of t stmts =
+  match Regions.find t.regions stmts with
+  | Some r -> r
+  | None -> Regions.analyse (Regions.fresh_ctx t.regions) stmts
 
 (* Effective latency of one op, charging loads their static miss bound. *)
 let eff_latency t (op : Cfg.lop) =
@@ -69,9 +51,11 @@ let eff_latency t (op : Cfg.lop) =
     base +. (Profile.miss_rate t.static_profile op.Cfg.hir_sid *. miss_penalty)
   | _ -> base
 
-(* In-order single-issue schedule length of one block: one issue slot per
-   cycle, an op stalls until its sources are ready. *)
-let block_sched t (b : Cfg.block) =
+(* Dataflow timing of one block: each op starts once its sources are
+   ready. [in_order] also gives every op its own issue slot, one per cycle,
+   after its predecessor's. Returns the last issue slot's end and the
+   latest finish. *)
+let block_timing t ~in_order (b : Cfg.block) =
   let ready : (Inst.reg, float) Hashtbl.t = Hashtbl.create 16 in
   let clock = ref 0. in
   let last = ref 0. in
@@ -80,7 +64,7 @@ let block_sched t (b : Cfg.block) =
       let avail =
         List.fold_left
           (fun acc r -> Float.max acc (Option.value ~default:0. (Hashtbl.find_opt ready r)))
-          !clock
+          (if in_order then !clock else 0.)
           (Inst.uses op.Cfg.inst)
       in
       let finish = avail +. eff_latency t op in
@@ -88,28 +72,18 @@ let block_sched t (b : Cfg.block) =
       last := Float.max !last finish;
       clock := avail +. 1.)
     b.Cfg.b_ops;
+  (!clock, !last)
+
+(* In-order single-issue schedule length of one block. *)
+let block_sched t (b : Cfg.block) =
+  let clock, last = block_timing t ~in_order:true b in
   (* Terminator branch costs its own slot; a long-latency tail op keeps
      the next iteration waiting either way. *)
   let term = match b.Cfg.b_term with Cfg.Stop -> 0. | _ -> 1. in
-  Float.max (!clock +. term) !last
+  Float.max (clock +. term) last
 
 (* Critical path through one block (unbounded issue width). *)
-let block_cp t (b : Cfg.block) =
-  let ready : (Inst.reg, float) Hashtbl.t = Hashtbl.create 16 in
-  let cp = ref 0. in
-  List.iter
-    (fun (op : Cfg.lop) ->
-      let avail =
-        List.fold_left
-          (fun acc r -> Float.max acc (Option.value ~default:0. (Hashtbl.find_opt ready r)))
-          0.
-          (Inst.uses op.Cfg.inst)
-      in
-      let finish = avail +. eff_latency t op in
-      List.iter (fun r -> Hashtbl.replace ready r finish) (Inst.defs op.Cfg.inst);
-      cp := Float.max !cp finish)
-    b.Cfg.b_ops;
-  !cp
+let block_cp t b = snd (block_timing t ~in_order:false b)
 
 (* Static repeat count of a block: the count of the HIR statements it was
    lowered from (max across its ops; loop plumbing carries sid -1). *)
@@ -144,7 +118,7 @@ let doall_mem_factor = 1.75     (* n-core memory contention on the chunked body,
 let strands_decoupling = 0.95   (* vs the ideal coupled schedule, fitted *)
 
 let seq_cycles t stmts =
-  let cfg = lower_region stmts in
+  let cfg = (region_of t stmts).Regions.cfg in
   Array.fold_left
     (fun acc b ->
       let n = block_count t b in
@@ -154,7 +128,7 @@ let seq_cycles t stmts =
 (* Ideal n-wide partitioned schedule — before the lock-step penalty, so
    both ILP and strands derive from it. *)
 let ilp_base t ~n_cores stmts =
-  let cfg = lower_region stmts in
+  let cfg = (region_of t stmts).Regions.cfg in
   let n = float_of_int (max 1 n_cores) in
   Array.fold_left
     (fun acc b ->
@@ -170,8 +144,8 @@ let ilp_base t ~n_cores stmts =
 
 let ilp_cycles t ~n_cores stmts = ilp_base t ~n_cores stmts *. ilp_lockstep_factor
 
-let dswp_cycles t ~machine stmts =
-  let est = Select.dswp_estimate ~machine stmts in
+let dswp_cycles t stmts =
+  let est = Select.dswp_estimate ~machine:t.machine (region_of t stmts) in
   (seq_cycles t stmts /. Float.max 1.0 est *. dswp_queue_factor)
   +. dswp_fill_overhead
 
@@ -195,7 +169,7 @@ let strategy_cycles t stmts (s : Codegen.strategy) =
   | Codegen.Seq -> seq_cycles t stmts
   | Codegen.Coupled_ilp -> ilp_cycles t ~n_cores stmts
   | Codegen.Strands _ -> strands_cycles t ~n_cores stmts
-  | Codegen.Dswp _ -> dswp_cycles t ~machine:t.machine stmts
+  | Codegen.Dswp _ -> dswp_cycles t stmts
   | Codegen.Doall dp -> doall_cycles t ~n_cores dp
 
 type row = {

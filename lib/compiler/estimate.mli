@@ -21,9 +21,12 @@ type t
 val create :
   machine:Voltron_machine.Config.t ->
   ?summary:Voltron_absint.Absint.summary ->
+  ?regions:Regions.t ->
   Voltron_ir.Hir.program ->
   t
-(** [summary] reuses an existing whole-program analysis. *)
+(** [summary] reuses an existing whole-program analysis, [regions] the
+    program's shared region analysis ({!Regions.of_program}); each is
+    built here when absent, with the same estimates either way. *)
 
 val static_profile : t -> Voltron_analysis.Profile.t
 (** The synthesised profile ({!Voltron_analysis.Profile.of_static}) —
@@ -32,7 +35,9 @@ val static_profile : t -> Voltron_analysis.Profile.t
 
 val strategy_cycles : t -> Voltron_ir.Hir.stmt list -> Codegen.strategy -> float
 (** Estimated cycles for a region under one strategy on the full
-    machine. *)
+    machine. A region's own statement list (physically, as a plan carries
+    it) reads the shared analysis; any other list is lowered for the
+    query. *)
 
 type row = {
   e_region : string;

@@ -65,6 +65,30 @@ let clusters ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~mem_together =
       mem_ops);
   parent
 
+(* Cluster representative -> members (non-replicable ops only), with each
+   cluster's total weight and highest critical-path priority. *)
+let cluster_members ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent =
+  let members = Hashtbl.create 16 in
+  for i = 0 to Array.length dg.Depgraph.ops - 1 do
+    if not (is_replicable cfg dg i) then begin
+      let r = uf_find parent i in
+      Hashtbl.replace members r
+        (i :: Option.value ~default:[] (Hashtbl.find_opt members r))
+    end
+  done;
+  let weight r =
+    List.fold_left (fun acc i -> acc + dg.Depgraph.weight.(i)) 0 (Hashtbl.find members r)
+  in
+  let priority r =
+    List.fold_left (fun acc i -> max acc dg.Depgraph.priority.(i)) 0 (Hashtbl.find members r)
+  in
+  (members, weight, priority)
+
+(* Clusters in descending priority order. *)
+let by_priority members priority =
+  let reps = Hashtbl.fold (fun r _ acc -> r :: acc) members [] in
+  List.sort (fun a b -> compare (priority b) (priority a)) reps
+
 let participants_of core_of =
   let used = Hashtbl.create 4 in
   Array.iter (fun c -> if c >= 0 then Hashtbl.replace used c ()) core_of;
@@ -75,33 +99,11 @@ let participants_of core_of =
 
 (* Greedy placement of clusters in critical-path order. [extra_cut i j] is
    an additional penalty for separating nodes [i] and [j] (eBUG's
-   miss-affinity weights); [mem_penalty core] penalises overloaded-cache
-   cores (eBUG's memory balancing). *)
+   miss-affinity weights). *)
 let greedy ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
-    ~extra_cut ~mem_penalty =
-  let n = Array.length dg.Depgraph.ops in
-  let core_of = Array.make n (-1) in
-  (* Cluster representatives and members. *)
-  let members = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    if not (is_replicable cfg dg i) then begin
-      let r = uf_find parent i in
-      Hashtbl.replace members r
-        (i :: Option.value ~default:[] (Hashtbl.find_opt members r))
-    end
-  done;
-  let reps = Hashtbl.fold (fun r _ acc -> r :: acc) members [] in
-  let cluster_priority r =
-    List.fold_left
-      (fun acc i -> max acc dg.Depgraph.priority.(i))
-      0 (Hashtbl.find members r)
-  in
-  let cluster_weight r =
-    List.fold_left (fun acc i -> acc + dg.Depgraph.weight.(i)) 0 (Hashtbl.find members r)
-  in
-  let order =
-    List.sort (fun a b -> compare (cluster_priority b) (cluster_priority a)) reps
-  in
+    ~extra_cut =
+  let core_of = Array.make (Array.length dg.Depgraph.ops) (-1) in
+  let members, cluster_weight, priority = cluster_members ~dg ~cfg ~parent in
   let core_ready = Array.make n_cores 0 in
   let cluster_core = Hashtbl.create 16 in
   let cluster_finish = Hashtbl.create 16 in
@@ -123,27 +125,8 @@ let greedy ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
     (fun r ->
       let weight = cluster_weight r in
       let preds = cluster_preds r in
-      let best_core = ref 0 and best_cost = ref max_int in
-      for core = 0 to n_cores - 1 do
-        let dep_ready =
-          List.fold_left
-            (fun acc (rp, p, i) ->
-              let pc = Hashtbl.find cluster_core rp in
-              let pf = Hashtbl.find cluster_finish rp in
-              let comm = if pc <> core then comm_latency + extra_cut p i else 0 in
-              max acc (pf + comm))
-            0 preds
-        in
-        let start = max core_ready.(core) dep_ready in
-        let cost = start + weight + mem_penalty core r in
-        if cost < !best_cost then begin
-          best_cost := cost;
-          best_core := core
-        end
-      done;
-      let core = !best_core in
-      Hashtbl.replace cluster_core r core;
-      let dep_ready =
+      (* When the cluster's inputs reach [core]. *)
+      let dep_ready core =
         List.fold_left
           (fun acc (rp, p, i) ->
             let pc = Hashtbl.find cluster_core rp in
@@ -152,11 +135,22 @@ let greedy ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
             max acc (pf + comm))
           0 preds
       in
-      let finish = max core_ready.(core) dep_ready + cluster_weight r in
+      let best_core = ref 0 and best_cost = ref max_int in
+      for core = 0 to n_cores - 1 do
+        let start = max core_ready.(core) (dep_ready core) in
+        let cost = start + weight in
+        if cost < !best_cost then begin
+          best_cost := cost;
+          best_core := core
+        end
+      done;
+      let core = !best_core in
+      Hashtbl.replace cluster_core r core;
+      let finish = max core_ready.(core) (dep_ready core) + weight in
       Hashtbl.replace cluster_finish r finish;
       core_ready.(core) <- finish;
       List.iter (fun i -> core_of.(i) <- core) (Hashtbl.find members r))
-    order;
+    (by_priority members priority);
   { core_of; participants = participants_of core_of }
 
 (* Refinement sweep (the paper's second BUG pass): with the full
@@ -165,19 +159,8 @@ let greedy ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
    neighbours — is lowest. One sweep in descending priority order. *)
 let refine ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
     (initial : t) =
-  let n = Array.length dg.Depgraph.ops in
   let core_of = Array.copy initial.core_of in
-  let members = Hashtbl.create 16 in
-  for i = 0 to n - 1 do
-    if not (is_replicable cfg dg i) then begin
-      let r = uf_find parent i in
-      Hashtbl.replace members r
-        (i :: Option.value ~default:[] (Hashtbl.find_opt members r))
-    end
-  done;
-  let cluster_weight r =
-    List.fold_left (fun acc i -> acc + dg.Depgraph.weight.(i)) 0 (Hashtbl.find members r)
-  in
+  let members, cluster_weight, priority = cluster_members ~dg ~cfg ~parent in
   (* Per-core load under the current assignment. *)
   let load = Array.make n_cores 0 in
   Hashtbl.iter
@@ -208,11 +191,6 @@ let refine ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
         + count (Option.value ~default:[] (Hashtbl.find_opt dg.Depgraph.succs i)))
       0 (Hashtbl.find members r)
   in
-  let reps = Hashtbl.fold (fun r _ acc -> r :: acc) members [] in
-  let priority r =
-    List.fold_left (fun acc i -> max acc dg.Depgraph.priority.(i)) 0 (Hashtbl.find members r)
-  in
-  let order = List.sort (fun a b -> compare (priority b) (priority a)) reps in
   List.iter
     (fun r ->
       match Hashtbl.find members r with
@@ -247,15 +225,13 @@ let refine ~n_cores ~comm_latency ~(dg : Depgraph.t) ~(cfg : Cfg.t) ~parent
           load.(best) <- load.(best) + w;
           List.iter (fun i -> core_of.(i) <- best) (Hashtbl.find members r)
         end)
-    order;
+    (by_priority members priority);
   { core_of; participants = participants_of core_of }
 
 let bug ~n_cores ~comm_latency ~dg ~cfg =
   let parent = clusters ~dg ~cfg ~mem_together:None in
   let first =
-    greedy ~n_cores ~comm_latency ~dg ~cfg ~parent
-      ~extra_cut:(fun _ _ -> 0)
-      ~mem_penalty:(fun _ _ -> 0)
+    greedy ~n_cores ~comm_latency ~dg ~cfg ~parent ~extra_cut:(fun _ _ -> 0)
   in
   refine ~n_cores ~comm_latency ~dg ~cfg ~parent first
 
@@ -275,43 +251,7 @@ let ebug ~n_cores ~comm_latency ~dg ~cfg ~memdep ~profile =
       | _ -> ())
     dg.Depgraph.ops;
   let extra_cut p _i = miss_weight.(p) in
-  (* Memory balancing: count memory ops per core as we go. *)
-  let mem_count = Array.make n_cores 0 in
-  let total_mem =
-    Array.to_list dg.Depgraph.ops
-    |> List.filter (fun op -> Memdep.is_mem memdep op)
-    |> List.length
-  in
-  let parent_copy = Array.copy parent in
-  let cluster_mem_ops r =
-    let count = ref 0 in
-    Array.iteri
-      (fun i op ->
-        if (not (is_replicable cfg dg i)) && uf_find parent_copy i = r then
-          if Memdep.is_mem memdep op then incr count)
-      dg.Depgraph.ops;
-    !count
-  in
-  let mem_penalty core r =
-    let here = cluster_mem_ops r in
-    if here = 0 || n_cores = 1 then 0
-    else if mem_count.(core) + here > (total_mem / n_cores) + 1 then begin
-      (* Applied during cost comparison only; commit below. *)
-      10
-    end
-    else 0
-  in
-  let result =
-    greedy ~n_cores ~comm_latency ~dg ~cfg ~parent ~extra_cut ~mem_penalty
-  in
-  (* Recompute per-core memory counts for reporting parity (greedy applied
-     penalties against a stale count; acceptable for a heuristic). *)
-  Array.iteri
-    (fun i op ->
-      if result.core_of.(i) >= 0 && Memdep.is_mem memdep op then
-        mem_count.(result.core_of.(i)) <- mem_count.(result.core_of.(i)) + 1)
-    dg.Depgraph.ops;
-  result
+  greedy ~n_cores ~comm_latency ~dg ~cfg ~parent ~extra_cut
 
 (* --- DSWP ------------------------------------------------------------------ *)
 

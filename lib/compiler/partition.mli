@@ -7,10 +7,10 @@
 
     [ebug] is the paper's Enhanced BUG for decoupled strands: on top of
     BUG it (a) adds edge weights that keep likely-missing loads with their
-    consumers, (b) hard-clusters memory operations that may ever touch the
-    same address (so no cross-core memory synchronisation is needed), and
-    (c) penalises cores already holding a majority of memory operations to
-    balance local caches.
+    consumers, and (b) hard-clusters memory operations that may ever touch
+    the same address (so no cross-core memory synchronisation is needed).
+    The paper's third ingredient, balancing memory operations across the
+    cores' caches, is not modelled.
 
     [dswp] builds the region dependence graph including loop-carried
     edges, condenses strongly-connected components, and splits the acyclic

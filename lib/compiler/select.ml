@@ -36,27 +36,17 @@ let region_weight ~profile stmts =
 
 (* --- DOALL planning -------------------------------------------------------- *)
 
-let arrays_stored stmts =
+(* The arrays [stmts] store to ([~write:true]) or load from. *)
+let arrays ~write stmts =
   let acc = ref [] in
   Hir.iter_stmts
     (fun ({ Hir.node; _ } : Hir.stmt) ->
       match node with
-      | Hir.Store (a, _, _) -> acc := a :: !acc
-      | Hir.Assign _ | Hir.If _ | Hir.For _ | Hir.Do_while _ -> ())
-    stmts;
-  List.sort_uniq compare !acc
-
-let arrays_loaded stmts =
-  let acc = ref [] in
-  Hir.iter_stmts
-    (fun ({ Hir.node; _ } : Hir.stmt) ->
-      match node with
-      | Hir.Assign (_, Hir.Load (a, _)) -> acc := a :: !acc
+      | Hir.Store (a, _, _) when write -> acc := a :: !acc
+      | Hir.Assign (_, Hir.Load (a, _)) when not write -> acc := a :: !acc
       | Hir.Assign _ | Hir.Store _ | Hir.If _ | Hir.For _ | Hir.Do_while _ -> ())
     stmts;
   List.sort_uniq compare !acc
-
-let has_store stmts = arrays_stored stmts <> []
 
 (* Split a region around its first top-level For loop. *)
 let split_first_for stmts =
@@ -80,7 +70,7 @@ let doall_plan_of_region ~machine ~profile stmts =
       if trips < float_of_int (trip_factor * n) then None
         (* Prefix is replicated on every core: it must be side-effect
            free. *)
-      else if has_store prefix then None
+      else if arrays ~write:true prefix <> [] then None
         (* Values computed inside the loop body and consumed after it
            cannot be reconstructed on the master (beyond the induction
            variable and recognised accumulators). *)
@@ -105,8 +95,8 @@ let doall_plan_of_region ~machine ~profile stmts =
                  core's committed chunk stores could leak into a
                  still-running prefix. Under TM no memory commits while
                  any core is pre-transaction. *)
-              let loop_stores = arrays_stored loop.Hir.body in
-              List.exists (fun a -> List.mem a loop_stores) (arrays_loaded prefix)
+              let loop_stores = arrays ~write:true loop.Hir.body in
+              List.exists (fun a -> List.mem a loop_stores) (arrays ~write:false prefix)
             | Doall_a.Speculative _ -> true
             | Doall_a.Rejected _ -> assert false
           in
@@ -123,38 +113,10 @@ let doall_plan_of_region ~machine ~profile stmts =
 
 (* --- DSWP estimate --------------------------------------------------------- *)
 
-let dswp_estimate ~machine stmts =
-  (* Throwaway lowering: its fresh registers and labels are never emitted.
-     Array base addresses do not affect the estimate, so lower against a
-     synthetic layout sized from the largest array id in the region. *)
-  let max_v =
-    List.fold_left max 0 (Hir.defined_vregs stmts @ Hir.used_vregs stmts) + 1
-  in
-  let max_arr = ref (-1) in
-  Hir.iter_stmts
-    (fun ({ Hir.node; _ } : Hir.stmt) ->
-      match node with
-      | Hir.Assign (_, Hir.Load (a, _)) | Hir.Store (a, _, _) ->
-        max_arr := max !max_arr a
-      | Hir.Assign _ | Hir.If _ | Hir.For _ | Hir.Do_while _ -> ())
-    stmts;
-  let fake =
-    {
-      Hir.prog_name = "estimate";
-      arrays =
-        Array.init (!max_arr + 1) (fun i ->
-            { Hir.arr_name = Printf.sprintf "a%d" i; size = 1024; init = None });
-      regions = [];
-      n_vregs = max_v;
-    }
-  in
-  let lay = Voltron_ir.Layout.compute fake in
-  let lctx = Voltron_ir.Lower.make_ctx ~layout:lay ~first_vreg:max_v in
-  let cfg = Voltron_ir.Lower.region lctx stmts in
-  let memdep = Voltron_analysis.Memdep.create ~region_stmts:stmts cfg in
-  let dg = Voltron_analysis.Depgraph.build ~cfg ~memdep ~latency:Config.latency in
+let dswp_estimate ~machine (r : Regions.region) =
   match
-    Partition.dswp ~n_cores:machine.Config.n_cores ~dg ~cfg ~memdep
+    Partition.dswp ~n_cores:machine.Config.n_cores ~dg:r.Regions.dg
+      ~cfg:r.Regions.cfg ~memdep:r.Regions.memdep
   with
   | Some (_, est) -> est
   | None -> 1.0
@@ -178,13 +140,20 @@ let miss_fraction ~profile stmts =
 
 (* --- Planning --------------------------------------------------------------- *)
 
-let plan ~machine ~profile choice (p : Hir.program) =
-  List.map
-    (fun (r : Hir.region) ->
+let plan ?regions ~machine ~profile choice (p : Hir.program) =
+  let regions =
+    match regions with Some rs -> rs | None -> Regions.of_program p
+  in
+  List.mapi
+    (fun i (r : Hir.region) ->
       let weight = region_weight ~profile r.Hir.stmts in
       let doall () = doall_plan_of_region ~machine ~profile r.Hir.stmts in
+      let pipelines () =
+        dswp_estimate ~machine (Option.get (Regions.region regions i))
+        >= dswp_threshold
+      in
       let tlp () =
-        if dswp_estimate ~machine r.Hir.stmts >= dswp_threshold then
+        if pipelines () then
           Codegen.Dswp profile
         else Codegen.Strands profile
       in
@@ -203,8 +172,7 @@ let plan ~machine ~profile choice (p : Hir.program) =
               match doall () with
               | Some plan -> Codegen.Doall plan
               | None ->
-                if dswp_estimate ~machine r.Hir.stmts >= dswp_threshold then
-                  Codegen.Dswp profile
+                if pipelines () then Codegen.Dswp profile
                 else if miss_fraction ~profile r.Hir.stmts > miss_threshold then
                   Codegen.Strands profile
                 else Codegen.Coupled_ilp)

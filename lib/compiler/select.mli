@@ -31,9 +31,10 @@ val doall_plan_of_region :
 (** The region's DOALL decomposition (prefix / loop / suffix) when legal
     and profitable, applying the prefix/suffix safety rules (see source). *)
 
-val dswp_estimate :
-  machine:Voltron_machine.Config.t -> Voltron_ir.Hir.stmt list -> float
-(** Estimated DSWP speedup for the region (1.0 when no pipeline exists). *)
+val dswp_estimate : machine:Voltron_machine.Config.t -> Regions.region -> float
+(** Estimated DSWP speedup for the region (1.0 when no pipeline exists):
+    {!Partition.dswp} on the region's shared dependence graph, the same
+    one codegen partitions. *)
 
 val miss_fraction :
   profile:Voltron_analysis.Profile.t -> Voltron_ir.Hir.stmt list -> float
@@ -41,12 +42,15 @@ val miss_fraction :
     stalls (drives the strands-vs-ILP decision, §4.2). *)
 
 val plan :
+  ?regions:Regions.t ->
   machine:Voltron_machine.Config.t ->
   profile:Voltron_analysis.Profile.t ->
   choice ->
   Voltron_ir.Hir.program ->
   planned_region list
 (** One strategy per region. [Strands] and [Dswp] carry [profile], so
-    codegen's eBUG reads the same miss rates selection did. *)
+    codegen's eBUG reads the same miss rates selection did. [regions] is
+    the program's shared analysis ({!Regions.of_program} of this program,
+    built here when absent); the plan is the same either way. *)
 
 val strategy_name : Codegen.strategy -> string

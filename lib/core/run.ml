@@ -239,7 +239,8 @@ let divergence_to_string = function
       (Sanity.report_to_string sv_report)
 
 (* One profiling run per program, shared by every cell; it is also the
-   oracle run. One compile per (strategy, cores) cell; the coherence axis
+   oracle run. One region analysis per program, shared the same way. One
+   compile per (strategy, cores) cell; the coherence axis
    and the fast-forward flag are simulation-only, so every simulation in a
    cell shares one executable — any disagreement is a simulator bug, not a
    compilation difference. Per coherence backend, two simulations
@@ -250,7 +251,7 @@ let divergence_to_string = function
 
    Each (strategy, cores) cell is a pure value: it compiles its own
    executable and builds its own machines, and only reads the shared
-   profile, so cells run on any domain.
+   profile and region analysis, so cells run on any domain.
    Results are accumulated by cell index — (cores-major, strategies-minor,
    matching the serial iteration order) — never by completion order, so
    the report is bit-identical for every [jobs] value. *)
@@ -262,6 +263,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
   (if coherence = [] then
      invalid_arg "Run.differential: empty coherence axis");
   let profile = Voltron_analysis.Profile.collect ~max_steps program in
+  let regions = Voltron_compiler.Regions.of_program program in
   let cell (d_cores, d_strategy) =
     let runs = ref 0 and warnings = ref 0 and divs = ref [] in
     let push d = divs := d :: !divs in
@@ -275,7 +277,7 @@ let differential ?(strategies = default_strategies) ?(cores = default_cores)
     in
     (match
        Driver.compile ~machine:config ~choice:d_strategy ~check:true ~profile
-         program
+         ~regions program
      with
     | exception Voltron_check.Check.Failed diags -> reject diags
     | compiled ->

@@ -208,8 +208,9 @@ val differential :
   Voltron_ir.Hir.program ->
   differential
 (** Profile the program once — that interpreter run is also the oracle
-    — then for every strategy x core count: compile once with that
-    profile (static checker on), then for every coherence backend on the [coherence] axis (default
+    — and build its region analysis ({!Voltron_compiler.Regions}) once,
+    then for every strategy x core count: compile once with both
+    (static checker on), then for every coherence backend on the [coherence] axis (default
     {!default_coherence} — snoop and directory both), {!simulate} twice —
     stall fast-forward on, then off — and record every contract
     violation. The coherence protocol is timing-only, so each backend's

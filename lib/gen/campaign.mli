@@ -100,4 +100,5 @@ val write_reproducer : dir:string -> finding -> string
 (** Write the minimized program as
     [dir/fuzz_s<campaign seed>_i<index>_<class>.vc] with a triage header
     (campaign seed, cell index, generator seed, class, diverging case,
-    regeneration command); returns the path. Creates [dir] if missing. *)
+    regeneration command); returns the path. Creates [dir] and any missing
+    parent directories. *)

@@ -68,7 +68,6 @@ let assign_fresh t expr =
   Hir.Reg v
 
 let binop t op a b = assign_fresh t (Hir.Alu (op, a, b))
-let fbinop t op a b = assign_fresh t (Hir.Fpu (op, a, b))
 let cmp t op a b = assign_fresh t (Hir.Cmp (op, a, b))
 let select t p a b = assign_fresh t (Hir.Select (p, a, b))
 let load t arr idx = assign_fresh t (Hir.Load (arr, idx))

@@ -26,7 +26,6 @@ val region : t -> string -> (unit -> unit) -> unit
 
 val imm : int -> Hir.operand
 val binop : t -> Voltron_isa.Inst.alu_op -> Hir.operand -> Hir.operand -> Hir.operand
-val fbinop : t -> Voltron_isa.Inst.fpu_op -> Hir.operand -> Hir.operand -> Hir.operand
 val cmp : t -> Voltron_isa.Inst.cmp_op -> Hir.operand -> Hir.operand -> Hir.operand
 val select : t -> Hir.operand -> Hir.operand -> Hir.operand -> Hir.operand
 val load : t -> Hir.arr -> Hir.operand -> Hir.operand

@@ -30,27 +30,12 @@ type t = {
   replicable : (oid, unit) Hashtbl.t;
 }
 
-let block_index t label =
-  let found = ref (-1) in
-  Array.iteri (fun i b -> if b.b_label = label then found := i) t.blocks;
-  if !found < 0 then raise Not_found else !found
-
 let all_ops t =
   Array.to_list t.blocks |> List.concat_map (fun b -> b.b_ops)
 
-let n_ops t = List.length (all_ops t)
-
-let successors t i =
-  let b = t.blocks.(i) in
-  let fall = if i + 1 < Array.length t.blocks then [ i + 1 ] else [] in
-  match b.b_term with
-  | Jump l -> [ block_index t l ]
-  | Branch { target; _ } -> block_index t target :: fall
-  | Stop -> []
-
 let pp ppf t =
-  Array.iteri
-    (fun i b ->
+  Array.iter
+    (fun b ->
       Format.fprintf ppf "%s:@." b.b_label;
       List.iter
         (fun op -> Format.fprintf ppf "  %a@." Voltron_isa.Inst.pp op.inst)
@@ -61,6 +46,5 @@ let pp ppf t =
         Format.fprintf ppf "  branch%s v%d -> %s@."
           (if invert then ".not" else "")
           cond target
-      | Stop -> Format.fprintf ppf "  stop@.");
-      ignore i)
+      | Stop -> Format.fprintf ppf "  stop@."))
     t.blocks

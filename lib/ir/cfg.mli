@@ -51,9 +51,5 @@ type t = {
 }
 
 val all_ops : t -> lop list
-val n_ops : t -> int
-
-val successors : t -> int -> int list
-(** Indices of the blocks an executed block can continue to. *)
 
 val pp : Format.formatter -> t -> unit

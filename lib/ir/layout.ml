@@ -22,6 +22,8 @@ let compute ?(line_words = 8) (p : Hir.program) =
 let base t arr = t.bases.(arr)
 let array_size t arr = t.sizes.(arr)
 
+let copy t = { t with top = t.top }
+
 let scratch_alloc t n =
   let b = t.top in
   t.top <- t.top + n;

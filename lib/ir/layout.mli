@@ -15,6 +15,9 @@ val array_size : t -> Hir.arr -> int
 val scratch_alloc : t -> int -> int
 (** [scratch_alloc t n] reserves [n] fresh words and returns their base. *)
 
+val copy : t -> t
+(** The same arrays; scratch reserved in the copy does not reach [t]. *)
+
 val mem_size : t -> int
 (** Total footprint including scratch (call after all allocations). *)
 

@@ -11,6 +11,8 @@ type ctx = {
 let make_ctx ~layout ~first_vreg =
   { lay = layout; next_vreg = first_vreg; next_oid = 0; next_label = 0 }
 
+let copy ctx = { ctx with next_vreg = ctx.next_vreg }
+
 let fresh_vreg ctx =
   let v = ctx.next_vreg in
   ctx.next_vreg <- v + 1;

@@ -13,13 +13,13 @@ type ctx
 
 val make_ctx : layout:Layout.t -> first_vreg:int -> ctx
 
+val copy : ctx -> ctx
+(** A context whose counters start where [ctx]'s stand and then advance
+    independently of it (the layout is shared: lowering only reads it). *)
+
 val fresh_vreg : ctx -> Hir.vreg
 val fresh_label : ctx -> string -> string
 (** [fresh_label ctx hint] makes a globally unique label. *)
 
-
 val region : ctx -> Hir.stmt list -> Cfg.t
 (** Lower one region to a fresh CFG ending in [Stop]. *)
-
-val operand : Hir.operand -> Voltron_isa.Inst.operand
-(** Shared operand translation. *)

@@ -10,10 +10,6 @@ let is_empty t = List.for_all is_nop t
 
 let is_comm inst = Inst.unit_class inst = Inst.Commun
 
-let main_ops t = List.filter (fun i -> not (is_comm i)) t
-
-let comm_ops t = List.filter is_comm t
-
 let branch t = List.find_opt Inst.is_branch t
 
 let count p t = List.fold_left (fun n i -> if p i then n + 1 else n) 0 t

@@ -11,11 +11,6 @@ type t = Inst.t list
 val empty : t
 val is_empty : t -> bool
 
-val main_ops : t -> Inst.t list
-(** Compute, memory and control ops (everything but the comm unit's). *)
-
-val comm_ops : t -> Inst.t list
-
 val branch : t -> Inst.t option
 (** The bundle's branch, if any. *)
 

@@ -23,11 +23,6 @@ let add_edge t u v =
     Hashtbl.replace t.pred.(v) u ()
   end
 
-let has_edge t u v =
-  check t u;
-  check t v;
-  Hashtbl.mem t.succ.(u) v
-
 let neighbours table v =
   Hashtbl.fold (fun k () acc -> k :: acc) table.(v) [] |> List.sort compare
 

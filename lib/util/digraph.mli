@@ -13,7 +13,6 @@ val n_nodes : t -> int
 val add_edge : t -> int -> int -> unit
 (** Idempotent: parallel edges are collapsed. Self-edges are kept. *)
 
-val has_edge : t -> int -> int -> bool
 val succs : t -> int -> int list
 val preds : t -> int -> int list
 

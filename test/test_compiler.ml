@@ -471,6 +471,7 @@ let test_optimized_compiles_verified () =
 
 module Estimate = Voltron_compiler.Estimate
 module Codegen = Voltron_compiler.Codegen
+module Regions = Voltron_compiler.Regions
 module Machine = Voltron_machine.Machine
 module Region_profile = Voltron_obs.Region_profile
 module Suite = Voltron_workloads.Suite
@@ -547,11 +548,15 @@ let test_dswp_estimate_vs_occupancy () =
     (fun bname ->
       let p = (Suite.by_name bname).Suite.build ~scale:0.2 () in
       let plan, _table, rows = run_attributed ~machine ~choice:`Tlp p in
+      let regions = Regions.of_program p in
       List.iter
         (fun (pr : Select.planned_region) ->
           match pr.Select.pr_strategy with
           | Codegen.Dswp _ ->
-            let est = Select.dswp_estimate ~machine pr.Select.pr_stmts in
+            let est =
+              Select.dswp_estimate ~machine
+                (Option.get (Regions.find regions pr.Select.pr_stmts))
+            in
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s estimate %.2f in [1, 4]" bname pr.Select.pr_name est)
               true
@@ -724,6 +729,48 @@ let test_strands_honour_caller_profile () =
         (verified_cycles machine { compiled with Driver.executable = exe }))
     [ measured; thrashing ]
 
+(* --- One region analysis per program ------------------------------------------ *)
+
+(* Every (strategy, cores) cell of the differential matrix compiles from
+   one shared analysis, in forward and then reverse cell order. Each plan
+   and executable must equal the one from a compile that builds its own:
+   a compile that reserved DOALL scratch in the shared layout, or named
+   its glue from the shared counters, would shift the next cell's image. *)
+let test_shared_regions_pure () =
+  let p = (Suite.by_name "g721decode").Suite.build ~scale:0.2 () in
+  let profile = Profile.collect p in
+  let cells =
+    List.concat_map
+      (fun cores -> List.map (fun choice -> (cores, choice)) Run.default_strategies)
+      Run.default_cores
+  in
+  let compile ?regions (cores, choice) =
+    let machine = Config.default ~n_cores:cores in
+    let c = Driver.compile ~machine ~choice ~check:false ~profile ?regions p in
+    (c.Driver.plan, c.Driver.executable)
+  in
+  let fresh = List.map (fun cell -> (cell, compile cell)) cells in
+  let planned what pred =
+    Alcotest.(check bool) ("matrix plans " ^ what) true
+      (List.exists
+         (fun (_, (plan, _)) ->
+           List.exists (fun (pr : Select.planned_region) -> pred pr.Select.pr_strategy) plan)
+         fresh)
+  in
+  planned "a doall with accumulators" (function
+    | Codegen.Doall dp -> dp.Codegen.dp_accumulators <> []
+    | _ -> false);
+  planned "a dswp region" (function Codegen.Dswp _ -> true | _ -> false);
+  planned "an ilp region" (function Codegen.Coupled_ilp -> true | _ -> false);
+  let regions = Regions.of_program p in
+  List.iter
+    (fun (((cores, choice) as cell), (plan, exe)) ->
+      let name = Printf.sprintf "%s/%d" (Run.choice_name choice) cores in
+      let plan', exe' = compile ~regions cell in
+      Alcotest.(check bool) (name ^ " plan") true (plan = plan');
+      Alcotest.(check bool) (name ^ " executable") true (exe = exe'))
+    (fresh @ List.rev fresh)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -773,5 +820,10 @@ let () =
             test_twin_profile_keeps_own_oracle;
           Alcotest.test_case "strands honour caller profile" `Quick
             test_strands_honour_caller_profile;
+        ] );
+      ( "regions",
+        [
+          Alcotest.test_case "shared analysis is pure" `Quick
+            test_shared_regions_pure;
         ] );
     ]

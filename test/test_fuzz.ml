@@ -242,22 +242,22 @@ let test_shrink_preserves_keep () =
 
 (* --- Reproducer files ------------------------------------------------------------ *)
 
+let synthetic_finding =
+  {
+    Campaign.f_campaign_seed = 99;
+    f_index = 3;
+    f_seed = 4242;
+    f_class = "checksum";
+    f_case = Some { Run.d_strategy = `Hybrid; d_cores = 4; d_coherence = Coherence.Directory };
+    f_detail = "synthetic finding for reproducer round-trip";
+    f_original = seed_ast;
+    f_minimized = seed_ast;
+  }
+
 let test_write_reproducer_reparses () =
   let dir = Filename.temp_file "voltron_corpus" "" in
   Sys.remove dir;
-  let finding =
-    {
-      Campaign.f_campaign_seed = 99;
-      f_index = 3;
-      f_seed = 4242;
-      f_class = "checksum";
-      f_case = Some { Run.d_strategy = `Hybrid; d_cores = 4; d_coherence = Coherence.Directory };
-      f_detail = "synthetic finding for reproducer round-trip";
-      f_original = seed_ast;
-      f_minimized = seed_ast;
-    }
-  in
-  let path = Campaign.write_reproducer ~dir finding in
+  let path = Campaign.write_reproducer ~dir synthetic_finding in
   Alcotest.(check bool) "file exists" true (Sys.file_exists path);
   Alcotest.(check bool) "named by campaign seed, index and class" true
     (Filename.basename path = "fuzz_s99_i3_checksum.vc");
@@ -266,6 +266,19 @@ let test_write_reproducer_reparses () =
   | _ -> Sys.remove path; Unix.rmdir dir
   | exception e ->
     Alcotest.failf "reproducer does not re-parse: %s" (Printexc.to_string e)
+
+(* A campaign started outside a checkout has no [test/] for [test/corpus]:
+   the writer creates every missing parent. *)
+let test_write_reproducer_nested_dir () =
+  let root = Filename.temp_file "voltron_root" "" in
+  Sys.remove root;
+  let dir = Filename.concat (Filename.concat root "test") "corpus" in
+  let path = Campaign.write_reproducer ~dir synthetic_finding in
+  Alcotest.(check bool) "file exists" true (Sys.file_exists path);
+  Sys.remove path;
+  Unix.rmdir dir;
+  Unix.rmdir (Filename.dirname dir);
+  Unix.rmdir root
 
 let () =
   Alcotest.run "fuzz"
@@ -306,5 +319,7 @@ let () =
         [
           Alcotest.test_case "write and re-parse" `Quick
             test_write_reproducer_reparses;
+          Alcotest.test_case "creates missing parents" `Quick
+            test_write_reproducer_nested_dir;
         ] );
     ]
