@@ -3,8 +3,9 @@
    the toolchain itself (one Test.make per figure pipeline).
 
      dune exec bench/main.exe                 # everything
-     dune exec bench/main.exe -- fig10 fig13  # specific figures
-     dune exec bench/main.exe -- quick        # reduced-scale, no bechamel
+     dune exec bench/main.exe -- fig10 fig13  # only these figures
+     dune exec bench/main.exe -- quick        # all figures, reduced scale
+     dune exec bench/main.exe -- ablations    # ablations only
      dune exec bench/main.exe -- bechamel     # toolchain timing only
      dune exec bench/main.exe -- json --scale 0.2  # write BENCH.json
 
@@ -29,59 +30,140 @@ module Driver = Voltron_compiler.Driver
 
 let line () = print_endline (String.make 78 '=')
 
-let run_figure ~scale ~jobs name =
-  line ();
-  (match name with
-  | "fig3" -> E.print_fig3 (E.fig3 ~scale ~jobs ())
-  | "fig10" -> E.print_fig10 (E.fig10 ~scale ~jobs ())
-  | "fig11" -> E.print_fig11 (E.fig11 ~scale ~jobs ())
-  | "fig12" -> E.print_fig12 (E.fig12 ~scale ~jobs ())
-  | "fig13" -> E.print_fig13 (E.fig13 ~scale ~jobs ())
-  | "fig14" -> E.print_fig14 (E.fig14 ~scale ~jobs ())
-  | "micro" -> E.print_micro (E.micro ~scale ~jobs ())
+(* Every figure, ablation and counter of one invocation reads the same
+   matrix [m], so a cell two of them share is simulated once. A figure's
+   rows are computed once, then printed or exported to BENCH.json. *)
+let figure ~jobs m name =
+  let objs rows f = Json.List (List.map (fun r -> Json.Obj (f r)) rows) in
+  let per_type rows =
+    ( rows,
+      objs rows (fun (r : E.per_type_speedup) ->
+          [
+            ("bench", Json.Str r.E.bench);
+            ("ilp", Json.Float r.E.sp_ilp);
+            ("tlp", Json.Float r.E.sp_tlp);
+            ("llp", Json.Float r.E.sp_llp);
+          ]) )
+  in
+  match name with
+  | "fig3" ->
+    let rows = E.On.fig3 ~jobs m in
+    ( (fun () -> E.print_fig3 rows),
+      objs rows (fun (c : E.classification) ->
+          [
+            ("bench", Json.Str c.E.cl_bench);
+            ("ilp_pct", Json.Float c.E.pct_ilp);
+            ("tlp_pct", Json.Float c.E.pct_tlp);
+            ("llp_pct", Json.Float c.E.pct_llp);
+            ("single_pct", Json.Float c.E.pct_single);
+          ]) )
+  | "fig10" ->
+    let rows, json = per_type (E.On.fig10 ~jobs m) in
+    ((fun () -> E.print_fig10 rows), json)
+  | "fig11" ->
+    let rows, json = per_type (E.On.fig11 ~jobs m) in
+    ((fun () -> E.print_fig11 rows), json)
+  | "fig12" ->
+    let rows = E.On.fig12 ~jobs m in
+    ( (fun () -> E.print_fig12 rows),
+      objs rows (fun (s : E.stall_breakdown) ->
+          [
+            ("bench", Json.Str s.E.sb_bench);
+            ("coupled_i", Json.Float s.E.coupled_i);
+            ("coupled_d", Json.Float s.E.coupled_d);
+            ("coupled_other", Json.Float s.E.coupled_other);
+            ("decoupled_i", Json.Float s.E.decoupled_i);
+            ("decoupled_d", Json.Float s.E.decoupled_d);
+            ("decoupled_recv", Json.Float s.E.decoupled_recv);
+            ("decoupled_pred", Json.Float s.E.decoupled_pred);
+            ("decoupled_sync", Json.Float s.E.decoupled_sync);
+          ]) )
+  | "fig13" ->
+    let rows = E.On.fig13 ~jobs m in
+    ( (fun () -> E.print_fig13 rows),
+      objs rows (fun (h : E.hybrid_speedup) ->
+          [
+            ("bench", Json.Str h.E.hs_bench);
+            ("cores2", Json.Float h.E.hs_2core);
+            ("cores4", Json.Float h.E.hs_4core);
+          ]) )
+  | "fig14" ->
+    let rows = E.On.fig14 ~jobs m in
+    ( (fun () -> E.print_fig14 rows),
+      objs rows (fun (r : E.mode_split) ->
+          [
+            ("bench", Json.Str r.E.ms_bench);
+            ("coupled_pct", Json.Float r.E.coupled_pct);
+            ("decoupled_pct", Json.Float r.E.decoupled_pct);
+          ]) )
+  | "micro" ->
+    let rows = E.On.micro ~jobs m in
+    ( (fun () -> E.print_micro rows),
+      objs rows (fun (r : E.micro_result) ->
+          [
+            ("name", Json.Str r.E.mi_name);
+            ("paper", Json.Float r.E.mi_paper);
+            ("measured", Json.Float r.E.mi_measured);
+          ]) )
   | "scaling" ->
-    let rows = E.scaling ~scale ~jobs () in
-    E.print_scaling rows;
-    print_newline ();
-    E.print_crossover (E.crossover rows)
-  | "resilience" -> E.print_resilience (E.resilience ~scale ~jobs ())
+    let rows = E.On.scaling ~jobs m in
+    let cross = E.crossover rows in
+    ( (fun () ->
+        E.print_scaling rows;
+        print_newline ();
+        E.print_crossover cross),
+      Json.Obj
+        [
+          ( "rows",
+            objs rows (fun (r : E.scaling_row) ->
+                [
+                  ("bench", Json.Str r.E.sc_bench);
+                  ("class", Json.Str r.E.sc_class);
+                  ("cores", Json.Int r.E.sc_cores);
+                  ("snoop_cycles", Json.Int r.E.sc_snoop_cycles);
+                  ("directory_cycles", Json.Int r.E.sc_dir_cycles);
+                  ("snoop_speedup", Json.Float r.E.sc_snoop);
+                  ("directory_speedup", Json.Float r.E.sc_directory);
+                ]) );
+          ( "crossover",
+            objs cross (fun (c : E.crossover_row) ->
+                [
+                  ("class", Json.Str c.E.cx_class);
+                  ("cores", Json.Int c.E.cx_cores);
+                  ("snoop", Json.Float c.E.cx_snoop);
+                  ("directory", Json.Float c.E.cx_directory);
+                  ("winner", Json.Str c.E.cx_winner);
+                ]) );
+        ] )
+  | "resilience" ->
+    let rows = E.On.resilience ~jobs m in
+    ( (fun () -> E.print_resilience rows),
+      objs rows (fun (r : E.resilience_row) ->
+          [
+            ("bench", Json.Str r.E.rs_bench);
+            ("rate", Json.Float r.E.rs_rate);
+            ("level", Json.Str r.E.rs_level);
+            ("cycles", Json.Int r.E.rs_cycles);
+            ("overhead", Json.Float r.E.rs_overhead);
+            ("speedup", Json.Float r.E.rs_speedup);
+            ("faults", Json.Int r.E.rs_faults);
+            ("retries", Json.Int r.E.rs_retries);
+            ("ecc", Json.Int r.E.rs_ecc);
+            ("aborts", Json.Int r.E.rs_aborts);
+            ("verified", Json.Bool r.E.rs_verified);
+          ]) )
   | other ->
     Printf.eprintf "unknown figure: %s\n" other;
-    exit 2);
-  print_newline ()
+    exit 2
 
-let run_ablations ~scale () =
+let run_ablations m =
   line ();
   print_endline "Ablations (design-choice studies beyond the paper's figures)";
-  E.print_ablations ~title:"A1: dual-mode value — hybrid vs committing to one mode (4 cores)"
-    (E.ablation_modes ~scale ());
-  print_newline ();
-  E.print_ablations ~title:"A2: queue channel capacity (epic, forced TLP, 4 cores)"
-    (E.ablation_capacity ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A3: main-memory latency — decoupled tolerance vs coupled fragility (179.art, 4 cores)"
-    (E.ablation_memlat ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A4: TM mis-speculation — profiled clean, run with collisions (scatter RMW, 4 cores)"
-    (E.ablation_tm ~scale ());
-  print_newline ();
-  E.print_ablations ~title:"A5: core scaling, hybrid (coupled groups capped at 4)"
-    (E.ablation_scaling ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A6: if-conversion — predicating away a strand loop's branch (forced TLP, 4 cores)"
-    (E.ablation_ifconv ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A7: energy and EDP — 4-core hybrid vs 1-core baseline (first-order model)"
-    (E.ablation_energy ~scale ());
-  print_newline ();
-  E.print_ablations
-    ~title:"A8: one wide-issue core vs four simple Voltron cores (speedup over 1-issue serial)"
-    (E.ablation_issue_width ~scale ());
-  print_newline ()
+  List.iter
+    (fun (title, rows) ->
+      E.print_ablations ~title (rows m);
+      print_newline ())
+    E.On.ablations
 
 let figures =
   [
@@ -91,152 +173,11 @@ let figures =
 
 (* --- JSON export (BENCH.json) ---------------------------------------------- *)
 
-let json_of_per_type rows =
-  Json.List
-    (List.map
-       (fun (r : E.per_type_speedup) ->
-         Json.Obj
-           [
-             ("bench", Json.Str r.E.bench);
-             ("ilp", Json.Float r.E.sp_ilp);
-             ("tlp", Json.Float r.E.sp_tlp);
-             ("llp", Json.Float r.E.sp_llp);
-           ])
-       rows)
-
-let json_of_figure ~scale ~jobs = function
-  | "fig3" ->
-    Json.List
-      (List.map
-         (fun (c : E.classification) ->
-           Json.Obj
-             [
-               ("bench", Json.Str c.E.cl_bench);
-               ("ilp_pct", Json.Float c.E.pct_ilp);
-               ("tlp_pct", Json.Float c.E.pct_tlp);
-               ("llp_pct", Json.Float c.E.pct_llp);
-               ("single_pct", Json.Float c.E.pct_single);
-             ])
-         (E.fig3 ~scale ~jobs ()))
-  | "fig10" -> json_of_per_type (E.fig10 ~scale ~jobs ())
-  | "fig11" -> json_of_per_type (E.fig11 ~scale ~jobs ())
-  | "fig12" ->
-    Json.List
-      (List.map
-         (fun (s : E.stall_breakdown) ->
-           Json.Obj
-             [
-               ("bench", Json.Str s.E.sb_bench);
-               ("coupled_i", Json.Float s.E.coupled_i);
-               ("coupled_d", Json.Float s.E.coupled_d);
-               ("coupled_other", Json.Float s.E.coupled_other);
-               ("decoupled_i", Json.Float s.E.decoupled_i);
-               ("decoupled_d", Json.Float s.E.decoupled_d);
-               ("decoupled_recv", Json.Float s.E.decoupled_recv);
-               ("decoupled_pred", Json.Float s.E.decoupled_pred);
-               ("decoupled_sync", Json.Float s.E.decoupled_sync);
-             ])
-         (E.fig12 ~scale ~jobs ()))
-  | "fig13" ->
-    Json.List
-      (List.map
-         (fun (h : E.hybrid_speedup) ->
-           Json.Obj
-             [
-               ("bench", Json.Str h.E.hs_bench);
-               ("cores2", Json.Float h.E.hs_2core);
-               ("cores4", Json.Float h.E.hs_4core);
-             ])
-         (E.fig13 ~scale ~jobs ()))
-  | "fig14" ->
-    Json.List
-      (List.map
-         (fun (m : E.mode_split) ->
-           Json.Obj
-             [
-               ("bench", Json.Str m.E.ms_bench);
-               ("coupled_pct", Json.Float m.E.coupled_pct);
-               ("decoupled_pct", Json.Float m.E.decoupled_pct);
-             ])
-         (E.fig14 ~scale ~jobs ()))
-  | "micro" ->
-    Json.List
-      (List.map
-         (fun (m : E.micro_result) ->
-           Json.Obj
-             [
-               ("name", Json.Str m.E.mi_name);
-               ("paper", Json.Float m.E.mi_paper);
-               ("measured", Json.Float m.E.mi_measured);
-             ])
-         (E.micro ~scale ~jobs ()))
-  | "scaling" ->
-    let rows = E.scaling ~scale ~jobs () in
-    Json.Obj
-      [
-        ( "rows",
-          Json.List
-            (List.map
-               (fun (r : E.scaling_row) ->
-                 Json.Obj
-                   [
-                     ("bench", Json.Str r.E.sc_bench);
-                     ("class", Json.Str r.E.sc_class);
-                     ("cores", Json.Int r.E.sc_cores);
-                     ("snoop_cycles", Json.Int r.E.sc_snoop_cycles);
-                     ("directory_cycles", Json.Int r.E.sc_dir_cycles);
-                     ("snoop_speedup", Json.Float r.E.sc_snoop);
-                     ("directory_speedup", Json.Float r.E.sc_directory);
-                   ])
-               rows) );
-        ( "crossover",
-          Json.List
-            (List.map
-               (fun (c : E.crossover_row) ->
-                 Json.Obj
-                   [
-                     ("class", Json.Str c.E.cx_class);
-                     ("cores", Json.Int c.E.cx_cores);
-                     ("snoop", Json.Float c.E.cx_snoop);
-                     ("directory", Json.Float c.E.cx_directory);
-                     ("winner", Json.Str c.E.cx_winner);
-                   ])
-               (E.crossover rows)) );
-      ]
-  | "resilience" ->
-    Json.List
-      (List.map
-         (fun (r : E.resilience_row) ->
-           Json.Obj
-             [
-               ("bench", Json.Str r.E.rs_bench);
-               ("rate", Json.Float r.E.rs_rate);
-               ("level", Json.Str r.E.rs_level);
-               ("cycles", Json.Int r.E.rs_cycles);
-               ("overhead", Json.Float r.E.rs_overhead);
-               ("speedup", Json.Float r.E.rs_speedup);
-               ("faults", Json.Int r.E.rs_faults);
-               ("retries", Json.Int r.E.rs_retries);
-               ("ecc", Json.Int r.E.rs_ecc);
-               ("aborts", Json.Int r.E.rs_aborts);
-               ("verified", Json.Bool r.E.rs_verified);
-             ])
-         (E.resilience ~scale ~jobs ()))
-  | other ->
-    Printf.eprintf "unknown figure: %s\n" other;
-    exit 2
-
-(* Key counters per benchmark: one 4-core hybrid run each, with the unified
-   metrics record alongside its speedup. Cells are independent, so they fan
-   out on the pool; the list comes back in benchmark order either way. *)
-let json_of_counters ~scale ~jobs () =
-  Array.to_list
-  @@ Pool.parallel_map ~jobs
-    (fun (b : Suite.benchmark) ->
-      let name = b.Suite.bench_name in
-      let p = b.Suite.build ~scale () in
-      let base = Voltron.Run.baseline_cycles p in
-      let m = Voltron.Run.run ~n_cores:4 p in
+(* Key counters per benchmark: its 4-core hybrid cell, with the unified
+   metrics record alongside its speedup, in benchmark order. *)
+let json_of_counters ~jobs matrix =
+  List.map
+    (fun (name, base, m) ->
       let metrics =
         Metrics.of_stats ~label:name ~cycles:m.Voltron.Run.cycles
           ~coherence:m.Voltron.Run.coh_stats ~network:m.Voltron.Run.net_stats
@@ -253,15 +194,15 @@ let json_of_counters ~scale ~jobs () =
             ("verified", Json.Bool m.Voltron.Run.verified);
             ("metrics", Metrics.to_json metrics);
           ] ))
-    (Array.of_list Suite.all)
+    (E.On.counters ~jobs matrix)
 
-let run_json ~scale ~jobs wanted =
+let run_json ~scale ~jobs m wanted =
   let wanted = if wanted = [] then figures else wanted in
   let path = "BENCH.json" in
   Printf.printf "collecting %s (scale %.2f, jobs %d) ...\n%!"
     (String.concat " " wanted) scale jobs;
-  let figs = List.map (fun f -> (f, json_of_figure ~scale ~jobs f)) wanted in
-  let counters = json_of_counters ~scale ~jobs () in
+  let figs = List.map (fun f -> (f, snd (figure ~jobs m f))) wanted in
+  let counters = json_of_counters ~jobs m in
   Json.write_file path
     (Json.Obj
        [
@@ -635,21 +576,30 @@ let () =
      the bit-identical serial reference, like the simulator CLI. *)
   let jobs = match jobs_override with Some j -> j | None -> Pool.default_jobs () in
   let wanted = List.filter (fun a -> List.mem a figures) args in
+  let m = E.matrix ~scale () in
   let t0 = Unix.gettimeofday () in
   if List.mem "perf" args then run_perf ~scale ~baseline ~jobs ()
-  else if List.mem "json" args then run_json ~scale ~jobs wanted
-  else if args = [ "bechamel" ] then run_bechamel ()
-  else if args = [ "ablations" ] then run_ablations ~scale ()
+  else if List.mem "json" args then run_json ~scale ~jobs m wanted
   else begin
-    let wanted = if wanted = [] then figures else wanted in
-    Printf.printf
-      "Voltron evaluation harness — reproducing the paper's figures (scale %.2f)\n"
-      scale;
-    List.iter (run_figure ~scale ~jobs) wanted;
-    if not (List.mem "quick" args) then begin
-      run_ablations ~scale ();
-      run_bechamel ()
-    end
+    (* Only what is named runs; with nothing named, every figure, then the
+       ablations and Bechamel. *)
+    let everything =
+      wanted = [] && not (List.exists (fun a -> List.mem a [ "quick"; "ablations"; "bechamel" ]) args)
+    in
+    let mode name = everything || List.mem name args in
+    if everything || wanted <> [] || List.mem "quick" args then begin
+      Printf.printf
+        "Voltron evaluation harness — reproducing the paper's figures (scale %.2f)\n"
+        scale;
+      List.iter
+        (fun name ->
+          line ();
+          fst (figure ~jobs m name) ();
+          print_newline ())
+        (if wanted = [] then figures else wanted)
+    end;
+    if mode "ablations" then run_ablations m;
+    if mode "bechamel" then run_bechamel ()
   end;
   line ();
   Printf.printf "total harness time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -457,8 +457,9 @@ let run_cmd =
         sanity_line m;
         write_json ();
         exit 1);
-      Printf.printf "verified   : %b (memory matches the reference interpreter)\n"
-        m.Voltron.Run.verified;
+      Printf.printf "verified   : %b (memory %s the reference interpreter)\n"
+        m.Voltron.Run.verified
+        (if m.Voltron.Run.verified then "matches" else "differs from");
       sanity_line m;
       Printf.printf "baseline   : %d cycles (1 core, sequential)\n" base;
       Printf.printf "cycles     : %d\n" m.Voltron.Run.cycles;

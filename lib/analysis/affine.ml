@@ -125,11 +125,13 @@ let cross_iteration_alias ~var f1 f2 =
     let rest1 = sub e1 (scale c1 (var_ var)) in
     let rest2 = sub e2 (scale c2 (var_ var)) in
     (* Collision across iterations k1 <> k2 requires
-       c1*k1 + r1 = c2*k2 + r2. We decide only when the non-[var] parts
-       cancel to a known constant difference. *)
-    match is_const (sub rest1 rest2) with
-    | None -> Unknown
-    | Some d ->
+       c1*k1 + r1 = c2*k2 + r2. We decide only when both non-[var] parts
+       are constants: another loop variable left in them varies too, so
+       a cancelling difference would wrongly treat it as fixed. *)
+    match (is_const rest1, is_const rest2) with
+    | None, _ | _, None -> Unknown
+    | Some r1, Some r2 ->
+      let d = r1 - r2 in
       if c1 = 0 && c2 = 0 then if d = 0 then May_cross else Never
       else if c1 = c2 then begin
         (* c*(k1 - k2) = -d: crosses iff d is a non-zero multiple of c. *)

@@ -1,11 +1,23 @@
-(** Reproductions of the paper's evaluation figures (§5.2). Each function
-    returns structured data; [print_*] renders the same rows/series the
-    figure plots. See EXPERIMENTS.md for paper-vs-measured numbers.
+(** Reproductions of the paper's evaluation figures (§5.2) and the
+    design ablations. Each function returns structured data; [print_*]
+    renders the same rows/series the figure plots. See EXPERIMENTS.md for
+    paper-vs-measured numbers.
 
-    All speedups are over the single-core sequential baseline. [scale]
-    shrinks the workloads for quick runs (tests use 0.25). [jobs]
-    (default 1) fans the independent per-benchmark cells out on the
-    work-stealing pool ({!Voltron_pool.Pool}); results are assembled in
+    Every figure is a projection of one {e experiment matrix}: one
+    subject per program, which builds the program once, profiles it once,
+    analyses its regions once and memoises each verified measurement by
+    (strategy, cores, knob), where a knob is one machine tweak (coherence
+    protocol, queue capacity, memory latency or issue width). The 1-core
+    sequential baseline is one of the cells, and all speedups are over
+    it. Figures that read one {!matrix} share its cells: figs. 10-14 need
+    1 build, 1 profile, 1 region analysis, 1 baseline and 8 simulations
+    per benchmark (ILP, TLP, LLP and hybrid at 2 and 4 cores).
+
+    The standalone entry points ([fig10 ?scale ?benches ?jobs ()], ...)
+    build a fresh matrix per call; {!On} holds the same projections over
+    a caller's matrix. [scale] shrinks the workloads for quick runs (tests
+    use 0.25). [jobs] (default 1) runs one task per subject on the
+    work-stealing pool ({!Voltron_pool.Pool}); rows are assembled in
     benchmark order, so every figure is identical for every [jobs]
     value. *)
 
@@ -47,6 +59,27 @@ type micro_result = {
   mi_paper : float;  (** the speedup the paper reports for the example *)
   mi_measured : float;  (** ours, 2 cores, best strategy *)
 }
+
+(** {1 The experiment matrix} *)
+
+type matrix
+(** One subject per suite benchmark and per Figs. 7-9 micro-example, at
+    one scale. Nothing is built until a projection asks for it. *)
+
+val matrix : ?scale:float -> unit -> matrix
+
+type work = private {
+  mutable builds : int;
+  mutable profiles : int;
+  mutable analyses : int;  (** region analyses *)
+  mutable baselines : int;
+  mutable simulations : int;  (** cells other than the baseline *)
+}
+
+val work : matrix -> string -> work
+(** What the named subject has computed so far. Raises [Not_found]. *)
+
+(** {1 The paper's figures} *)
 
 val fig3 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> classification list
 (** Per-region measured classification: each region runs standalone under
@@ -153,18 +186,17 @@ val resilience :
 val print_resilience : resilience_row list -> unit
 
 (** {1 Ablations} — design-choice studies beyond the paper's figures
-    (DESIGN.md 4). Each returns printable rows. *)
+    (DESIGN.md 4), each returning printable rows. {!On.ablations} lists
+    all eight: A1 hybrid vs the best and worst single strategy; A2 queue
+    capacity 1/2/4/32 (epic, forced TLP); A3 memory latency; A4 TM
+    mis-speculation; A5 hybrid at 2/4/8 cores (coupled groups capped at
+    4, paper 3.2); A6 if-conversion; A7 energy and energy-delay product
+    of the 4-core hybrid over the baseline (first-order model,
+    {!Voltron_machine.Energy}); A8 one wide-issue core vs four simple
+    cores with the same total issue slots (the paper's 1 alternative).
+    The three below also stand alone. *)
 
 type ablation_row = { ab_label : string; ab_values : (string * float) list }
-
-val ablation_modes : ?scale:float -> unit -> ablation_row list
-(** Dual-mode value: per benchmark, hybrid vs the best and worst single
-    strategy on 4 cores — what having both modes buys over committing to
-    one. *)
-
-val ablation_capacity : ?scale:float -> unit -> ablation_row list
-(** Queue-mode channel capacity 1/2/4/32: how much decoupled pipelining
-    depends on queue slack (epic, 4 cores, forced TLP). *)
 
 val ablation_memlat : ?scale:float -> unit -> ablation_row list
 (** Main-memory latency 50/100/200 cycles: decoupled mode's miss tolerance
@@ -175,18 +207,6 @@ val ablation_tm : ?scale:float -> unit -> ablation_row list
 (** TM mis-speculation: a scatter loop profiled conflict-free but run with
     0/4/16/64 colliding iterations — speedup decay and conflict counts as
     speculation goes wrong. *)
-
-val ablation_scaling : ?scale:float -> unit -> ablation_row list
-(** Hybrid speedup at 2/4/8 cores (coupled groups capped at 4, paper
-    3.2). *)
-
-val ablation_energy : ?scale:float -> unit -> ablation_row list
-(** Energy and energy-delay product of the 4-core hybrid relative to the
-    single-core baseline (first-order model, {!Voltron_machine.Energy}). *)
-
-val ablation_issue_width : ?scale:float -> unit -> ablation_row list
-(** The paper's 1 alternative: one wide-issue core vs four simple coupled/
-    decoupled cores, same total issue slots. *)
 
 val ablation_ifconv : ?scale:float -> unit -> ablation_row list
 (** If-conversion: a strand loop whose small data-dependent conditional
@@ -202,3 +222,32 @@ val print_fig12 : stall_breakdown list -> unit
 val print_fig13 : hybrid_speedup list -> unit
 val print_fig14 : mode_split list -> unit
 val print_micro : micro_result list -> unit
+
+(** {1 Projections of a shared matrix}
+
+    The figures and ablations above, reading the cells of a caller's
+    matrix: a harness that builds one matrix per invocation computes each
+    cell once however many figures it prints. *)
+
+module On : sig
+  val fig3 : ?benches:string list -> ?jobs:int -> matrix -> classification list
+  val fig10 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
+  val fig11 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
+  val fig12 : ?benches:string list -> ?jobs:int -> matrix -> stall_breakdown list
+  val fig13 : ?benches:string list -> ?jobs:int -> matrix -> hybrid_speedup list
+  val fig14 : ?benches:string list -> ?jobs:int -> matrix -> mode_split list
+  val micro : ?jobs:int -> matrix -> micro_result list
+
+  val scaling : ?benches:string list -> ?cores:int list -> ?jobs:int -> matrix -> scaling_row list
+
+  val resilience :
+    ?benches:string list -> ?rates:float list -> ?seed:int -> ?jobs:int -> matrix ->
+    resilience_row list
+
+  val ablations : (string * (matrix -> ablation_row list)) list
+  (** A1-A8 in order, each with its printed title. *)
+
+  val counters : ?jobs:int -> matrix -> (string * int * Run.measurement) list
+  (** Per suite benchmark: its name, baseline cycles and 4-core hybrid
+      cell. *)
+end

@@ -106,6 +106,23 @@ let test_cross_iteration_distance () =
   check Never (f 3 0) (f 3 7) (* stride 3 never makes up an offset of 7 *);
   check May_cross (f 1 2) (f 1 0) (* symmetric *)
 
+(* Another loop variable left in both forms varies too, so it cannot be
+   cancelled as if it were fixed: the forms of the corpus programs
+   regress_alias_strands, regress_alias_doall and fuzz_s1_i50. *)
+let test_cross_iteration_other_var () =
+  let open Affine in
+  let i = 9 and j = 10 in
+  let f ci cj c =
+    Some (add (add (scale ci (var_ i)) (scale cj (var_ j))) (const_ c))
+  in
+  let check var expect a b =
+    Alcotest.(check bool) "verdict" true (cross_iteration_alias ~var a b = expect)
+  in
+  check j Unknown (f 1 2 0) (f 1 2 1) (* a[2j+i] vs a[2j+i+1] over j *);
+  check i Unknown (f 2 1 0) (f 2 1 0) (* a[2i+j] against itself over i *);
+  check j Unknown (f 1 0 4) (f 1 0 0) (* a[i+4] vs a[i] over an unrelated j *);
+  check i Never (f 2 0 0) (f 2 0 1) (* no other variable: still decided *)
+
 (* --- Profile ------------------------------------------------------------------- *)
 
 let test_profile_trips_and_raw () =
@@ -481,6 +498,8 @@ let () =
           Alcotest.test_case "body defs killed" `Quick test_index_forms_kills_loop_body_defs;
           Alcotest.test_case "cross-iteration alias" `Quick test_cross_iteration_alias;
           Alcotest.test_case "cross-iteration distance" `Quick test_cross_iteration_distance;
+          Alcotest.test_case "cross-iteration other loop variables" `Quick
+            test_cross_iteration_other_var;
         ] );
       ( "profile",
         [

@@ -97,6 +97,40 @@ let test_micro_directions () =
       (List.for_all (fun (m : E.micro_result) -> doall.E.mi_measured >= m.E.mi_measured) rows)
   | [] -> Alcotest.fail "no micro rows"
 
+(* Figs. 10-14 read from one shared matrix (on the pool) do the distinct
+   work once per benchmark: one build, profile, region analysis and
+   baseline, and ILP, TLP, LLP and hybrid at 2 and 4 cores. Their rows are
+   the rows of fresh serial calls, which rebuild everything. *)
+let test_matrix_shares_cells () =
+  let pair = [ tlp_bench; ilp_bench ] in
+  let m = E.matrix ~scale () in
+  let jobs = 2 in
+  let f10 = E.On.fig10 ~benches:pair ~jobs m in
+  let f11 = E.On.fig11 ~benches:pair ~jobs m in
+  let f12 = E.On.fig12 ~benches:pair ~jobs m in
+  let f13 = E.On.fig13 ~benches:pair ~jobs m in
+  let f14 = E.On.fig14 ~benches:pair ~jobs m in
+  List.iter
+    (fun name ->
+      let w = E.work m name in
+      let check what expected got = Alcotest.(check int) (name ^ ": " ^ what) expected got in
+      check "builds" 1 w.E.builds;
+      check "profiles" 1 w.E.profiles;
+      check "region analyses" 1 w.E.analyses;
+      check "baselines" 1 w.E.baselines;
+      check "simulations" 8 w.E.simulations)
+    pair;
+  Alcotest.(check int) "untouched benchmark built nothing" 0
+    (E.work m mixed_bench).E.builds;
+  Alcotest.(check bool) "fig10 rows" true (f10 = E.fig10 ~scale ~benches:pair ());
+  Alcotest.(check bool) "fig11 rows" true (f11 = E.fig11 ~scale ~benches:pair ());
+  Alcotest.(check bool) "fig12 rows" true (f12 = E.fig12 ~scale ~benches:pair ());
+  Alcotest.(check bool) "fig13 rows" true (f13 = E.fig13 ~scale ~benches:pair ());
+  Alcotest.(check bool) "fig14 rows" true (f14 = E.fig14 ~scale ~benches:pair ());
+  Alcotest.check_raises "a benchmark named twice"
+    (Invalid_argument "Experiments.per_subject: a subject is named twice") (fun () ->
+      ignore (E.On.fig14 ~benches:[ ilp_bench; ilp_bench ] m))
+
 let test_ablation_directions () =
   (* A3: decoupled tolerance grows with memory latency, coupled shrinks. *)
   let rows = E.ablation_memlat ~scale () in
@@ -136,6 +170,8 @@ let () =
           Alcotest.test_case "fig14 mode residency" `Slow test_fig14_modes_mixed;
           Alcotest.test_case "micro directions" `Slow test_micro_directions;
         ] );
+      ( "matrix",
+        [ Alcotest.test_case "figs 10-14 share cells" `Slow test_matrix_shares_cells ] );
       ( "ablations",
         [ Alcotest.test_case "directions" `Slow test_ablation_directions ] );
     ]
