@@ -47,7 +47,7 @@ let figure ~jobs m name =
   in
   match name with
   | "fig3" ->
-    let rows = E.On.fig3 ~jobs m in
+    let rows = E.fig3 ~jobs m in
     ( (fun () -> E.print_fig3 rows),
       objs rows (fun (c : E.classification) ->
           [
@@ -58,13 +58,13 @@ let figure ~jobs m name =
             ("single_pct", Json.Float c.E.pct_single);
           ]) )
   | "fig10" ->
-    let rows, json = per_type (E.On.fig10 ~jobs m) in
+    let rows, json = per_type (E.fig10 ~jobs m) in
     ((fun () -> E.print_fig10 rows), json)
   | "fig11" ->
-    let rows, json = per_type (E.On.fig11 ~jobs m) in
+    let rows, json = per_type (E.fig11 ~jobs m) in
     ((fun () -> E.print_fig11 rows), json)
   | "fig12" ->
-    let rows = E.On.fig12 ~jobs m in
+    let rows = E.fig12 ~jobs m in
     ( (fun () -> E.print_fig12 rows),
       objs rows (fun (s : E.stall_breakdown) ->
           [
@@ -79,7 +79,7 @@ let figure ~jobs m name =
             ("decoupled_sync", Json.Float s.E.decoupled_sync);
           ]) )
   | "fig13" ->
-    let rows = E.On.fig13 ~jobs m in
+    let rows = E.fig13 ~jobs m in
     ( (fun () -> E.print_fig13 rows),
       objs rows (fun (h : E.hybrid_speedup) ->
           [
@@ -88,7 +88,7 @@ let figure ~jobs m name =
             ("cores4", Json.Float h.E.hs_4core);
           ]) )
   | "fig14" ->
-    let rows = E.On.fig14 ~jobs m in
+    let rows = E.fig14 ~jobs m in
     ( (fun () -> E.print_fig14 rows),
       objs rows (fun (r : E.mode_split) ->
           [
@@ -97,7 +97,7 @@ let figure ~jobs m name =
             ("decoupled_pct", Json.Float r.E.decoupled_pct);
           ]) )
   | "micro" ->
-    let rows = E.On.micro ~jobs m in
+    let rows = E.micro ~jobs m in
     ( (fun () -> E.print_micro rows),
       objs rows (fun (r : E.micro_result) ->
           [
@@ -106,7 +106,7 @@ let figure ~jobs m name =
             ("measured", Json.Float r.E.mi_measured);
           ]) )
   | "scaling" ->
-    let rows = E.On.scaling ~jobs m in
+    let rows = E.scaling ~jobs m in
     let cross = E.crossover rows in
     ( (fun () ->
         E.print_scaling rows;
@@ -136,7 +136,7 @@ let figure ~jobs m name =
                 ]) );
         ] )
   | "resilience" ->
-    let rows = E.On.resilience ~jobs m in
+    let rows = E.resilience ~jobs m in
     ( (fun () -> E.print_resilience rows),
       objs rows (fun (r : E.resilience_row) ->
           [
@@ -163,7 +163,7 @@ let run_ablations m =
     (fun (title, rows) ->
       E.print_ablations ~title (rows m);
       print_newline ())
-    E.On.ablations
+    E.ablations
 
 let figures =
   [
@@ -194,7 +194,7 @@ let json_of_counters ~jobs matrix =
             ("verified", Json.Bool m.Voltron.Run.verified);
             ("metrics", Metrics.to_json metrics);
           ] ))
-    (E.On.counters ~jobs matrix)
+    (E.counters ~jobs matrix)
 
 let run_json ~scale ~jobs m wanted =
   let wanted = if wanted = [] then figures else wanted in
@@ -475,15 +475,19 @@ let bechamel_tests =
       ]
   in
   let figures_group =
+    (* Each run builds a fresh matrix, so every figure is timed from scratch. *)
+    let fig name f =
+      Test.make ~name (Staged.stage (fun () -> f (E.matrix ~scale:0.2 ())))
+    in
     Test.make_grouped ~name:"figures"
     [
-      Test.make ~name:"fig3" (Staged.stage (fun () -> E.fig3 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"fig10" (Staged.stage (fun () -> E.fig10 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"fig11" (Staged.stage (fun () -> E.fig11 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"fig12" (Staged.stage (fun () -> E.fig12 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"fig13" (Staged.stage (fun () -> E.fig13 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"fig14" (Staged.stage (fun () -> E.fig14 ~scale:0.2 ~benches:slice ()));
-      Test.make ~name:"micro" (Staged.stage (fun () -> E.micro ~scale:0.2 ()));
+      fig "fig3" (E.fig3 ~benches:slice);
+      fig "fig10" (E.fig10 ~benches:slice);
+      fig "fig11" (E.fig11 ~benches:slice);
+      fig "fig12" (E.fig12 ~benches:slice);
+      fig "fig13" (E.fig13 ~benches:slice);
+      fig "fig14" (E.fig14 ~benches:slice);
+      fig "micro" E.micro;
       (* The causal-profiler pipeline end to end: hooks attached, run,
          critical-path walk and blame report. Compared against fig13 (same
          workload, hooks detached) this isolates the recording+walk cost. *)

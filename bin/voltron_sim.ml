@@ -38,28 +38,25 @@ let or_check_failure f =
     print_diags Format.err_formatter diags;
     exit 1
 
-let micros =
-  [
-    ("micro:gsm_llp", Suite.micro_gsm_llp);
-    ("micro:gzip_strands", Suite.micro_gzip_strands);
-    ("micro:gsm_ilp", Suite.micro_gsm_ilp);
-  ]
+let micro_names = List.map (fun (m : Suite.micro) -> m.Suite.micro_name) Suite.micros
 
 let program_of_name name scale =
-  match List.assoc_opt name micros with
-  | Some build -> build ~scale ()
+  match
+    List.find_opt (fun (m : Suite.micro) -> m.Suite.micro_name = name) Suite.micros
+  with
+  | Some m -> m.Suite.micro_build ~scale ()
   | None -> (
     match Suite.by_name name with
     | b -> b.Suite.build ~scale ()
     | exception Not_found ->
       Printf.eprintf "unknown benchmark %s (try `voltron_sim list`, or %s)\n" name
-        (String.concat ", " (List.map fst micros));
+        (String.concat ", " micro_names);
       exit 2)
 
 (* What every --all sweep covers: the suite, then the micro kernels. *)
 let sweep_targets scale =
   List.map (fun (b : Suite.benchmark) -> b.Suite.bench_name) Suite.all
-  @ List.map fst micros
+  @ micro_names
   |> List.map (fun n -> (n, program_of_name n scale))
 
 (* Either a named benchmark or a VC source file. *)
@@ -541,6 +538,7 @@ let check_cmd =
       let failures = ref 0 in
       let cells = ref [] in
       let profile = Voltron_analysis.Profile.collect p in
+      let regions = Voltron_compiler.Regions.of_program p in
       List.iter
         (fun choice ->
           let s = Voltron.Run.choice_name choice in
@@ -555,7 +553,7 @@ let check_cmd =
                 ]
               :: !cells
           in
-          match Driver.compile ~machine ~choice ~profile p with
+          match Driver.compile ~machine ~choice ~profile ~regions p with
           | c ->
             if c.Driver.check_diags = [] then begin
               record "clean" [];
@@ -1390,7 +1388,7 @@ let list_cmd =
           b.Suite.bench_name b.Suite.bench_mix.Suite.ilp b.Suite.bench_mix.Suite.tlp
           b.Suite.bench_mix.Suite.llp b.Suite.bench_mix.Suite.seq)
       Suite.all;
-    print_endline (String.concat " " (List.map fst micros))
+    print_endline (String.concat " " micro_names)
   in
   Cmd.v (Cmd.info "list" ~doc:"List available benchmarks.") Term.(const list $ const ())
 

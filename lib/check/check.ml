@@ -859,6 +859,26 @@ let tag_modes ctx =
 
 (* --- Pass 3: coupled-mode PUT/GET slot pairing ------------------------ *)
 
+(* Blocks entered in [mode], grouped by label in label order, each group
+   as (core, block index) pairs in core order. *)
+let blocks_by_label ctx mode =
+  let by_label = Hashtbl.create 16 in
+  Array.iteri
+    (fun core (g : Ccfg.t) ->
+      Array.iteri
+        (fun bi (b : Ccfg.block) ->
+          if ctx.mode_of.(core).(bi) = Some mode then
+            List.iter
+              (fun l ->
+                Hashtbl.replace by_label l
+                  ((core, bi)
+                  :: Option.value (Hashtbl.find_opt by_label l) ~default:[]))
+              b.Ccfg.b_labels)
+        g.Ccfg.blocks)
+    ctx.graphs;
+  Hashtbl.fold (fun l group acc -> (l, List.rev group) :: acc) by_label []
+  |> List.sort compare
+
 (* Labels shared by several cores with coupled entry mode are the same
    region block replicated per core by codegen; lock-step execution makes
    "same bundle index" mean "same cycle", so PUT/GET pairing is checked
@@ -867,24 +887,7 @@ let check_coupled ctx =
   let n = Program.n_cores ctx.prog in
   if n <= 1 then ()
   else begin
-    let by_label = Hashtbl.create 16 in
-    Array.iteri
-      (fun core (g : Ccfg.t) ->
-        Array.iteri
-          (fun bi (b : Ccfg.block) ->
-            if ctx.mode_of.(core).(bi) = Some Inst.Coupled then
-              List.iter
-                (fun l ->
-                  Hashtbl.replace by_label l
-                    ((core, bi)
-                    :: Option.value (Hashtbl.find_opt by_label l) ~default:[]))
-                b.Ccfg.b_labels)
-          g.Ccfg.blocks)
-      ctx.graphs;
-    let labels =
-      Hashtbl.fold (fun l group acc -> (l, List.rev group) :: acc) by_label []
-      |> List.sort compare
-    in
+    let labels = blocks_by_label ctx Inst.Coupled in
     List.iter
       (fun (label, group) ->
         if List.length group < n then
@@ -1072,6 +1075,56 @@ let scc_deadlocks ctx nodes edges =
         diag ctx Error (Some loc) (Potential_deadlock { edges = cycle_edges }))
     (Digraph.sccs g)
 
+(* The wait-for edges among straight-line queue operations. [seqs] gives
+   each sequence's core and its (node, op) pairs in issue order. In-order
+   issue makes each op wait on its predecessor; on every channel a->b that
+   [channel a b] admits, FIFO delivery makes the i-th RECV from a on b
+   wait on the i-th SEND a->b. Edges come newest first: each sequence's
+   program-order chain, then the delivery edges in channel order. *)
+let queue_edges ~channel seqs =
+  let edges = ref [] in
+  let sends = Hashtbl.create 16 and recvs = Hashtbl.create 16 in
+  let push tbl k id =
+    Hashtbl.replace tbl k (id :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
+  in
+  List.iter
+    (fun (core, ops) ->
+      let rec chain = function
+        | (a, _) :: ((b, _) :: _ as rest) ->
+          edges := (b, a, Printf.sprintf "program order on core %d" core) :: !edges;
+          chain rest
+        | _ -> ()
+      in
+      chain ops;
+      List.iter
+        (fun (id, k) ->
+          match k with
+          | `Send t -> push sends (core, t) id
+          | `Recv sd -> push recvs (sd, core) id
+          | _ -> ())
+        ops)
+    seqs;
+  Hashtbl.fold (fun ch _ acc -> ch :: acc) recvs []
+  |> List.sort compare
+  |> List.iter (fun (a, b) ->
+         if channel a b then begin
+           let sent =
+             Array.of_list
+               (List.rev (Option.value (Hashtbl.find_opt sends (a, b)) ~default:[]))
+           in
+           List.iteri
+             (fun i r ->
+               if i < Array.length sent then
+                 edges :=
+                   ( r,
+                     sent.(i),
+                     Printf.sprintf "delivery on channel %d->%d (message %d)" a b
+                       (i + 1) )
+                   :: !edges)
+             (List.rev (Hashtbl.find recvs (a, b)))
+         end);
+  !edges
+
 (* Block-local deadlock check: a label shared by several cores in
    decoupled mode is one region block replicated per core; within one
    execution of it, queue FIFO order matches the emission order, so the
@@ -1081,27 +1134,11 @@ let check_block_deadlock ctx =
   let n = Program.n_cores ctx.prog in
   if n <= 1 then ()
   else begin
-    let by_label = Hashtbl.create 16 in
-    Array.iteri
-      (fun core (g : Ccfg.t) ->
-        Array.iteri
-          (fun bi (b : Ccfg.block) ->
-            if ctx.mode_of.(core).(bi) = Some Inst.Decoupled then
-              List.iter
-                (fun l ->
-                  Hashtbl.replace by_label l
-                    ((core, bi)
-                    :: Option.value (Hashtbl.find_opt by_label l) ~default:[]))
-                b.Ccfg.b_labels)
-          g.Ccfg.blocks)
-      ctx.graphs;
-    Hashtbl.fold (fun l group acc -> (l, List.rev group) :: acc) by_label []
-    |> List.sort compare
+    blocks_by_label ctx Inst.Decoupled
     |> List.iter (fun (_, group) ->
            if List.length group >= 2 then begin
              let nodes = ref [] in
              let n_nodes = ref 0 in
-             let edges = ref [] in
              let add_node loc desc =
                let id = !n_nodes in
                incr n_nodes;
@@ -1129,59 +1166,11 @@ let check_block_deadlock ctx =
                          | _ -> None)
                        (Ccfg.ops g g.Ccfg.blocks.(bi))
                    in
-                   (* In-order issue: each op waits on its predecessor. *)
-                   let rec chain = function
-                     | (a, _) :: ((b, _) :: _ as rest) ->
-                       edges :=
-                         (b, a, Printf.sprintf "program order on core %d" core)
-                         :: !edges;
-                       chain rest
-                     | _ -> ()
-                   in
-                   chain ops;
                    (core, ops))
                  group
              in
-             (* Positional delivery edges per (src, dst) channel. *)
-             List.iter
-               (fun (a, a_ops) ->
-                 List.iter
-                   (fun (b, b_ops) ->
-                     if a <> b then begin
-                       let sends =
-                         List.filter_map
-                           (fun (id, k) ->
-                             match k with
-                             | `Send t when t = b -> Some id
-                             | _ -> None)
-                           a_ops
-                       in
-                       let recvs =
-                         List.filter_map
-                           (fun (id, k) ->
-                             match k with
-                             | `Recv s when s = a -> Some id
-                             | _ -> None)
-                           b_ops
-                       in
-                       List.iteri
-                         (fun i r ->
-                           match List.nth_opt sends i with
-                           | Some s ->
-                             edges :=
-                               ( r,
-                                 s,
-                                 Printf.sprintf
-                                   "delivery on channel %d->%d (message %d)" a
-                                   b (i + 1) )
-                               :: !edges
-                           | None -> ())
-                         recvs
-                     end)
-                   per_core)
-               per_core;
              let nodes = Array.of_list (List.rev !nodes) in
-             scc_deadlocks ctx nodes !edges
+             scc_deadlocks ctx nodes (queue_edges ~channel:( <> ) per_core)
            end)
   end
 
@@ -1305,8 +1294,7 @@ let check_global_deadlock ctx =
                0 strand_ops
     in
     (* Build the graph. *)
-    let nodes = ref [] and n_nodes = ref 0 and edges = ref [] in
-    let prev_op = Hashtbl.create 32 in
+    let nodes = ref [] and n_nodes = ref 0 in
     let add_node loc desc =
       let id = !n_nodes in
       incr n_nodes;
@@ -1331,56 +1319,16 @@ let check_global_deadlock ctx =
                 else None)
               ops
           in
-          let rec chain = function
-            | (a, _) :: ((b, _) :: _ as rest) ->
-              Hashtbl.replace prev_op b a;
-              edges :=
-                (b, a, Printf.sprintf "program order on core %d" s.st_core)
-                :: !edges;
-              chain rest
-            | _ -> ()
-          in
-          chain kept;
           (s, kept))
         strand_ops
     in
-    (* Channel delivery edges. *)
-    for a = 0 to n - 1 do
-      for b = 0 to n - 1 do
-        if channel_ok a b then begin
-          let collect f =
-            List.concat_map
-              (fun (s, kept) ->
-                List.filter_map (fun (id, k) -> f s.st_core id k) kept)
-              included
-          in
-          let sends =
-            collect (fun core id k ->
-                match k with
-                | `Send t when core = a && t = b -> Some id
-                | _ -> None)
-          in
-          let recvs =
-            collect (fun core id k ->
-                match k with
-                | `Recv sd when core = b && sd = a -> Some id
-                | _ -> None)
-          in
-          List.iteri
-            (fun i r ->
-              match List.nth_opt sends i with
-              | Some sid ->
-                edges :=
-                  ( r,
-                    sid,
-                    Printf.sprintf "delivery on channel %d->%d (message %d)" a b
-                      (i + 1) )
-                  :: !edges
-              | None -> ())
-            recvs
-        end
-      done
-    done;
+    (* Every kept SEND and RECV sits on a positionally matchable channel. *)
+    let edges =
+      ref
+        (queue_edges
+           ~channel:(fun _ _ -> true)
+           (List.map (fun (s, kept) -> (s.st_core, kept)) included))
+    in
     (* A spawned strand's first operation waits on the SPAWN itself. *)
     List.iter
       (fun (s, kept) ->
@@ -1412,6 +1360,14 @@ let check_global_deadlock ctx =
        waits on code before it on every other core. *)
     if barriers_ok then begin
       let node_loc = Array.of_list (List.rev !nodes) in
+      let prev_op = Hashtbl.create 32 in
+      let rec link = function
+        | (a, _) :: ((b, _) :: _ as rest) ->
+          Hashtbl.replace prev_op b a;
+          link rest
+        | _ -> ()
+      in
+      List.iter (fun (_, kept) -> link kept) included;
       let per_core_barriers =
         List.init n (fun c ->
             List.concat_map

@@ -158,13 +158,6 @@ let speedup s choice cores =
 
 type matrix = { scale : float; subjects : subject list }
 
-let micro_examples =
-  [
-    ("gsmdecode DOALL (Fig.7)", 1.9, Suite.micro_gsm_llp);
-    ("164.gzip strands (Fig.8)", 1.2, Suite.micro_gzip_strands);
-    ("gsmdecode ILP (Fig.9)", 1.78, Suite.micro_gsm_ilp);
-  ]
-
 let matrix ?(scale = 1.0) () =
   let suite =
     List.map
@@ -174,9 +167,9 @@ let matrix ?(scale = 1.0) () =
   in
   let micro =
     List.map
-      (fun (name, _, (build : ?scale:float -> unit -> Hir.program)) ->
-        subject name (fun () -> build ~scale ()))
-      micro_examples
+      (fun (m : Suite.micro) ->
+        subject m.Suite.micro_label (fun () -> m.Suite.micro_build ~scale ()))
+      Suite.micros
   in
   { scale; subjects = suite @ micro }
 
@@ -270,332 +263,312 @@ let ifconv_program ~scale () =
       B.store b (List.hd arrays) (B.imm 0) (Hir.Reg chk));
   Voltron_ir.Builder.finish b
 
-module On = struct
-  let names benches = Option.value benches ~default:suite_names
+let names benches = Option.value benches ~default:suite_names
 
-  let per_type ?benches ?jobs m n_cores =
-    per_subject ?jobs m (names benches) (fun s ->
-        let sp choice = speedup s choice n_cores in
-        { bench = s.name; sp_ilp = sp `Ilp; sp_tlp = sp `Tlp; sp_llp = sp `Llp })
+let per_type ?benches ?jobs m n_cores =
+  per_subject ?jobs m (names benches) (fun s ->
+      let sp choice = speedup s choice n_cores in
+      { bench = s.name; sp_ilp = sp `Ilp; sp_tlp = sp `Tlp; sp_llp = sp `Llp })
 
-  let fig10 ?benches ?jobs m = per_type ?benches ?jobs m 2
-  let fig11 ?benches ?jobs m = per_type ?benches ?jobs m 4
+let fig10 ?benches ?jobs m = per_type ?benches ?jobs m 2
+let fig11 ?benches ?jobs m = per_type ?benches ?jobs m 4
 
-  let fig12 ?benches ?jobs m =
-    per_subject ?jobs m (names benches) (fun s ->
-        let base = float_of_int (baseline s).Run.cycles in
-        (* A stall kind's cycles over the baseline's, averaged over cores. *)
-        let fraction choice pick =
-          let st = (measure s choice 4 Stock).Run.stats in
-          Stat.mean
-            (List.init st.Stats.n_cores (fun c ->
-                 float_of_int (pick (Stats.core st c)) /. base))
-        in
-        let coupled = fraction `Ilp and decoupled = fraction `Tlp in
-        {
-          sb_bench = s.name;
-          coupled_i = coupled (fun c -> c.Stats.i_stall);
-          coupled_d = coupled (fun c -> c.Stats.d_stall);
-          coupled_other =
-            coupled (fun c -> c.Stats.sync_stall) +. coupled (fun c -> c.Stats.lat_stall);
-          decoupled_i = decoupled (fun c -> c.Stats.i_stall);
-          decoupled_d = decoupled (fun c -> c.Stats.d_stall);
-          decoupled_recv = decoupled (fun c -> c.Stats.recv_data_stall);
-          decoupled_pred = decoupled (fun c -> c.Stats.recv_pred_stall);
-          decoupled_sync = decoupled (fun c -> c.Stats.sync_stall);
-        })
-
-  let fig13 ?benches ?jobs m =
-    per_subject ?jobs m (names benches) (fun s ->
-        { hs_bench = s.name; hs_2core = speedup s `Hybrid 2; hs_4core = speedup s `Hybrid 4 })
-
-  let fig14 ?benches ?jobs m =
-    per_subject ?jobs m (names benches) (fun s ->
-        let st = (measure s `Hybrid 4 Stock).Run.stats in
-        let total = float_of_int (st.Stats.coupled_cycles + st.Stats.decoupled_cycles) in
-        let coupled_pct =
-          if total = 0. then 0. else 100. *. float_of_int st.Stats.coupled_cycles /. total
-        in
-        { ms_bench = s.name; coupled_pct; decoupled_pct = 100. -. coupled_pct })
-
-  (* Fig. 3: run every region standalone under each forced strategy and
-     credit its dynamic weight (in the whole program's profile) to the
-     winner. *)
-  let fig3 ?benches ?jobs m =
-    per_subject ?jobs m (names benches) (fun s ->
-        let p = Lazy.force s.program and profile = Lazy.force s.profile in
-        let credit = Hashtbl.create 4 and total = ref 0 in
-        let add k w =
-          Hashtbl.replace credit k (w + Option.value ~default:0 (Hashtbl.find_opt credit k))
-        in
-        List.iter
-          (fun (r : Hir.region) ->
-            let w = ref 0 in
-            Hir.iter_stmts
-              (fun st -> w := !w + Profile.dyn_count profile st.Hir.sid)
-              r.Hir.stmts;
-            total := !total + !w;
-            let alone =
-              subject (s.name ^ "/" ^ r.Hir.region_name) (fun () ->
-                  { p with Hir.regions = [ r ] })
-            in
-            let c choice = cycles alone choice 4 Stock in
-            let candidates =
-              [
-                (`Single, (baseline alone).Run.cycles); (`Ilp_k, c `Ilp);
-                (`Tlp_k, c `Tlp); (`Llp_k, c `Llp);
-              ]
-            in
-            let winner, _ =
-              List.fold_left
-                (fun (bk, bc) (k, cyc) -> if cyc < bc then (k, cyc) else (bk, bc))
-                (`Single, max_int) candidates
-            in
-            add winner !w)
-          p.Hir.regions;
-        let pct k =
-          Stat.percent
-            (float_of_int (Option.value ~default:0 (Hashtbl.find_opt credit k)))
-            (float_of_int !total)
-        in
-        {
-          cl_bench = s.name;
-          pct_ilp = pct `Ilp_k;
-          pct_tlp = pct `Tlp_k;
-          pct_llp = pct `Llp_k;
-          pct_single = pct `Single;
-        })
-
-  let micro ?jobs m =
-    let best s =
-      let fastest =
-        List.fold_left min max_int
-          (List.map (fun choice -> cycles s choice 2 Stock) [ `Ilp; `Tlp; `Llp; `Hybrid ])
-      in
-      float_of_int (baseline s).Run.cycles /. float_of_int fastest
-    in
-    List.map2
-      (fun (mi_name, mi_paper, _) mi_measured -> { mi_name; mi_paper; mi_measured })
-      micro_examples
-      (per_subject ?jobs m (List.map (fun (name, _, _) -> name) micro_examples) best)
-
-  let scaling ?(benches = scaling_benches) ?(cores = [ 16; 32; 64 ]) ?jobs m =
-    List.concat
-    @@ per_subject ?jobs m benches (fun s ->
-           let base = float_of_int (baseline s).Run.cycles in
-           let cls = workload_class (Suite.by_name s.name) in
-           List.map
-             (fun n ->
-               let sn = cycles s `Hybrid n (Coherence Coherence.Snoop) in
-               let dr = cycles s `Hybrid n (Coherence Coherence.Directory) in
-               {
-                 sc_bench = s.name;
-                 sc_class = cls;
-                 sc_cores = n;
-                 sc_snoop_cycles = sn;
-                 sc_dir_cycles = dr;
-                 sc_snoop = base /. float_of_int sn;
-                 sc_directory = base /. float_of_int dr;
-               })
-             cores)
-
-  let resilience ?(benches = [ "cjpeg"; "gsmdecode"; "179.art" ])
-      ?(rates = [ 0.0; 1e-4; 1e-3; 5e-3 ]) ?(seed = 42) ?jobs m =
-    List.concat
-    @@ per_subject ?jobs m benches (fun s ->
-           let base = (baseline s).Run.cycles in
-           let run_at rate =
-             let tweak c =
-               { c with Config.fault = Voltron_fault.Fault.uniform ~seed ~rate () }
-             in
-             Run.run_resilient ~profile:(Lazy.force s.profile) ~tweak ~n_cores:4
-               (Lazy.force s.program)
-           in
-           let clean = run_at 0.0 in
-           let clean_cycles = clean.Run.final.Run.cycles in
-           List.map
-             (fun rate ->
-               let r = if rate = 0.0 then clean else run_at rate in
-               let m = r.Run.final in
-               let st = m.Run.stats in
-               let level =
-                 match List.rev r.Run.attempts with
-                 | a :: _ -> Voltron_fault.Fault.level_name a.Run.a_level
-                 | [] -> assert false
-               in
-               {
-                 rs_bench = s.name;
-                 rs_rate = rate;
-                 rs_level = level;
-                 rs_cycles = m.Run.cycles;
-                 rs_overhead = float_of_int m.Run.cycles /. float_of_int clean_cycles;
-                 rs_speedup = float_of_int base /. float_of_int m.Run.cycles;
-                 rs_faults = st.Stats.faults_injected;
-                 rs_retries = st.Stats.net_retries;
-                 rs_ecc =
-                   st.Stats.ecc_corrected + st.Stats.ecc_scrubbed
-                   + st.Stats.flips_masked;
-                 rs_aborts = st.Stats.spurious_aborts;
-                 rs_verified = m.Run.verified;
-               })
-             rates)
-
-  let row ab_label ab_values = { ab_label; ab_values }
-
-  let ablation_modes m =
-    List.map
-      (fun name ->
-        let s = find m name in
-        let sp choice = speedup s choice 4 in
-        let singles = [ sp `Ilp; sp `Tlp; sp `Llp ] in
-        row name
-          [
-            ("hybrid", sp `Hybrid);
-            ("best-single", List.fold_left max 0. singles);
-            ("worst-single", List.fold_left min infinity singles);
-          ])
-      [ "164.gzip"; "171.swim"; "177.mesa"; "179.art"; "cjpeg"; "gsmdecode" ]
-
-  let ablation_capacity m =
-    let s = find m "epic" in
-    let base = float_of_int (baseline s).Run.cycles in
-    List.map
-      (fun capacity ->
-        row
-          (Printf.sprintf "capacity %d" capacity)
-          [ ("TLP speedup", base /. float_of_int (cycles s `Tlp 4 (Net_capacity capacity))) ])
-      [ 1; 2; 4; 32 ]
-
-  let ablation_memlat m =
-    let s = find m "179.art" in
-    List.map
-      (fun lat ->
-        let base = float_of_int (cycles s `Seq 1 (Mem_lat lat)) in
-        let sp choice = base /. float_of_int (cycles s choice 4 (Mem_lat lat)) in
-        row
-          (Printf.sprintf "mem latency %d" lat)
-          [ ("coupled ILP", sp `Ilp); ("decoupled TLP", sp `Tlp) ])
-      [ 50; 100; 200 ]
-
-  (* Every run is compiled with the conflict-free twin's profile:
-     speculation believes the loop is clean, exactly like profiling on a
-     friendlier input. *)
-  let ablation_tm m =
-    let clean_profile = Profile.collect (tm_program ~scale:m.scale 0 ()) in
-    List.map
-      (fun conflicts ->
-        let s =
-          subject ~profile:clean_profile "tm_ablate" (tm_program ~scale:m.scale conflicts)
-        in
-        let r = measure s `Llp 4 Stock in
-        let base = float_of_int (baseline s).Run.cycles in
-        row
-          (Printf.sprintf "%d colliding iterations" conflicts)
-          [
-            ("speedup", base /. float_of_int r.Run.cycles);
-            ("tm rounds", float_of_int r.Run.stats.Stats.tm_rounds);
-            ("conflicts", float_of_int r.Run.stats.Stats.tm_conflicts);
-          ])
-      [ 0; 4; 16; 64 ]
-
-  let ablation_scaling m =
-    List.map
-      (fun name ->
-        let s = find m name in
-        row name
-          [
-            ("2 cores", speedup s `Hybrid 2); ("4 cores", speedup s `Hybrid 4);
-            ("8 cores", speedup s `Hybrid 8);
-          ])
-      [ "171.swim"; "179.art"; "177.mesa"; "cjpeg" ]
-
-  let ablation_ifconv m =
-    let measure_tlp build =
-      let s = subject "ifconv" build in
-      let r = measure s `Tlp 4 Stock in
-      let pred =
+let fig12 ?benches ?jobs m =
+  per_subject ?jobs m (names benches) (fun s ->
+      let base = float_of_int (baseline s).Run.cycles in
+      (* A stall kind's cycles over the baseline's, averaged over cores. *)
+      let fraction choice pick =
+        let st = (measure s choice 4 Stock).Run.stats in
         Stat.mean
-          (List.init 4 (fun c ->
-               float_of_int (Stats.core r.Run.stats c).Stats.recv_pred_stall))
+          (List.init st.Stats.n_cores (fun c ->
+               float_of_int (pick (Stats.core st c)) /. base))
       in
-      [ ("TLP speedup", speedup s `Tlp 4); ("pred-stall cycles/core", pred) ]
+      let coupled = fraction `Ilp and decoupled = fraction `Tlp in
+      {
+        sb_bench = s.name;
+        coupled_i = coupled (fun c -> c.Stats.i_stall);
+        coupled_d = coupled (fun c -> c.Stats.d_stall);
+        coupled_other =
+          coupled (fun c -> c.Stats.sync_stall) +. coupled (fun c -> c.Stats.lat_stall);
+        decoupled_i = decoupled (fun c -> c.Stats.i_stall);
+        decoupled_d = decoupled (fun c -> c.Stats.d_stall);
+        decoupled_recv = decoupled (fun c -> c.Stats.recv_data_stall);
+        decoupled_pred = decoupled (fun c -> c.Stats.recv_pred_stall);
+        decoupled_sync = decoupled (fun c -> c.Stats.sync_stall);
+      })
+
+let fig13 ?benches ?jobs m =
+  per_subject ?jobs m (names benches) (fun s ->
+      { hs_bench = s.name; hs_2core = speedup s `Hybrid 2; hs_4core = speedup s `Hybrid 4 })
+
+let fig14 ?benches ?jobs m =
+  per_subject ?jobs m (names benches) (fun s ->
+      let st = (measure s `Hybrid 4 Stock).Run.stats in
+      let total = float_of_int (st.Stats.coupled_cycles + st.Stats.decoupled_cycles) in
+      let coupled_pct =
+        if total = 0. then 0. else 100. *. float_of_int st.Stats.coupled_cycles /. total
+      in
+      { ms_bench = s.name; coupled_pct; decoupled_pct = 100. -. coupled_pct })
+
+(* Fig. 3: run every region standalone under each forced strategy and
+   credit its dynamic weight (in the whole program's profile) to the
+   winner. *)
+let fig3 ?benches ?jobs m =
+  per_subject ?jobs m (names benches) (fun s ->
+      let p = Lazy.force s.program and profile = Lazy.force s.profile in
+      let credit = Hashtbl.create 4 and total = ref 0 in
+      let add k w =
+        Hashtbl.replace credit k (w + Option.value ~default:0 (Hashtbl.find_opt credit k))
+      in
+      List.iter
+        (fun (r : Hir.region) ->
+          let w = ref 0 in
+          Hir.iter_stmts
+            (fun st -> w := !w + Profile.dyn_count profile st.Hir.sid)
+            r.Hir.stmts;
+          total := !total + !w;
+          let alone =
+            subject (s.name ^ "/" ^ r.Hir.region_name) (fun () ->
+                { p with Hir.regions = [ r ] })
+          in
+          let c choice = cycles alone choice 4 Stock in
+          let candidates =
+            [
+              (`Single, (baseline alone).Run.cycles); (`Ilp_k, c `Ilp);
+              (`Tlp_k, c `Tlp); (`Llp_k, c `Llp);
+            ]
+          in
+          let winner, _ =
+            List.fold_left
+              (fun (bk, bc) (k, cyc) -> if cyc < bc then (k, cyc) else (bk, bc))
+              (`Single, max_int) candidates
+          in
+          add winner !w)
+        p.Hir.regions;
+      let pct k =
+        Stat.percent
+          (float_of_int (Option.value ~default:0 (Hashtbl.find_opt credit k)))
+          (float_of_int !total)
+      in
+      {
+        cl_bench = s.name;
+        pct_ilp = pct `Ilp_k;
+        pct_tlp = pct `Tlp_k;
+        pct_llp = pct `Llp_k;
+        pct_single = pct `Single;
+      })
+
+let micro ?jobs m =
+  let best s =
+    let fastest =
+      List.fold_left min max_int
+        (List.map (fun choice -> cycles s choice 2 Stock) [ `Ilp; `Tlp; `Llp; `Hybrid ])
     in
-    let build = ifconv_program ~scale:m.scale in
-    [
-      row "with branch" (measure_tlp build);
-      row "if-converted" (measure_tlp (fun () -> Voltron_compiler.Opt.program (build ())));
-    ]
+    float_of_int (baseline s).Run.cycles /. float_of_int fastest
+  in
+  let labels = List.map (fun (mi : Suite.micro) -> mi.Suite.micro_label) Suite.micros in
+  List.map2
+    (fun (mi : Suite.micro) mi_measured ->
+      { mi_name = mi.Suite.micro_label; mi_paper = mi.Suite.micro_paper; mi_measured })
+    Suite.micros
+    (per_subject ?jobs m labels best)
 
-  let ablation_energy m =
-    List.map
-      (fun name ->
-        let s = find m name in
-        let serial = baseline s and r = measure s `Hybrid 4 Stock in
-        row name
-          [
-            ("speedup", float_of_int serial.Run.cycles /. float_of_int r.Run.cycles);
-            ("energy ratio", r.Run.energy.Energy.e_total /. serial.Run.energy.Energy.e_total);
-            ("EDP ratio", r.Run.energy.Energy.edp /. serial.Run.energy.Energy.edp);
-          ])
-      [ "171.swim"; "179.art"; "cjpeg"; "gsmdecode"; "rawcaudio" ]
+let scaling ?(benches = scaling_benches) ?(cores = [ 16; 32; 64 ]) ?jobs m =
+  List.concat
+  @@ per_subject ?jobs m benches (fun s ->
+         let base = float_of_int (baseline s).Run.cycles in
+         let cls = workload_class (Suite.by_name s.name) in
+         List.map
+           (fun n ->
+             let sn = cycles s `Hybrid n (Coherence Coherence.Snoop) in
+             let dr = cycles s `Hybrid n (Coherence Coherence.Directory) in
+             {
+               sc_bench = s.name;
+               sc_class = cls;
+               sc_cores = n;
+               sc_snoop_cycles = sn;
+               sc_dir_cycles = dr;
+               sc_snoop = base /. float_of_int sn;
+               sc_directory = base /. float_of_int dr;
+             })
+           cores)
 
-  (* One monolithic wide-issue core running the serial code: the paper's
-     "more powerful core" alternative (1). *)
-  let ablation_issue_width m =
-    List.map
-      (fun name ->
-        let s = find m name in
-        let base = float_of_int (baseline s).Run.cycles in
-        let wide width = base /. float_of_int (cycles s `Seq 1 (Issue_width width)) in
-        row name
-          [
-            ("1 core, 2-issue", wide 2);
-            ("1 core, 4-issue", wide 4);
-            ("Voltron 4x1-issue", speedup s `Hybrid 4);
-          ])
-      [ "171.swim"; "179.art"; "177.mesa"; "gsmdecode"; "rawcaudio" ]
+let resilience ?(benches = [ "cjpeg"; "gsmdecode"; "179.art" ])
+    ?(rates = [ 0.0; 1e-4; 1e-3; 5e-3 ]) ?(seed = 42) ?jobs m =
+  List.concat
+  @@ per_subject ?jobs m benches (fun s ->
+         let base = (baseline s).Run.cycles in
+         let run_at rate =
+           let tweak c =
+             { c with Config.fault = Voltron_fault.Fault.uniform ~seed ~rate () }
+           in
+           Run.run_resilient ~profile:(Lazy.force s.profile) ~tweak ~n_cores:4
+             (Lazy.force s.program)
+         in
+         let clean = run_at 0.0 in
+         let clean_cycles = clean.Run.final.Run.cycles in
+         List.map
+           (fun rate ->
+             let r = if rate = 0.0 then clean else run_at rate in
+             let m = r.Run.final in
+             let st = m.Run.stats in
+             let level =
+               match List.rev r.Run.attempts with
+               | a :: _ -> Voltron_fault.Fault.level_name a.Run.a_level
+               | [] -> assert false
+             in
+             {
+               rs_bench = s.name;
+               rs_rate = rate;
+               rs_level = level;
+               rs_cycles = m.Run.cycles;
+               rs_overhead = float_of_int m.Run.cycles /. float_of_int clean_cycles;
+               rs_speedup = float_of_int base /. float_of_int m.Run.cycles;
+               rs_faults = st.Stats.faults_injected;
+               rs_retries = st.Stats.net_retries;
+               rs_ecc =
+                 st.Stats.ecc_corrected + st.Stats.ecc_scrubbed
+                 + st.Stats.flips_masked;
+               rs_aborts = st.Stats.spurious_aborts;
+               rs_verified = m.Run.verified;
+             })
+           rates)
 
-  let ablations =
-    [
-      ("A1: dual-mode value — hybrid vs committing to one mode (4 cores)", ablation_modes);
-      ("A2: queue channel capacity (epic, forced TLP, 4 cores)", ablation_capacity);
-      ( "A3: main-memory latency — decoupled tolerance vs coupled fragility (179.art, 4 cores)",
-        ablation_memlat );
-      ( "A4: TM mis-speculation — profiled clean, run with collisions (scatter RMW, 4 cores)",
-        ablation_tm );
-      ("A5: core scaling, hybrid (coupled groups capped at 4)", ablation_scaling);
-      ( "A6: if-conversion — predicating away a strand loop's branch (forced TLP, 4 cores)",
-        ablation_ifconv );
-      ( "A7: energy and EDP — 4-core hybrid vs 1-core baseline (first-order model)",
-        ablation_energy );
-      ( "A8: one wide-issue core vs four simple Voltron cores (speedup over 1-issue serial)",
-        ablation_issue_width );
-    ]
+let row ab_label ab_values = { ab_label; ab_values }
 
-  let counters ?jobs m =
-    per_subject ?jobs m suite_names (fun s ->
-        (s.name, (baseline s).Run.cycles, measure s `Hybrid 4 Stock))
-end
+let ablation_modes m =
+  List.map
+    (fun name ->
+      let s = find m name in
+      let sp choice = speedup s choice 4 in
+      let singles = [ sp `Ilp; sp `Tlp; sp `Llp ] in
+      row name
+        [
+          ("hybrid", sp `Hybrid);
+          ("best-single", List.fold_left max 0. singles);
+          ("worst-single", List.fold_left min infinity singles);
+        ])
+    [ "164.gzip"; "171.swim"; "177.mesa"; "179.art"; "cjpeg"; "gsmdecode" ]
 
-(* The standalone entry points: each call builds fresh subjects. *)
+let ablation_capacity m =
+  let s = find m "epic" in
+  let base = float_of_int (baseline s).Run.cycles in
+  List.map
+    (fun capacity ->
+      row
+        (Printf.sprintf "capacity %d" capacity)
+        [ ("TLP speedup", base /. float_of_int (cycles s `Tlp 4 (Net_capacity capacity))) ])
+    [ 1; 2; 4; 32 ]
 
-let fig3 ?scale ?benches ?jobs () = On.fig3 ?benches ?jobs (matrix ?scale ())
-let fig10 ?scale ?benches ?jobs () = On.fig10 ?benches ?jobs (matrix ?scale ())
-let fig11 ?scale ?benches ?jobs () = On.fig11 ?benches ?jobs (matrix ?scale ())
-let fig12 ?scale ?benches ?jobs () = On.fig12 ?benches ?jobs (matrix ?scale ())
-let fig13 ?scale ?benches ?jobs () = On.fig13 ?benches ?jobs (matrix ?scale ())
-let fig14 ?scale ?benches ?jobs () = On.fig14 ?benches ?jobs (matrix ?scale ())
-let micro ?scale ?jobs () = On.micro ?jobs (matrix ?scale ())
+let ablation_memlat m =
+  let s = find m "179.art" in
+  List.map
+    (fun lat ->
+      let base = float_of_int (cycles s `Seq 1 (Mem_lat lat)) in
+      let sp choice = base /. float_of_int (cycles s choice 4 (Mem_lat lat)) in
+      row
+        (Printf.sprintf "mem latency %d" lat)
+        [ ("coupled ILP", sp `Ilp); ("decoupled TLP", sp `Tlp) ])
+    [ 50; 100; 200 ]
 
-let scaling ?scale ?benches ?cores ?jobs () =
-  On.scaling ?benches ?cores ?jobs (matrix ?scale ())
+(* Every run is compiled with the conflict-free twin's profile:
+   speculation believes the loop is clean, exactly like profiling on a
+   friendlier input. *)
+let ablation_tm m =
+  let clean_profile = Profile.collect (tm_program ~scale:m.scale 0 ()) in
+  List.map
+    (fun conflicts ->
+      let s =
+        subject ~profile:clean_profile "tm_ablate" (tm_program ~scale:m.scale conflicts)
+      in
+      let r = measure s `Llp 4 Stock in
+      let base = float_of_int (baseline s).Run.cycles in
+      row
+        (Printf.sprintf "%d colliding iterations" conflicts)
+        [
+          ("speedup", base /. float_of_int r.Run.cycles);
+          ("tm rounds", float_of_int r.Run.stats.Stats.tm_rounds);
+          ("conflicts", float_of_int r.Run.stats.Stats.tm_conflicts);
+        ])
+    [ 0; 4; 16; 64 ]
 
-let resilience ?scale ?benches ?rates ?seed ?jobs () =
-  On.resilience ?benches ?rates ?seed ?jobs (matrix ?scale ())
+let ablation_scaling m =
+  List.map
+    (fun name ->
+      let s = find m name in
+      row name
+        [
+          ("2 cores", speedup s `Hybrid 2); ("4 cores", speedup s `Hybrid 4);
+          ("8 cores", speedup s `Hybrid 8);
+        ])
+    [ "171.swim"; "179.art"; "177.mesa"; "cjpeg" ]
 
-let ablation_memlat ?scale () = On.ablation_memlat (matrix ?scale ())
-let ablation_tm ?scale () = On.ablation_tm (matrix ?scale ())
-let ablation_ifconv ?scale () = On.ablation_ifconv (matrix ?scale ())
+let ablation_ifconv m =
+  let measure_tlp build =
+    let s = subject "ifconv" build in
+    let r = measure s `Tlp 4 Stock in
+    let pred =
+      Stat.mean
+        (List.init 4 (fun c ->
+             float_of_int (Stats.core r.Run.stats c).Stats.recv_pred_stall))
+    in
+    [ ("TLP speedup", speedup s `Tlp 4); ("pred-stall cycles/core", pred) ]
+  in
+  let build = ifconv_program ~scale:m.scale in
+  [
+    row "with branch" (measure_tlp build);
+    row "if-converted" (measure_tlp (fun () -> Voltron_compiler.Opt.program (build ())));
+  ]
+
+let ablation_energy m =
+  List.map
+    (fun name ->
+      let s = find m name in
+      let serial = baseline s and r = measure s `Hybrid 4 Stock in
+      row name
+        [
+          ("speedup", float_of_int serial.Run.cycles /. float_of_int r.Run.cycles);
+          ("energy ratio", r.Run.energy.Energy.e_total /. serial.Run.energy.Energy.e_total);
+          ("EDP ratio", r.Run.energy.Energy.edp /. serial.Run.energy.Energy.edp);
+        ])
+    [ "171.swim"; "179.art"; "cjpeg"; "gsmdecode"; "rawcaudio" ]
+
+(* One monolithic wide-issue core running the serial code: the paper's
+   "more powerful core" alternative (1). *)
+let ablation_issue_width m =
+  List.map
+    (fun name ->
+      let s = find m name in
+      let base = float_of_int (baseline s).Run.cycles in
+      let wide width = base /. float_of_int (cycles s `Seq 1 (Issue_width width)) in
+      row name
+        [
+          ("1 core, 2-issue", wide 2);
+          ("1 core, 4-issue", wide 4);
+          ("Voltron 4x1-issue", speedup s `Hybrid 4);
+        ])
+    [ "171.swim"; "179.art"; "177.mesa"; "gsmdecode"; "rawcaudio" ]
+
+let ablations =
+  [
+    ("A1: dual-mode value — hybrid vs committing to one mode (4 cores)", ablation_modes);
+    ("A2: queue channel capacity (epic, forced TLP, 4 cores)", ablation_capacity);
+    ( "A3: main-memory latency — decoupled tolerance vs coupled fragility (179.art, 4 cores)",
+      ablation_memlat );
+    ( "A4: TM mis-speculation — profiled clean, run with collisions (scatter RMW, 4 cores)",
+      ablation_tm );
+    ("A5: core scaling, hybrid (coupled groups capped at 4)", ablation_scaling);
+    ( "A6: if-conversion — predicating away a strand loop's branch (forced TLP, 4 cores)",
+      ablation_ifconv );
+    ( "A7: energy and EDP — 4-core hybrid vs 1-core baseline (first-order model)",
+      ablation_energy );
+    ( "A8: one wide-issue core vs four simple Voltron cores (speedup over 1-issue serial)",
+      ablation_issue_width );
+  ]
+
+let counters ?jobs m =
+  per_subject ?jobs m suite_names (fun s ->
+      (s.name, (baseline s).Run.cycles, measure s `Hybrid 4 Stock))
 
 let crossover rows =
   let keys =

@@ -13,13 +13,13 @@
     1 build, 1 profile, 1 region analysis, 1 baseline and 8 simulations
     per benchmark (ILP, TLP, LLP and hybrid at 2 and 4 cores).
 
-    The standalone entry points ([fig10 ?scale ?benches ?jobs ()], ...)
-    build a fresh matrix per call; {!On} holds the same projections over
-    a caller's matrix. [scale] shrinks the workloads for quick runs (tests
-    use 0.25). [jobs] (default 1) runs one task per subject on the
-    work-stealing pool ({!Voltron_pool.Pool}); rows are assembled in
-    benchmark order, so every figure is identical for every [jobs]
-    value. *)
+    Every projection takes the caller's matrix ([fig10 (matrix ~scale
+    ())], ...), so a harness that builds one matrix per invocation
+    computes each cell once however many figures it prints. The matrix's
+    [scale] shrinks the workloads for quick runs (tests use 0.25). [jobs]
+    (default 1) runs one task per subject on the work-stealing pool
+    ({!Voltron_pool.Pool}); rows are assembled in benchmark order, so
+    every figure is identical for every [jobs] value. *)
 
 type per_type_speedup = {
   bench : string;
@@ -81,29 +81,33 @@ val work : matrix -> string -> work
 
 (** {1 The paper's figures} *)
 
-val fig3 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> classification list
+val fig3 : ?benches:string list -> ?jobs:int -> matrix -> classification list
 (** Per-region measured classification: each region runs standalone under
     each forced strategy on 4 cores; the winner's category is credited
     with the region's dynamic weight (the paper's Fig. 3 methodology). *)
 
-val fig10 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> per_type_speedup list
+val fig10 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
 (** 2-core speedups per parallelism type. *)
 
-val fig11 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> per_type_speedup list
+val fig11 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
 (** 4-core speedups per parallelism type. *)
 
-val fig12 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> stall_breakdown list
+val fig12 : ?benches:string list -> ?jobs:int -> matrix -> stall_breakdown list
 (** Stall-cycle breakdown, coupled vs decoupled, 4 cores. *)
 
-val fig13 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> hybrid_speedup list
+val fig13 : ?benches:string list -> ?jobs:int -> matrix -> hybrid_speedup list
 (** Hybrid (per-region best) speedups on 2 and 4 cores. *)
 
-val fig14 : ?scale:float -> ?benches:string list -> ?jobs:int -> unit -> mode_split list
+val fig14 : ?benches:string list -> ?jobs:int -> matrix -> mode_split list
 (** Share of execution time spent in each mode during the 4-core hybrid
     runs. *)
 
-val micro : ?scale:float -> ?jobs:int -> unit -> micro_result list
+val micro : ?jobs:int -> matrix -> micro_result list
 (** The Figs. 7-9 worked examples on 2 cores. *)
+
+val counters : ?jobs:int -> matrix -> (string * int * Run.measurement) list
+(** Per suite benchmark: its name, baseline cycles and 4-core hybrid
+    cell. *)
 
 (** {1 Coherence scaling} — snoop vs directory at 16-64 cores (DESIGN.md
     16). *)
@@ -129,12 +133,7 @@ type crossover_row = {
 }
 
 val scaling :
-  ?scale:float ->
-  ?benches:string list ->
-  ?cores:int list ->
-  ?jobs:int ->
-  unit ->
-  scaling_row list
+  ?benches:string list -> ?cores:int list -> ?jobs:int -> matrix -> scaling_row list
 (** Hybrid speedup at 16/32/64 cores (default) under both coherence
     backends, per benchmark. The default benchmark set covers every
     dominant-mix class with two members (one for seq). Every cell must
@@ -169,12 +168,11 @@ type resilience_row = {
 }
 
 val resilience :
-  ?scale:float ->
   ?benches:string list ->
   ?rates:float list ->
   ?seed:int ->
   ?jobs:int ->
-  unit ->
+  matrix ->
   resilience_row list
 (** For each benchmark (default cjpeg, gsmdecode, 179.art) and each
     injection rate (default 0, 1e-4, 1e-3, 5e-3), run the 4-core hybrid
@@ -186,7 +184,7 @@ val resilience :
 val print_resilience : resilience_row list -> unit
 
 (** {1 Ablations} — design-choice studies beyond the paper's figures
-    (DESIGN.md 4), each returning printable rows. {!On.ablations} lists
+    (DESIGN.md 4), each returning printable rows. {!ablations} lists
     all eight: A1 hybrid vs the best and worst single strategy; A2 queue
     capacity 1/2/4/32 (epic, forced TLP); A3 memory latency; A4 TM
     mis-speculation; A5 hybrid at 2/4/8 cores (coupled groups capped at
@@ -194,21 +192,24 @@ val print_resilience : resilience_row list -> unit
     of the 4-core hybrid over the baseline (first-order model,
     {!Voltron_machine.Energy}); A8 one wide-issue core vs four simple
     cores with the same total issue slots (the paper's 1 alternative).
-    The three below also stand alone. *)
+    The three below are also exported alone. *)
 
 type ablation_row = { ab_label : string; ab_values : (string * float) list }
 
-val ablation_memlat : ?scale:float -> unit -> ablation_row list
+val ablations : (string * (matrix -> ablation_row list)) list
+(** A1-A8 in order, each with its printed title. *)
+
+val ablation_memlat : matrix -> ablation_row list
 (** Main-memory latency 50/100/200 cycles: decoupled mode's miss tolerance
     grows with latency while coupled ILP's gain shrinks (179.art, 4
     cores). *)
 
-val ablation_tm : ?scale:float -> unit -> ablation_row list
+val ablation_tm : matrix -> ablation_row list
 (** TM mis-speculation: a scatter loop profiled conflict-free but run with
     0/4/16/64 colliding iterations — speedup decay and conflict counts as
     speculation goes wrong. *)
 
-val ablation_ifconv : ?scale:float -> unit -> ablation_row list
+val ablation_ifconv : matrix -> ablation_row list
 (** If-conversion: a strand loop whose small data-dependent conditional
     costs a cross-core predicate round trip every iteration in decoupled
     mode; predicating it away (Opt.program) recovers the loss. *)
@@ -222,32 +223,3 @@ val print_fig12 : stall_breakdown list -> unit
 val print_fig13 : hybrid_speedup list -> unit
 val print_fig14 : mode_split list -> unit
 val print_micro : micro_result list -> unit
-
-(** {1 Projections of a shared matrix}
-
-    The figures and ablations above, reading the cells of a caller's
-    matrix: a harness that builds one matrix per invocation computes each
-    cell once however many figures it prints. *)
-
-module On : sig
-  val fig3 : ?benches:string list -> ?jobs:int -> matrix -> classification list
-  val fig10 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
-  val fig11 : ?benches:string list -> ?jobs:int -> matrix -> per_type_speedup list
-  val fig12 : ?benches:string list -> ?jobs:int -> matrix -> stall_breakdown list
-  val fig13 : ?benches:string list -> ?jobs:int -> matrix -> hybrid_speedup list
-  val fig14 : ?benches:string list -> ?jobs:int -> matrix -> mode_split list
-  val micro : ?jobs:int -> matrix -> micro_result list
-
-  val scaling : ?benches:string list -> ?cores:int list -> ?jobs:int -> matrix -> scaling_row list
-
-  val resilience :
-    ?benches:string list -> ?rates:float list -> ?seed:int -> ?jobs:int -> matrix ->
-    resilience_row list
-
-  val ablations : (string * (matrix -> ablation_row list)) list
-  (** A1-A8 in order, each with its printed title. *)
-
-  val counters : ?jobs:int -> matrix -> (string * int * Run.measurement) list
-  (** Per suite benchmark: its name, baseline cycles and 4-core hybrid
-      cell. *)
-end

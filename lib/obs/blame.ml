@@ -27,26 +27,6 @@ type kind =
   | K_fault
   | K_drain
 
-let all_kinds =
-  [
-    K_compute;
-    K_redo;
-    K_net_wait;
-    K_spawn;
-    K_bcast_wait;
-    K_latch_wait;
-    K_backpressure;
-    K_miss_fill;
-    K_ifetch;
-    K_operand;
-    K_tm_commit;
-    K_tm_serial;
-    K_barrier;
-    K_lockstep;
-    K_fault;
-    K_drain;
-  ]
-
 let kind_label = function
   | K_compute -> "compute"
   | K_redo -> "tm-redo"
@@ -64,9 +44,6 @@ let kind_label = function
   | K_lockstep -> "lockstep"
   | K_fault -> "fault"
   | K_drain -> "drain"
-
-let kind_of_label s =
-  List.find_opt (fun k -> String.equal (kind_label k) s) all_kinds
 
 let kind_of_wait : Machine.wait -> kind = function
   | Machine.W_reg Stats.D_stall -> K_miss_fill

@@ -35,7 +35,6 @@ type kind =
   | K_drain  (** halted, waiting for the machine to finish *)
 
 val kind_label : kind -> string
-val kind_of_label : string -> kind option
 
 type interval = {
   iv_kind : kind;

@@ -204,9 +204,6 @@ type report = {
   r_msgs : int array array;
 }
 
-let speedup ~cycles predicted =
-  float_of_int cycles /. float_of_int (max 1 predicted)
-
 let report ~bench ~strategy ?(net_scale = 0.) t =
   let names = Blame.region_names t.p_blame in
   let tbl = Hashtbl.create 64 in
@@ -241,7 +238,7 @@ let report ~bench ~strategy ?(net_scale = 0.) t =
     {
       w_class = label;
       w_predicted = predicted;
-      w_speedup = speedup ~cycles:t.p_total predicted;
+      w_speedup = float_of_int t.p_total /. float_of_int (max 1 predicted);
     }
   in
   {
@@ -375,111 +372,3 @@ let report_to_json r =
       ("wait_matrix", matrix_to_json r.r_wait);
       ("msgs_matrix", matrix_to_json r.r_msgs);
     ]
-
-let report_of_json j =
-  let ( let* ) x f = match x with Ok v -> f v | Error _ as e -> e in
-  let field name conv j =
-    match Option.bind (Json.member name j) conv with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "blame report: bad or missing %S" name)
-  in
-  let list_field name conv j =
-    let* l = field name Json.to_list_opt j in
-    let rec go acc = function
-      | [] -> Ok (List.rev acc)
-      | x :: rest -> (
-        match conv x with
-        | Ok v -> go (v :: acc) rest
-        | Error _ as e -> e)
-    in
-    go [] l
-  in
-  let int_matrix name j =
-    let* rows =
-      list_field name
-        (fun row ->
-          match Json.to_list_opt row with
-          | None -> Error "blame report: matrix row not a list"
-          | Some xs ->
-            let ints = List.filter_map Json.to_int_opt xs in
-            if List.length ints = List.length xs then
-              Ok (Array.of_list ints)
-            else Error "blame report: matrix entry not an int")
-        j
-    in
-    Ok (Array.of_list rows)
-  in
-  let mode_of_label = function
-    | "coupled" -> Some 0
-    | "decoupled" -> Some 1
-    | _ -> None
-  in
-  let* bench = field "bench" Json.to_string_opt j in
-  let* strategy = field "strategy" Json.to_string_opt j in
-  let* n_cores = field "n_cores" Json.to_int_opt j in
-  let* cycles = field "cycles" Json.to_int_opt j in
-  let* path = field "critical_path" Json.to_int_opt j in
-  let* rows =
-    list_field "blame"
-      (fun b ->
-        let* kind =
-          field "edge" (fun x -> Option.bind (Json.to_string_opt x) Blame.kind_of_label) b
-        in
-        let* region = field "region" Json.to_string_opt b in
-        let* mode =
-          field "mode" (fun x -> Option.bind (Json.to_string_opt x) mode_of_label) b
-        in
-        let* core = field "core" Json.to_int_opt b in
-        let* peer = field "peer" Json.to_int_opt b in
-        let* cyc = field "cycles" Json.to_int_opt b in
-        Ok
-          {
-            b_kind = kind;
-            b_region = region;
-            b_mode = mode;
-            b_core = core;
-            b_peer = peer;
-            b_cycles = cyc;
-          })
-      j
-  in
-  let* whatif =
-    list_field "whatif"
-      (fun w ->
-        let* cls = field "class" Json.to_string_opt w in
-        let* predicted = field "predicted_cycles" Json.to_int_opt w in
-        (* Recomputed rather than parsed: float text is not an exact
-           roundtrip, the two ints are. *)
-        Ok
-          {
-            w_class = cls;
-            w_predicted = predicted;
-            w_speedup = speedup ~cycles predicted;
-          })
-      j
-  in
-  let* tm =
-    list_field "tm_regions"
-      (fun x ->
-        let* name = field "region" Json.to_string_opt x in
-        let* b = field "begins" Json.to_int_opt x in
-        let* c = field "commits" Json.to_int_opt x in
-        let* a = field "aborts" Json.to_int_opt x in
-        Ok (name, b, c, a))
-      j
-  in
-  let* wait = int_matrix "wait_matrix" j in
-  let* msgs = int_matrix "msgs_matrix" j in
-  Ok
-    {
-      r_bench = bench;
-      r_strategy = strategy;
-      r_n_cores = n_cores;
-      r_cycles = cycles;
-      r_path = path;
-      r_rows = rows;
-      r_whatif = whatif;
-      r_tm = tm;
-      r_wait = wait;
-      r_msgs = msgs;
-    }

@@ -91,7 +91,3 @@ val pp_report : ?top:int -> Format.formatter -> report -> unit
     present — the per-region TM table and the cross-core wait matrix. *)
 
 val report_to_json : report -> Json.t
-
-val report_of_json : Json.t -> (report, string) result
-(** Exact inverse of {!report_to_json} ([w_speedup] is recomputed from the
-    integer fields rather than parsed, so the roundtrip is lossless). *)

@@ -3,165 +3,108 @@ module Machine = Voltron_machine.Machine
 module Coherence = Voltron_mem.Coherence
 module Net = Voltron_net.Operand_network
 
-type core_counters = {
-  busy : int;
-  i_stall : int;
-  d_stall : int;
-  lat_stall : int;
-  recv_data_stall : int;
-  recv_pred_stall : int;
-  sync_stall : int;
-  idle : int;
-  bundles : int;
-  ops : int;
-  ops_mem : int;
-  ops_comm : int;
-  ops_mul_div : int;
-}
-
-type cache_counters = {
-  accesses : int;
-  l1d_misses : int;
-  l1i_misses : int;
-  l2_misses : int;
-  c2c_transfers : int;
-  upgrades : int;
-  writebacks : int;
-  bus_wait_cycles : int;
-  dir_lookups : int;
-  dir_invalidations : int;
-  dir_indirections : int;
-}
-
-type net_counters = {
-  msgs_sent : int;
-  total_latency : int;
-  max_occupancy : int;
-  retries : int;
-  nacks : int;
-}
-
-type fault_counters = {
-  faults_injected : int;
-  msgs_dropped : int;
-  msgs_corrupted : int;
-  net_retries : int;
-  net_nacks : int;
-  ecc_corrected : int;
-  ecc_scrubbed : int;
-  flips_masked : int;
-  spurious_aborts : int;
-  stall_faults : int;
-}
+(* A group is one source record's counters, in its order. The functions
+   below are the only place a counter is named; everything else folds
+   over the groups. *)
+type group = (string * int) list
 
 type t = {
   label : string;
-  cycles : int;
-  coupled_cycles : int;
-  decoupled_cycles : int;
-  mode_switches : int;
-  spawns : int;
-  tm_rounds : int;
-  tm_conflicts : int;
-  cores : core_counters array;
-  cache : cache_counters;
-  per_core_cache : cache_counters array;
-  net : net_counters;
-  faults : fault_counters;
+  machine : group;
+  cores : group array;
+  cache : group;  (** whole-hierarchy totals *)
+  per_core_cache : group array;  (** empty when not captured *)
+  net : group;
+  faults : group;
 }
 
-let zero_cache =
+let machine_group (s : Stats.t) =
+  [
+    ("cycles", s.Stats.cycles);
+    ("coupled_cycles", s.Stats.coupled_cycles);
+    ("decoupled_cycles", s.Stats.decoupled_cycles);
+    ("mode_switches", s.Stats.mode_switches);
+    ("spawns", s.Stats.spawns);
+    ("tm_rounds", s.Stats.tm_rounds);
+    ("tm_conflicts", s.Stats.tm_conflicts);
+  ]
+
+let core_group (c : Stats.core) =
+  [
+    ("busy", c.Stats.busy);
+    ("i_stall", c.Stats.i_stall);
+    ("d_stall", c.Stats.d_stall);
+    ("lat_stall", c.Stats.lat_stall);
+    ("recv_data_stall", c.Stats.recv_data_stall);
+    ("recv_pred_stall", c.Stats.recv_pred_stall);
+    ("sync_stall", c.Stats.sync_stall);
+    ("idle", c.Stats.idle);
+    ("bundles", c.Stats.bundles);
+    ("ops", c.Stats.ops);
+    ("ops_mem", c.Stats.ops_mem);
+    ("ops_comm", c.Stats.ops_comm);
+    ("ops_mul_div", c.Stats.ops_mul_div);
+  ]
+
+let cache_group (s : Coherence.stats) =
+  [
+    ("accesses", s.Coherence.accesses);
+    ("l1d_misses", s.Coherence.l1d_misses);
+    ("l1i_misses", s.Coherence.l1i_misses);
+    ("l2_misses", s.Coherence.l2_misses);
+    ("c2c_transfers", s.Coherence.c2c_transfers);
+    ("upgrades", s.Coherence.upgrades);
+    ("writebacks", s.Coherence.writebacks);
+    ("bus_wait_cycles", s.Coherence.bus_wait_cycles);
+    ("dir_lookups", s.Coherence.dir_lookups);
+    ("dir_invalidations", s.Coherence.dir_invalidations);
+    ("dir_indirections", s.Coherence.dir_indirections);
+  ]
+
+let net_group (s : Net.stats) =
+  [
+    ("msgs_sent", s.Net.msgs_sent);
+    ("total_latency", s.Net.total_latency);
+    ("max_occupancy", s.Net.max_occupancy);
+    ("retries", s.Net.retries);
+    ("nacks", s.Net.nacks);
+  ]
+
+let fault_group (s : Stats.t) =
+  [
+    ("faults_injected", s.Stats.faults_injected);
+    ("msgs_dropped", s.Stats.msgs_dropped);
+    ("msgs_corrupted", s.Stats.msgs_corrupted);
+    ("net_retries", s.Stats.net_retries);
+    ("net_nacks", s.Stats.net_nacks);
+    ("ecc_corrected", s.Stats.ecc_corrected);
+    ("ecc_scrubbed", s.Stats.ecc_scrubbed);
+    ("flips_masked", s.Stats.flips_masked);
+    ("spurious_aborts", s.Stats.spurious_aborts);
+    ("stall_faults", s.Stats.stall_faults);
+  ]
+
+let with_cycles cycles t =
   {
-    accesses = 0;
-    l1d_misses = 0;
-    l1i_misses = 0;
-    l2_misses = 0;
-    c2c_transfers = 0;
-    upgrades = 0;
-    writebacks = 0;
-    bus_wait_cycles = 0;
-    dir_lookups = 0;
-    dir_invalidations = 0;
-    dir_indirections = 0;
+    t with
+    machine =
+      List.map (fun (k, v) -> (k, if k = "cycles" then cycles else v)) t.machine;
   }
 
-let zero_net =
-  { msgs_sent = 0; total_latency = 0; max_occupancy = 0; retries = 0; nacks = 0 }
-
-let core_of_stats (c : Stats.core) =
-  {
-    busy = c.Stats.busy;
-    i_stall = c.Stats.i_stall;
-    d_stall = c.Stats.d_stall;
-    lat_stall = c.Stats.lat_stall;
-    recv_data_stall = c.Stats.recv_data_stall;
-    recv_pred_stall = c.Stats.recv_pred_stall;
-    sync_stall = c.Stats.sync_stall;
-    idle = c.Stats.idle;
-    bundles = c.Stats.bundles;
-    ops = c.Stats.ops;
-    ops_mem = c.Stats.ops_mem;
-    ops_comm = c.Stats.ops_comm;
-    ops_mul_div = c.Stats.ops_mul_div;
-  }
-
-let cache_of_stats (s : Coherence.stats) =
-  {
-    accesses = s.Coherence.accesses;
-    l1d_misses = s.Coherence.l1d_misses;
-    l1i_misses = s.Coherence.l1i_misses;
-    l2_misses = s.Coherence.l2_misses;
-    c2c_transfers = s.Coherence.c2c_transfers;
-    upgrades = s.Coherence.upgrades;
-    writebacks = s.Coherence.writebacks;
-    bus_wait_cycles = s.Coherence.bus_wait_cycles;
-    dir_lookups = s.Coherence.dir_lookups;
-    dir_invalidations = s.Coherence.dir_invalidations;
-    dir_indirections = s.Coherence.dir_indirections;
-  }
-
-let net_of_stats (s : Net.stats) =
-  {
-    msgs_sent = s.Net.msgs_sent;
-    total_latency = s.Net.total_latency;
-    max_occupancy = s.Net.max_occupancy;
-    retries = s.Net.retries;
-    nacks = s.Net.nacks;
-  }
-
-let of_stats ?(label = "") ?cycles ?coherence ?per_core_coherence ?network
-    (s : Stats.t) =
-  {
-    label;
-    cycles = (match cycles with Some c -> c | None -> s.Stats.cycles);
-    coupled_cycles = s.Stats.coupled_cycles;
-    decoupled_cycles = s.Stats.decoupled_cycles;
-    mode_switches = s.Stats.mode_switches;
-    spawns = s.Stats.spawns;
-    tm_rounds = s.Stats.tm_rounds;
-    tm_conflicts = s.Stats.tm_conflicts;
-    cores = Array.map core_of_stats s.Stats.per_core;
-    cache =
-      (match coherence with Some c -> cache_of_stats c | None -> zero_cache);
-    per_core_cache =
-      (match per_core_coherence with
-      | Some a -> Array.map cache_of_stats a
-      | None -> [||]);
-    net = (match network with Some n -> net_of_stats n | None -> zero_net);
-    faults =
-      {
-        faults_injected = s.Stats.faults_injected;
-        msgs_dropped = s.Stats.msgs_dropped;
-        msgs_corrupted = s.Stats.msgs_corrupted;
-        net_retries = s.Stats.net_retries;
-        net_nacks = s.Stats.net_nacks;
-        ecc_corrected = s.Stats.ecc_corrected;
-        ecc_scrubbed = s.Stats.ecc_scrubbed;
-        flips_masked = s.Stats.flips_masked;
-        spurious_aborts = s.Stats.spurious_aborts;
-        stall_faults = s.Stats.stall_faults;
-      };
-  }
+let of_stats ?(label = "") ?cycles ~coherence ?(per_core_coherence = [||])
+    ~network (s : Stats.t) =
+  let t =
+    {
+      label;
+      machine = machine_group s;
+      cores = Array.map core_group s.Stats.per_core;
+      cache = cache_group coherence;
+      per_core_cache = Array.map cache_group per_core_coherence;
+      net = net_group network;
+      faults = fault_group s;
+    }
+  in
+  match cycles with Some c -> with_cycles c t | None -> t
 
 let snapshot ?label m =
   let stats = Machine.stats m in
@@ -174,152 +117,60 @@ let snapshot ?label m =
     ~network:(Net.stats (Machine.network m))
     stats
 
-let delta_core a b =
-  {
-    busy = b.busy - a.busy;
-    i_stall = b.i_stall - a.i_stall;
-    d_stall = b.d_stall - a.d_stall;
-    lat_stall = b.lat_stall - a.lat_stall;
-    recv_data_stall = b.recv_data_stall - a.recv_data_stall;
-    recv_pred_stall = b.recv_pred_stall - a.recv_pred_stall;
-    sync_stall = b.sync_stall - a.sync_stall;
-    idle = b.idle - a.idle;
-    bundles = b.bundles - a.bundles;
-    ops = b.ops - a.ops;
-    ops_mem = b.ops_mem - a.ops_mem;
-    ops_comm = b.ops_comm - a.ops_comm;
-    ops_mul_div = b.ops_mul_div - a.ops_mul_div;
-  }
-
-let delta_cache a b =
-  {
-    accesses = b.accesses - a.accesses;
-    l1d_misses = b.l1d_misses - a.l1d_misses;
-    l1i_misses = b.l1i_misses - a.l1i_misses;
-    l2_misses = b.l2_misses - a.l2_misses;
-    c2c_transfers = b.c2c_transfers - a.c2c_transfers;
-    upgrades = b.upgrades - a.upgrades;
-    writebacks = b.writebacks - a.writebacks;
-    bus_wait_cycles = b.bus_wait_cycles - a.bus_wait_cycles;
-    dir_lookups = b.dir_lookups - a.dir_lookups;
-    dir_invalidations = b.dir_invalidations - a.dir_invalidations;
-    dir_indirections = b.dir_indirections - a.dir_indirections;
-  }
+(* Combine two readings of one group counter by counter. *)
+let zip f a b = List.map2 (fun (k, x) (_, y) -> (k, f k x y)) a b
 
 let delta ~before ~after =
   if Array.length before.cores <> Array.length after.cores then
     invalid_arg "Metrics.delta: core count mismatch";
-  let per_core_cache =
-    if Array.length before.per_core_cache = Array.length after.per_core_cache
-    then Array.map2 delta_cache before.per_core_cache after.per_core_cache
-    else after.per_core_cache
-  in
+  let sub = zip (fun k a b -> if k = "max_occupancy" then b else b - a) in
   {
     label = after.label;
-    cycles = after.cycles - before.cycles;
-    coupled_cycles = after.coupled_cycles - before.coupled_cycles;
-    decoupled_cycles = after.decoupled_cycles - before.decoupled_cycles;
-    mode_switches = after.mode_switches - before.mode_switches;
-    spawns = after.spawns - before.spawns;
-    tm_rounds = after.tm_rounds - before.tm_rounds;
-    tm_conflicts = after.tm_conflicts - before.tm_conflicts;
-    cores = Array.map2 delta_core before.cores after.cores;
-    cache = delta_cache before.cache after.cache;
-    per_core_cache;
-    net =
-      {
-        msgs_sent = after.net.msgs_sent - before.net.msgs_sent;
-        total_latency = after.net.total_latency - before.net.total_latency;
-        max_occupancy = after.net.max_occupancy;
-        retries = after.net.retries - before.net.retries;
-        nacks = after.net.nacks - before.net.nacks;
-      };
-    faults =
-      {
-        faults_injected =
-          after.faults.faults_injected - before.faults.faults_injected;
-        msgs_dropped = after.faults.msgs_dropped - before.faults.msgs_dropped;
-        msgs_corrupted =
-          after.faults.msgs_corrupted - before.faults.msgs_corrupted;
-        net_retries = after.faults.net_retries - before.faults.net_retries;
-        net_nacks = after.faults.net_nacks - before.faults.net_nacks;
-        ecc_corrected =
-          after.faults.ecc_corrected - before.faults.ecc_corrected;
-        ecc_scrubbed = after.faults.ecc_scrubbed - before.faults.ecc_scrubbed;
-        flips_masked = after.faults.flips_masked - before.faults.flips_masked;
-        spurious_aborts =
-          after.faults.spurious_aborts - before.faults.spurious_aborts;
-        stall_faults = after.faults.stall_faults - before.faults.stall_faults;
-      };
+    machine = sub before.machine after.machine;
+    cores = Array.map2 sub before.cores after.cores;
+    cache = sub before.cache after.cache;
+    per_core_cache =
+      (if Array.length before.per_core_cache = Array.length after.per_core_cache
+       then Array.map2 sub before.per_core_cache after.per_core_cache
+       else after.per_core_cache);
+    net = sub before.net after.net;
+    faults = sub before.faults after.faults;
   }
 
-let sum_cores t f = Array.fold_left (fun acc c -> acc + f c) 0 t.cores
-
 let counters t =
-  [
-    ("cycles", t.cycles);
-    ("coupled_cycles", t.coupled_cycles);
-    ("decoupled_cycles", t.decoupled_cycles);
-    ("mode_switches", t.mode_switches);
-    ("spawns", t.spawns);
-    ("tm_rounds", t.tm_rounds);
-    ("tm_conflicts", t.tm_conflicts);
-    ("busy", sum_cores t (fun c -> c.busy));
-    ("i_stall", sum_cores t (fun c -> c.i_stall));
-    ("d_stall", sum_cores t (fun c -> c.d_stall));
-    ("lat_stall", sum_cores t (fun c -> c.lat_stall));
-    ("recv_data_stall", sum_cores t (fun c -> c.recv_data_stall));
-    ("recv_pred_stall", sum_cores t (fun c -> c.recv_pred_stall));
-    ("sync_stall", sum_cores t (fun c -> c.sync_stall));
-    ("idle", sum_cores t (fun c -> c.idle));
-    ("bundles", sum_cores t (fun c -> c.bundles));
-    ("ops", sum_cores t (fun c -> c.ops));
-    ("ops_mem", sum_cores t (fun c -> c.ops_mem));
-    ("ops_comm", sum_cores t (fun c -> c.ops_comm));
-    ("ops_mul_div", sum_cores t (fun c -> c.ops_mul_div));
-    ("cache_accesses", t.cache.accesses);
-    ("l1d_misses", t.cache.l1d_misses);
-    ("l1i_misses", t.cache.l1i_misses);
-    ("l2_misses", t.cache.l2_misses);
-    ("c2c_transfers", t.cache.c2c_transfers);
-    ("upgrades", t.cache.upgrades);
-    ("writebacks", t.cache.writebacks);
-    ("bus_wait_cycles", t.cache.bus_wait_cycles);
-    ("dir_lookups", t.cache.dir_lookups);
-    ("dir_invalidations", t.cache.dir_invalidations);
-    ("dir_indirections", t.cache.dir_indirections);
-    ("msgs_sent", t.net.msgs_sent);
-    ("net_total_latency", t.net.total_latency);
-    ("net_max_occupancy", t.net.max_occupancy);
-    ("net_retries", t.net.retries);
-    ("net_nacks", t.net.nacks);
-    ("faults_injected", t.faults.faults_injected);
-    ("msgs_dropped", t.faults.msgs_dropped);
-    ("msgs_corrupted", t.faults.msgs_corrupted);
-    ("ecc_corrected", t.faults.ecc_corrected);
-    ("ecc_scrubbed", t.faults.ecc_scrubbed);
-    ("flips_masked", t.faults.flips_masked);
-    ("spurious_aborts", t.faults.spurious_aborts);
-    ("stall_faults", t.faults.stall_faults);
-  ]
-
-let ratio num den = if den = 0 then 0. else float_of_int num /. float_of_int den
+  let summed =
+    Array.fold_left (zip (fun _ a b -> a + b)) t.cores.(0)
+      (Array.sub t.cores 1 (Array.length t.cores - 1))
+  in
+  let flat =
+    t.machine @ summed
+    @ List.map
+        (fun (k, v) -> ((if k = "accesses" then "cache_accesses" else k), v))
+        t.cache
+    @ List.map
+        (fun (k, v) -> ((if k = "msgs_sent" then k else "net_" ^ k), v))
+        t.net
+  in
+  (* The fault group's net_retries/net_nacks are the network's own. *)
+  flat @ List.filter (fun (k, _) -> not (List.mem_assoc k flat)) t.faults
 
 let gauges t =
-  let n_cores = Array.length t.cores in
-  let core_cycles = t.cycles * n_cores in
-  let ops = sum_cores t (fun c -> c.ops) in
-  let bundles = sum_cores t (fun c -> c.bundles) in
-  let busy = sum_cores t (fun c -> c.busy) in
+  let c = counters t in
+  let per den num =
+    let num = List.assoc num c in
+    if den = 0 then 0. else float_of_int num /. float_of_int den
+  in
+  let core_cycles = List.assoc "cycles" c * Array.length t.cores in
+  let accesses = List.assoc "cache_accesses" c in
   [
-    ("ipc", ratio ops core_cycles);
-    ("bundle_ipc", ratio bundles core_cycles);
-    ("occupancy", ratio busy core_cycles);
-    ("l1d_miss_rate", ratio t.cache.l1d_misses t.cache.accesses);
-    ("l1i_miss_rate", ratio t.cache.l1i_misses t.cache.accesses);
-    ("l2_miss_rate", ratio t.cache.l2_misses t.cache.accesses);
-    ("avg_net_latency", ratio t.net.total_latency t.net.msgs_sent);
-    ("avg_tm_conflict_rate", ratio t.tm_conflicts t.tm_rounds);
+    ("ipc", per core_cycles "ops");
+    ("bundle_ipc", per core_cycles "bundles");
+    ("occupancy", per core_cycles "busy");
+    ("l1d_miss_rate", per accesses "l1d_misses");
+    ("l1i_miss_rate", per accesses "l1i_misses");
+    ("l2_miss_rate", per accesses "l2_misses");
+    ("avg_net_latency", per (List.assoc "msgs_sent" c) "net_total_latency");
+    ("avg_tm_conflict_rate", per (List.assoc "tm_rounds" c) "tm_conflicts");
   ]
 
 let find name t =
@@ -335,82 +186,17 @@ let pp ppf t =
            (fun (k, v) -> (k, Voltron_util.Table.cell_f v))
            (gauges t)))
 
-let json_of_core c =
-  Json.Obj
-    [
-      ("busy", Json.Int c.busy);
-      ("i_stall", Json.Int c.i_stall);
-      ("d_stall", Json.Int c.d_stall);
-      ("lat_stall", Json.Int c.lat_stall);
-      ("recv_data_stall", Json.Int c.recv_data_stall);
-      ("recv_pred_stall", Json.Int c.recv_pred_stall);
-      ("sync_stall", Json.Int c.sync_stall);
-      ("idle", Json.Int c.idle);
-      ("bundles", Json.Int c.bundles);
-      ("ops", Json.Int c.ops);
-      ("ops_mem", Json.Int c.ops_mem);
-      ("ops_comm", Json.Int c.ops_comm);
-      ("ops_mul_div", Json.Int c.ops_mul_div);
-    ]
-
-let json_of_cache c =
-  Json.Obj
-    [
-      ("accesses", Json.Int c.accesses);
-      ("l1d_misses", Json.Int c.l1d_misses);
-      ("l1i_misses", Json.Int c.l1i_misses);
-      ("l2_misses", Json.Int c.l2_misses);
-      ("c2c_transfers", Json.Int c.c2c_transfers);
-      ("upgrades", Json.Int c.upgrades);
-      ("writebacks", Json.Int c.writebacks);
-      ("bus_wait_cycles", Json.Int c.bus_wait_cycles);
-      ("dir_lookups", Json.Int c.dir_lookups);
-      ("dir_invalidations", Json.Int c.dir_invalidations);
-      ("dir_indirections", Json.Int c.dir_indirections);
-    ]
-
 let to_json t =
+  let obj g = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) g) in
+  let objs a = Json.List (Array.to_list (Array.map obj a)) in
   Json.Obj
     [
       ("label", Json.Str t.label);
-      ( "machine",
-        Json.Obj
-          [
-            ("cycles", Json.Int t.cycles);
-            ("coupled_cycles", Json.Int t.coupled_cycles);
-            ("decoupled_cycles", Json.Int t.decoupled_cycles);
-            ("mode_switches", Json.Int t.mode_switches);
-            ("spawns", Json.Int t.spawns);
-            ("tm_rounds", Json.Int t.tm_rounds);
-            ("tm_conflicts", Json.Int t.tm_conflicts);
-          ] );
-      ("cores", Json.List (Array.to_list (Array.map json_of_core t.cores)));
-      ("cache", json_of_cache t.cache);
-      ( "per_core_cache",
-        Json.List (Array.to_list (Array.map json_of_cache t.per_core_cache)) );
-      ( "net",
-        Json.Obj
-          [
-            ("msgs_sent", Json.Int t.net.msgs_sent);
-            ("total_latency", Json.Int t.net.total_latency);
-            ("max_occupancy", Json.Int t.net.max_occupancy);
-            ("retries", Json.Int t.net.retries);
-            ("nacks", Json.Int t.net.nacks);
-          ] );
-      ( "faults",
-        Json.Obj
-          [
-            ("faults_injected", Json.Int t.faults.faults_injected);
-            ("msgs_dropped", Json.Int t.faults.msgs_dropped);
-            ("msgs_corrupted", Json.Int t.faults.msgs_corrupted);
-            ("net_retries", Json.Int t.faults.net_retries);
-            ("net_nacks", Json.Int t.faults.net_nacks);
-            ("ecc_corrected", Json.Int t.faults.ecc_corrected);
-            ("ecc_scrubbed", Json.Int t.faults.ecc_scrubbed);
-            ("flips_masked", Json.Int t.faults.flips_masked);
-            ("spurious_aborts", Json.Int t.faults.spurious_aborts);
-            ("stall_faults", Json.Int t.faults.stall_faults);
-          ] );
-      ( "gauges",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (gauges t)) );
+      ("machine", obj t.machine);
+      ("cores", objs t.cores);
+      ("cache", obj t.cache);
+      ("per_core_cache", objs t.per_core_cache);
+      ("net", obj t.net);
+      ("faults", obj t.faults);
+      ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) (gauges t)));
     ]

@@ -20,7 +20,7 @@ type t = {
   mutable rev_samples : sample list;
 }
 
-let sample_of t ~cycle (d : Metrics.t) =
+let sample_of t ~cycle d =
   let gauge name = Option.value ~default:0. (Metrics.find name d) in
   {
     s_cycle = cycle;
@@ -29,7 +29,7 @@ let sample_of t ~cycle (d : Metrics.t) =
     s_occupancy = gauge "occupancy";
     s_l1d_miss_rate = gauge "l1d_miss_rate";
     s_avg_net_latency = gauge "avg_net_latency";
-    s_msgs = d.Metrics.net.Metrics.msgs_sent;
+    s_msgs = List.assoc "msgs_sent" (Metrics.counters d);
   }
 
 (* The window hook sees every cycle exactly once, as closed intervals
@@ -62,13 +62,10 @@ let attach ~every m =
           let s =
             if !boundary = first then
               sample_of t ~cycle:!boundary
-                { d with Metrics.cycles = first - t.last_boundary }
+                (Metrics.with_cycles (first - t.last_boundary) d)
             else
               sample_of t ~cycle:!boundary
-                {
-                  (Metrics.delta ~before:cur ~after:cur) with
-                  Metrics.cycles = t.every;
-                }
+                (Metrics.with_cycles t.every (Metrics.delta ~before:cur ~after:cur))
           in
           t.rev_samples <- s :: t.rev_samples;
           t.last_boundary <- !boundary;

@@ -158,3 +158,32 @@ let micro_gsm_ilp ?(scale = 1.0) () =
   let b = B.create "micro_gsm_ilp" in
   Kernels.gsm_ilp_region b ~n:(scaled scale 1024);
   B.finish b
+
+type micro = {
+  micro_name : string;
+  micro_label : string;
+  micro_paper : float;
+  micro_build : ?scale:float -> unit -> Voltron_ir.Hir.program;
+}
+
+let micros =
+  [
+    {
+      micro_name = "micro:gsm_llp";
+      micro_label = "gsmdecode DOALL (Fig.7)";
+      micro_paper = 1.9;
+      micro_build = micro_gsm_llp;
+    };
+    {
+      micro_name = "micro:gzip_strands";
+      micro_label = "164.gzip strands (Fig.8)";
+      micro_paper = 1.2;
+      micro_build = micro_gzip_strands;
+    };
+    {
+      micro_name = "micro:gsm_ilp";
+      micro_label = "gsmdecode ILP (Fig.9)";
+      micro_paper = 1.78;
+      micro_build = micro_gsm_ilp;
+    };
+  ]

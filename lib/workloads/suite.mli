@@ -29,3 +29,13 @@ val by_name : string -> benchmark
 val micro_gsm_llp : ?scale:float -> unit -> Voltron_ir.Hir.program
 val micro_gzip_strands : ?scale:float -> unit -> Voltron_ir.Hir.program
 val micro_gsm_ilp : ?scale:float -> unit -> Voltron_ir.Hir.program
+
+type micro = {
+  micro_name : string;  (** the CLI name, e.g. ["micro:gsm_llp"] *)
+  micro_label : string;  (** the figure label, e.g. ["gsmdecode DOALL (Fig.7)"] *)
+  micro_paper : float;  (** the 2-core speedup the paper reports *)
+  micro_build : ?scale:float -> unit -> Voltron_ir.Hir.program;
+}
+
+val micros : micro list
+(** The three micro-examples above, in figure order (Figs. 7, 8, 9). *)

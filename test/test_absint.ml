@@ -250,11 +250,9 @@ let test_suite_clean () =
     (fun (name, p) ->
       Alcotest.(check (list string)) (name ^ " clean") []
         (classes (Absint.analyze p)))
-    [
-      ("micro:gsm_llp", Suite.micro_gsm_llp ~scale:0.2 ());
-      ("micro:gzip_strands", Suite.micro_gzip_strands ~scale:0.2 ());
-      ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale:0.2 ());
-    ]
+    (List.map
+       (fun (m : Suite.micro) -> (m.Suite.micro_name, m.Suite.micro_build ~scale:0.2 ()))
+       Suite.micros)
 
 (* Generated programs are correct by construction: subscripts are masked
    in-bounds and every variable is initialised at its declaration, so

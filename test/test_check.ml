@@ -433,11 +433,9 @@ let test_partition_race () =
 
 let test_workloads_clean () =
   let programs =
-    [
-      ("micro:gsm_llp", Suite.micro_gsm_llp ~scale:0.2 ());
-      ("micro:gzip_strands", Suite.micro_gzip_strands ~scale:0.2 ());
-      ("micro:gsm_ilp", Suite.micro_gsm_ilp ~scale:0.2 ());
-    ]
+    List.map
+      (fun (m : Suite.micro) -> (m.Suite.micro_name, m.Suite.micro_build ~scale:0.2 ()))
+      Suite.micros
   in
   List.iter
     (fun (name, p) ->

@@ -23,8 +23,8 @@ let test_fig10_11_winners () =
   List.iter
     (fun n_cores ->
       let rows =
-        if n_cores = 2 then E.fig10 ~scale ~benches:slice ()
-        else E.fig11 ~scale ~benches:slice ()
+        if n_cores = 2 then E.fig10 ~benches:slice (E.matrix ~scale ())
+        else E.fig11 ~benches:slice (E.matrix ~scale ())
       in
       let row = find_by (fun (r : E.per_type_speedup) -> r.E.bench) rows in
       let swim = row llp_bench and art = row tlp_bench in
@@ -39,7 +39,7 @@ let test_fig10_11_winners () =
     [ 2; 4 ]
 
 let test_fig12_decoupled_stalls_lower () =
-  let rows = E.fig12 ~scale ~benches:[ tlp_bench; mixed_bench ] () in
+  let rows = E.fig12 ~benches:[ tlp_bench; mixed_bench ] (E.matrix ~scale ()) in
   List.iter
     (fun (r : E.stall_breakdown) ->
       Alcotest.(check bool)
@@ -53,8 +53,8 @@ let test_fig12_decoupled_stalls_lower () =
     rows
 
 let test_fig13_hybrid_dominates () =
-  let hybrid = E.fig13 ~scale ~benches:slice () in
-  let singles4 = E.fig11 ~scale ~benches:slice () in
+  let hybrid = E.fig13 ~benches:slice (E.matrix ~scale ()) in
+  let singles4 = E.fig11 ~benches:slice (E.matrix ~scale ()) in
   List.iter
     (fun (h : E.hybrid_speedup) ->
       let s =
@@ -73,7 +73,7 @@ let test_fig13_hybrid_dominates () =
     hybrid
 
 let test_fig14_modes_mixed () =
-  let rows = E.fig14 ~scale ~benches:[ ilp_bench; tlp_bench ] () in
+  let rows = E.fig14 ~benches:[ ilp_bench; tlp_bench ] (E.matrix ~scale ()) in
   let row = find_by (fun (r : E.mode_split) -> r.E.ms_bench) rows in
   (* The ILP-heavy benchmark spends real time coupled; the strand-heavy
      one lives almost entirely decoupled (epic-style, paper §5.2). *)
@@ -83,7 +83,7 @@ let test_fig14_modes_mixed () =
     ((row tlp_bench).E.decoupled_pct > 80.)
 
 let test_micro_directions () =
-  let rows = E.micro ~scale:0.5 () in
+  let rows = E.micro (E.matrix ~scale:0.5 ()) in
   List.iter
     (fun (m : E.micro_result) ->
       Alcotest.(check bool)
@@ -105,11 +105,11 @@ let test_matrix_shares_cells () =
   let pair = [ tlp_bench; ilp_bench ] in
   let m = E.matrix ~scale () in
   let jobs = 2 in
-  let f10 = E.On.fig10 ~benches:pair ~jobs m in
-  let f11 = E.On.fig11 ~benches:pair ~jobs m in
-  let f12 = E.On.fig12 ~benches:pair ~jobs m in
-  let f13 = E.On.fig13 ~benches:pair ~jobs m in
-  let f14 = E.On.fig14 ~benches:pair ~jobs m in
+  let f10 = E.fig10 ~benches:pair ~jobs m in
+  let f11 = E.fig11 ~benches:pair ~jobs m in
+  let f12 = E.fig12 ~benches:pair ~jobs m in
+  let f13 = E.fig13 ~benches:pair ~jobs m in
+  let f14 = E.fig14 ~benches:pair ~jobs m in
   List.iter
     (fun name ->
       let w = E.work m name in
@@ -122,18 +122,18 @@ let test_matrix_shares_cells () =
     pair;
   Alcotest.(check int) "untouched benchmark built nothing" 0
     (E.work m mixed_bench).E.builds;
-  Alcotest.(check bool) "fig10 rows" true (f10 = E.fig10 ~scale ~benches:pair ());
-  Alcotest.(check bool) "fig11 rows" true (f11 = E.fig11 ~scale ~benches:pair ());
-  Alcotest.(check bool) "fig12 rows" true (f12 = E.fig12 ~scale ~benches:pair ());
-  Alcotest.(check bool) "fig13 rows" true (f13 = E.fig13 ~scale ~benches:pair ());
-  Alcotest.(check bool) "fig14 rows" true (f14 = E.fig14 ~scale ~benches:pair ());
+  Alcotest.(check bool) "fig10 rows" true (f10 = E.fig10 ~benches:pair (E.matrix ~scale ()));
+  Alcotest.(check bool) "fig11 rows" true (f11 = E.fig11 ~benches:pair (E.matrix ~scale ()));
+  Alcotest.(check bool) "fig12 rows" true (f12 = E.fig12 ~benches:pair (E.matrix ~scale ()));
+  Alcotest.(check bool) "fig13 rows" true (f13 = E.fig13 ~benches:pair (E.matrix ~scale ()));
+  Alcotest.(check bool) "fig14 rows" true (f14 = E.fig14 ~benches:pair (E.matrix ~scale ()));
   Alcotest.check_raises "a benchmark named twice"
     (Invalid_argument "Experiments.per_subject: a subject is named twice") (fun () ->
-      ignore (E.On.fig14 ~benches:[ ilp_bench; ilp_bench ] m))
+      ignore (E.fig14 ~benches:[ ilp_bench; ilp_bench ] m))
 
 let test_ablation_directions () =
   (* A3: decoupled tolerance grows with memory latency, coupled shrinks. *)
-  let rows = E.ablation_memlat ~scale () in
+  let rows = E.ablation_memlat (E.matrix ~scale ()) in
   let value row name = List.assoc name row.E.ab_values in
   (match rows with
   | [ lat50; _; lat200 ] ->
@@ -143,7 +143,7 @@ let test_ablation_directions () =
       (value lat200 "coupled ILP" < value lat50 "coupled ILP" +. 0.02)
   | _ -> Alcotest.fail "three latency rows expected");
   (* A4: a conflict costs real speedup but the clean run is fast. *)
-  (match E.ablation_tm ~scale () with
+  (match E.ablation_tm (E.matrix ~scale ()) with
   | clean :: conflicted :: _ ->
     Alcotest.(check bool) "clean speculation fast" true (value clean "speedup" > 1.5);
     Alcotest.(check bool) "conflict costs" true
@@ -151,7 +151,7 @@ let test_ablation_directions () =
     Alcotest.(check bool) "conflict observed" true (value conflicted "conflicts" >= 1.)
   | _ -> Alcotest.fail "tm rows expected");
   (* A6: if-conversion removes predicate stalls and does not slow down. *)
-  match E.ablation_ifconv ~scale () with
+  match E.ablation_ifconv (E.matrix ~scale ()) with
   | [ branchy; converted ] ->
     Alcotest.(check bool) "pred stalls gone" true
       (value converted "pred-stall cycles/core" < 1.);

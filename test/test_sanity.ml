@@ -66,12 +66,10 @@ let test_policy_round_trip () =
 
 let test_clean_matrix () =
   let programs =
-    [
-      ("micro:gsm_llp", Suite.micro_gsm_llp ());
-      ("micro:gzip_strands", Suite.micro_gzip_strands ());
-      ("micro:gsm_ilp", Suite.micro_gsm_ilp ());
-      ("gsmencode", (Suite.by_name "gsmencode").Suite.build ~scale:0.05 ());
-    ]
+    List.map
+      (fun (m : Suite.micro) -> (m.Suite.micro_name, m.Suite.micro_build ~scale:1.0 ()))
+      Suite.micros
+    @ [ ("gsmencode", (Suite.by_name "gsmencode").Suite.build ~scale:0.05 ()) ]
   in
   List.iter
     (fun (name, p) ->

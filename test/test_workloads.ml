@@ -83,14 +83,11 @@ let test_strands_kernel_is_decoupled () =
 
 let test_micro_programs_interpret () =
   List.iter
-    (fun p ->
-      let r = Voltron_ir.Interp.run p in
-      Alcotest.(check bool) "micro runs" true (r.Voltron_ir.Interp.dyn_stmts > 50))
-    [
-      Suite.micro_gsm_llp ~scale:0.2 ();
-      Suite.micro_gzip_strands ~scale:0.2 ();
-      Suite.micro_gsm_ilp ~scale:0.2 ();
-    ]
+    (fun (m : Suite.micro) ->
+      let r = Voltron_ir.Interp.run (m.Suite.micro_build ~scale:0.2 ()) in
+      Alcotest.(check bool) (m.Suite.micro_name ^ " runs") true
+        (r.Voltron_ir.Interp.dyn_stmts > 50))
+    Suite.micros
 
 let () =
   Alcotest.run "workloads"
