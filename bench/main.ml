@@ -239,10 +239,10 @@ let read_json_file path =
     None
 
 (* The host-parallel leg of perf mode: the same 4-core hybrid sweep, but
-   one compile+run cell per benchmark fanned out on the work-stealing
-   pool. Unlike the serial leg this times compilation too (it happens
-   inside the cell), so its cycles_per_sec is not comparable to the
-   serial entry — the interesting trend is this entry against its own
+   one compile+run cell per benchmark fanned out on the domain pool.
+   Unlike the serial leg this times compilation too (it happens inside
+   the cell), so its cycles_per_sec is not comparable to the serial
+   entry — the interesting trend is this entry against its own
    history and against the jobs=1 run of the same cell shape. *)
 let run_parallel_sweep ~scale ~machine ~jobs () =
   let cell (b : Suite.benchmark) =
@@ -458,8 +458,9 @@ let run_perf ~scale ~baseline ~jobs () =
 (* --- Bechamel: wall-clock cost of each figure's pipeline ------------------- *)
 
 (* parallel_map overhead on no-op cells: what the pool itself costs —
-   task publication, stealing, wakeup and frontier bookkeeping with zero
-   useful work per cell. The jobs=1 entry is the serial-path floor. *)
+   helper-domain spawn and join, cursor claims and frontier bookkeeping
+   with zero useful work per cell. The jobs=1 entry is the serial-path
+   floor. *)
 let pool_input = Array.init 256 Fun.id
 
 let bechamel_tests =

@@ -247,11 +247,11 @@ let jobs_arg =
     value & opt int 0
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the sweep's independent cells (work-stealing \
-           pool). 0 (the default) means $(b,VOLTRON_JOBS) if set, else the \
-           host's core count; 1 runs the bit-identical serial reference \
-           path. Output is in cell order and byte-identical for every \
-           $(docv).")
+          "Domains for the sweep's independent cells (the caller plus up \
+           to $(docv)-1 helpers). 0 (the default) means $(b,VOLTRON_JOBS) \
+           if set, else the host's core count; 1 runs the bit-identical \
+           serial reference path. Output is in cell order and \
+           byte-identical for every $(docv).")
 
 let resolve_jobs j = if j <= 0 then Pool.default_jobs () else j
 

@@ -216,7 +216,10 @@ let phi_key_name = function
    both guarantee ({!Lin.min_}) and stand for the divergence with a fresh
    symbolic unknown named after the join point — shared across cores, so
    the same divergence on the peer core produces the same variable while
-   everything accumulated before the divergence still counts. *)
+   everything accumulated before the divergence still counts. The unknown
+   is idempotent: a state that already carries it (an earlier meet under
+   the same tag, as when one core keeps two joins of a co-residence class
+   apart that a peer merges in one meet) is absorbed, not counted twice. *)
 let counts_meet ~tag a b =
   CMap.merge
     (fun k x y ->
@@ -224,9 +227,8 @@ let counts_meet ~tag a b =
       let vy = Option.value y ~default:Lin.zero in
       if Lin.equal vx vy then Some vx
       else
-        Some
-          (Lin.add (Lin.min_ vx vy)
-             (Lin.var_ (Printf.sprintf "phi:%s:%s" tag (phi_key_name k)))))
+        let phi = Printf.sprintf "phi:%s:%s" tag (phi_key_name k) in
+        Some (Lin.add (Lin.drop_var phi (Lin.min_ vx vy)) (Lin.var_ phi)))
     a b
 
 (* Stable, cross-core-consistent name for a block. Region code is

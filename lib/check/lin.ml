@@ -60,6 +60,8 @@ let min_ a b =
         vars;
   }
 
+let drop_var v t = { t with terms = List.remove_assoc v t.terms }
+
 let mul a b =
   List.fold_left
     (fun acc (v, k) -> add acc (scale k (mul_var v b)))

@@ -33,6 +33,9 @@ val min_ : t -> t -> t
     absent terms counting as 0) — for nonnegative counts, the part both
     forms are guaranteed to share. *)
 
+val drop_var : string -> t -> t
+(** [drop_var v t] is [t] without its [v] term. *)
+
 val mul_var : string -> t -> t
 (** Multiply a whole form by one symbolic variable (e.g. a trip count). *)
 

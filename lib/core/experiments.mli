@@ -17,7 +17,7 @@
     ())], ...), so a harness that builds one matrix per invocation
     computes each cell once however many figures it prints. The matrix's
     [scale] shrinks the workloads for quick runs (tests use 0.25). [jobs]
-    (default 1) runs one task per subject on the work-stealing pool
+    (default 1) runs one cell per subject on up to [jobs] domains
     ({!Voltron_pool.Pool}); rows are assembled in benchmark order, so
     every figure is identical for every [jobs] value. *)
 

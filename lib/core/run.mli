@@ -237,11 +237,11 @@ val differential :
     caught and attributed to their backend). Leave all three at their
     identity defaults in real use.
 
-    [jobs] (default 1) runs the matrix cells on a work-stealing pool of
-    that many domains ({!Voltron_pool.Pool.parallel_map}); each cell
-    compiles and simulates independently, and runs, warnings and
-    divergences are accumulated by cell index, so the result is
-    bit-identical for every [jobs] value. *)
+    [jobs] (default 1) runs the matrix cells on up to that many domains
+    ({!Voltron_pool.Pool.parallel_map}); each cell compiles and
+    simulates independently, and runs, warnings and divergences are
+    accumulated by cell index, so the result is bit-identical for every
+    [jobs] value. *)
 
 val baseline_cycles : ?profile:Voltron_analysis.Profile.t -> Voltron_ir.Hir.program -> int
 (** Single-core sequential cycles (the paper's 1.0 reference). Pass the

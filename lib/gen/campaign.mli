@@ -90,11 +90,12 @@ val run :
     a single finding regenerates with [~seed ~index:k ~count:1] and the
     cell set is independent of [jobs] and chunking. [on_program] sees
     every generated program before it runs (the CLI's [--emit] hook);
-    under [jobs > 1] it is called concurrently from worker domains, so it
+    under [jobs > 1] it is called concurrently from several domains, so it
     must be thread-safe (writing one file per seed is fine). [log]
     receives one-line progress and finding messages, always in cell-index
     order — the transcript is byte-identical for every [jobs] value.
-    [jobs] (default 1) fans the cells out on the work-stealing pool. *)
+    [jobs] (default 1) fans the cells out on up to that many domains
+    ({!Voltron_pool.Pool}). *)
 
 val write_reproducer : dir:string -> finding -> string
 (** Write the minimized program as

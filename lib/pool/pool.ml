@@ -1,129 +1,6 @@
-(* Work-stealing pool over Domain: per-worker Chase-Lev-style deques,
-   randomized victim selection, caller participation (child stealing, as
-   in the Cilk runtime shape). See DESIGN.md §15 for the determinism
-   argument. *)
-
-(* --- Chase-Lev deque -------------------------------------------------------
-
-   Single owner pushes and pops at the bottom (LIFO, work-first); any
-   number of thieves take from the top (FIFO — the oldest task, the
-   biggest remaining chunk of work). One CAS on [top] arbitrates the
-   only contended case (last element, owner vs thief). The buffer is a
-   power-of-two ring replaced wholesale on growth: a thief still holding
-   the old buffer reads the same value at the same logical index, and
-   the CAS on [top] discards any read that lost the race. OCaml's memory
-   model makes the racy element read defined (some previously written
-   value), and the happens-before edge through the atomic [bottom] write
-   rules out a stale read of a slot the thief is entitled to. *)
-module Deque = struct
-  type 'a buf = { elems : 'a array; mask : int }
-
-  type 'a t = {
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-    buf : 'a buf Atomic.t;
-    dummy : 'a;
-  }
-
-  let create ~dummy =
-    {
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-      buf = Atomic.make { elems = Array.make 64 dummy; mask = 63 };
-      dummy;
-    }
-
-  let grow q b t =
-    let old = Atomic.get q.buf in
-    let cap = 2 * (old.mask + 1) in
-    let elems = Array.make cap q.dummy in
-    for i = t to b - 1 do
-      elems.(i land (cap - 1)) <- old.elems.(i land old.mask)
-    done;
-    Atomic.set q.buf { elems; mask = cap - 1 }
-
-  (* Owner only. *)
-  let push q x =
-    let b = Atomic.get q.bottom and t = Atomic.get q.top in
-    let buf = Atomic.get q.buf in
-    let buf =
-      if b - t > buf.mask then begin
-        grow q b t;
-        Atomic.get q.buf
-      end
-      else buf
-    in
-    buf.elems.(b land buf.mask) <- x;
-    Atomic.set q.bottom (b + 1)
-
-  (* Owner only. *)
-  let pop q =
-    let b = Atomic.get q.bottom - 1 in
-    Atomic.set q.bottom b;
-    let t = Atomic.get q.top in
-    if b < t then begin
-      Atomic.set q.bottom t;
-      None
-    end
-    else begin
-      let buf = Atomic.get q.buf in
-      let x = buf.elems.(b land buf.mask) in
-      if b > t then Some x
-      else begin
-        (* Exactly one element left: race the thieves for it. *)
-        let won = Atomic.compare_and_set q.top t (t + 1) in
-        Atomic.set q.bottom (t + 1);
-        if won then Some x else None
-      end
-    end
-
-  (* Any domain. A lost CAS returns None; the thief picks another victim. *)
-  let steal q =
-    let t = Atomic.get q.top in
-    let b = Atomic.get q.bottom in
-    if t >= b then None
-    else begin
-      let buf = Atomic.get q.buf in
-      let x = buf.elems.(t land buf.mask) in
-      if Atomic.compare_and_set q.top t (t + 1) then Some x else None
-    end
-end
-
-(* --- The pool ------------------------------------------------------------- *)
-
-type task = unit -> unit
-
-type worker = {
-  deque : task Deque.t;
-  mutable victim_seed : int;  (* xorshift state for victim order; owner only *)
-}
-
-type pool = {
-  mutable n_workers : int;  (* spawned worker domains; under [lock] *)
-  targets : worker array Atomic.t;
-      (* every deque a thief may sweep: the spawned workers plus any
-         external caller currently inside a parallel_map (submitters own
-         a deque too — only an owner may push, so a caller scatters work
-         into its own deque and thieves pull from it) *)
-  lock : Mutex.t;
-  cond : Condition.t;
-  stamp : int Atomic.t;  (* submission epoch for the sleep protocol *)
-}
-
-let no_task : task = fun () -> ()
-
-let the_pool =
-  {
-    n_workers = 0;
-    targets = Atomic.make [||];
-    lock = Mutex.create ();
-    cond = Condition.create ();
-    stamp = Atomic.make 0;
-  }
-
-(* Which pool worker the current domain is, if any (a nested parallel_map
-   pushes onto its own deque). *)
-let self_key : worker option Domain.DLS.key = Domain.DLS.new_key (fun () -> None)
+(* Domain pool for flat sweeps: per batch, the caller and up to [jobs - 1]
+   freshly spawned helper domains claim cell indices from one atomic
+   cursor until the batch is exhausted. See DESIGN.md §15. *)
 
 let default_jobs () =
   match Sys.getenv_opt "VOLTRON_JOBS" with
@@ -133,166 +10,13 @@ let default_jobs () =
     | Some _ | None -> Domain.recommended_domain_count ())
   | None -> Domain.recommended_domain_count ()
 
-let next_victim w n =
-  (* xorshift step; it only has to spread thieves across victims. *)
-  let s = w.victim_seed in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = (s lxor (s lsl 17)) land max_int in
-  w.victim_seed <- s;
-  s mod n
-
-(* One random-start sweep over every target deque ([w]'s own included,
-   which is harmless: its owner only calls this with an empty deque). *)
-let try_steal pool w =
-  let ts = Atomic.get pool.targets in
-  let n = Array.length ts in
-  if n = 0 then None
-  else begin
-    let start = next_victim w n in
-    let rec sweep k =
-      if k = n then None
-      else
-        match Deque.steal ts.((start + k) mod n).deque with
-        | Some _ as t -> t
-        | None -> sweep (k + 1)
-    in
-    sweep 0
-  end
-
-let find_work pool w =
-  match Deque.pop w.deque with Some _ as t -> t | None -> try_steal pool w
-
-let worker_loop pool w () =
-  Domain.DLS.set self_key (Some w);
-  let rec loop () =
-    let s = Atomic.get pool.stamp in
-    match find_work pool w with
-    | Some t ->
-      t ();
-      loop ()
-    | None ->
-      (* Sleep protocol: submitters push tasks, then bump the stamp and
-         broadcast under the lock. Re-checking the stamp under the lock
-         before waiting closes the lost-wakeup window. *)
-      Mutex.lock pool.lock;
-      if Atomic.get pool.stamp = s then Condition.wait pool.cond pool.lock;
-      Mutex.unlock pool.lock;
-      loop ()
-  in
-  loop ()
-
 (* OCaml caps live domains (128 in the stock runtime); stay well below
    it and leave room for the caller and the rest of the host program. *)
-let max_workers = 112
+let max_helpers = 112
 
-let ensure_workers pool n =
-  let n = min n max_workers in
-  if pool.n_workers < n then begin
-    Mutex.lock pool.lock;
-    if pool.n_workers < n then begin
-      let fresh =
-        Array.init (n - pool.n_workers) (fun i ->
-            {
-              deque = Deque.create ~dummy:no_task;
-              victim_seed = (0x9E3779B9 * (pool.n_workers + i + 1)) lor 1;
-            })
-      in
-      pool.n_workers <- n;
-      Atomic.set pool.targets (Array.append (Atomic.get pool.targets) fresh);
-      Array.iter (fun w -> ignore (Domain.spawn (worker_loop pool w))) fresh
-    end;
-    Mutex.unlock pool.lock
-  end
-
-let register pool w =
-  Mutex.lock pool.lock;
-  Atomic.set pool.targets (Array.append (Atomic.get pool.targets) [| w |]);
-  Mutex.unlock pool.lock
-
-let deregister pool w =
-  Mutex.lock pool.lock;
-  Atomic.set pool.targets
-    (Array.of_list
-       (List.filter (fun w' -> w' != w) (Array.to_list (Atomic.get pool.targets))));
-  Mutex.unlock pool.lock
-
-let wake_all pool =
-  Mutex.lock pool.lock;
-  Atomic.incr pool.stamp;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.lock
-
-(* --- parallel_map ---------------------------------------------------------- *)
-
-type 'b batch = {
-  remaining : int Atomic.t;
-  failed : (exn * Printexc.raw_backtrace) option Atomic.t;
-  results : 'b option array;
-  emit : (int -> 'b -> unit) option;
-  emit_lock : Mutex.t;
-  mutable frontier : int;  (* next index to emit; under [emit_lock] *)
-}
-
-(* Advance the emit frontier past every contiguous completed cell. A
-   completing task locks [emit_lock] after writing its slot, so the scan
-   sees every slot whose task has reached the lock; a slot written but
-   not yet locked is caught by that task's own call. Exceptions from
-   [emit] are recorded like a failing cell (tasks must never raise —
-   they run inside the worker loop). *)
-let advance batch =
-  match batch.emit with
-  | None -> ()
-  | Some emit ->
-    Mutex.lock batch.emit_lock;
-    let n = Array.length batch.results in
-    (try
-       while
-         batch.frontier < n
-         && Atomic.get batch.failed = None
-         && batch.results.(batch.frontier) <> None
-       do
-         (match batch.results.(batch.frontier) with
-         | Some v -> emit batch.frontier v
-         | None -> assert false);
-         batch.frontier <- batch.frontier + 1
-       done
-     with e ->
-       let bt = Printexc.get_raw_backtrace () in
-       ignore (Atomic.compare_and_set batch.failed None (Some (e, bt))));
-    Mutex.unlock batch.emit_lock
-
-let run_cell batch f xs i =
-  (if Atomic.get batch.failed = None then
-     match f xs.(i) with
-     | v ->
-       batch.results.(i) <- Some v;
-       advance batch
-     | exception e ->
-       let bt = Printexc.get_raw_backtrace () in
-       ignore (Atomic.compare_and_set batch.failed None (Some (e, bt))));
-  Atomic.decr batch.remaining
-
-(* Busy-help loop: execute pending tasks (own deque first) until the
-   batch drains; back off to a short sleep when there is nothing to help
-   with, so a blocked caller does not starve the workers of a core. *)
-let help pool self batch =
-  let idle = ref 0 in
-  while Atomic.get batch.remaining > 0 do
-    match find_work pool self with
-    | Some t ->
-      idle := 0;
-      t ()
-    | None ->
-      incr idle;
-      if !idle < 32 then Domain.cpu_relax ()
-      else Unix.sleepf (if !idle < 256 then 50e-6 else 500e-6)
-  done
-
-let finish batch =
-  match Atomic.get batch.failed with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> Array.map (function Some v -> v | None -> assert false) batch.results
+(* Set while this domain takes part in a batch: a nested call runs
+   serially instead of spawning domains of its own. *)
+let in_batch : bool Domain.DLS.key = Domain.DLS.new_key (fun () -> false)
 
 let serial_map ?emit f xs =
   Array.mapi
@@ -305,45 +29,58 @@ let serial_map ?emit f xs =
 let parallel ?jobs ?emit f xs =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let n = Array.length xs in
-  if jobs <= 1 || n <= 1 then serial_map ?emit f xs
+  if jobs <= 1 || n <= 1 || Domain.DLS.get in_batch then serial_map ?emit f xs
   else begin
-    let pool = the_pool in
-    ensure_workers pool (jobs - 1);
-    let batch =
-      {
-        remaining = Atomic.make n;
-        failed = Atomic.make None;
-        results = Array.make n None;
-        emit;
-        emit_lock = Mutex.create ();
-        frontier = 0;
-      }
+    let cursor = Atomic.make 0 in
+    let failed = Atomic.make None in
+    let fail e =
+      let bt = Printexc.get_raw_backtrace () in
+      ignore (Atomic.compare_and_set failed None (Some (e, bt)))
     in
-    let task i () = run_cell batch f xs i in
-    (* Push in reverse so the owner pops index 0 first (work-first, and
-       the emit frontier advances early) while thieves steal from the
-       high-index end. *)
-    (match Domain.DLS.get self_key with
-    | Some w ->
-      (* Nested call from a pool worker: child tasks go onto our own
-         deque — the Cilk child-stealing shape. *)
-      for i = n - 1 downto 0 do
-        Deque.push w.deque (task i)
-      done;
-      wake_all pool;
-      help pool w batch
-    | None ->
-      (* External caller: submit through a deque of our own (only an
-         owner may push), visible to thieves while the batch runs. *)
-      let self = { deque = Deque.create ~dummy:no_task; victim_seed = 0x2545F491 } in
-      register pool self;
-      for i = n - 1 downto 0 do
-        Deque.push self.deque (task i)
-      done;
-      wake_all pool;
-      help pool self batch;
-      deregister pool self);
-    finish batch
+    let results = Array.make n None in
+    let emit_lock = Mutex.create () in
+    let frontier = ref 0 in
+    (* Emit every contiguous completed cell past the frontier. A cell's
+       domain writes its slot before taking the lock, so a slot this scan
+       misses is emitted by that domain's own call. An exception from
+       [emit] fails the batch like a failing cell. *)
+    let advance emit =
+      let rec go () =
+        if !frontier < n && Atomic.get failed = None then
+          match results.(!frontier) with
+          | Some v ->
+            emit !frontier v;
+            incr frontier;
+            go ()
+          | None -> ()
+      in
+      Mutex.protect emit_lock (fun () -> try go () with e -> fail e)
+    in
+    let rec work () =
+      let i = Atomic.fetch_and_add cursor 1 in
+      if i < n && Atomic.get failed = None then begin
+        (match f xs.(i) with
+        | v ->
+          results.(i) <- Some v;
+          Option.iter advance emit
+        | exception e -> fail e);
+        work ()
+      end
+    in
+    let take_part () =
+      Domain.DLS.set in_batch true;
+      work ();
+      Domain.DLS.set in_batch false
+    in
+    let helpers =
+      List.init (min max_helpers (min (jobs - 1) (n - 1))) (fun _ ->
+          Domain.spawn take_part)
+    in
+    take_part ();
+    List.iter Domain.join helpers;
+    match Atomic.get failed with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> Array.map Option.get results
   end
 
 let parallel_map ?jobs f xs = parallel ?jobs f xs

@@ -1,22 +1,17 @@
-(** Domain-based work-stealing pool for campaign sweeps.
+(** Domain pool for campaign sweeps: one index cursor per batch.
 
-    A fixed pool of OCaml 5 [Domain]s, one Chase-Lev-style deque per
-    worker, randomized victim selection, and a child-stealing submission
-    discipline: a worker that opens a nested {!parallel_map} pushes the
-    sub-tasks onto its own deque and executes them newest-first while
-    idle workers steal oldest-first from the other end.
-
-    The pool is a process-wide singleton, created lazily on the first
-    parallel call and grown (never shrunk) to [jobs - 1] worker domains;
-    the calling domain is always the remaining participant. Idle workers
-    sleep on a condition variable, so an idle pool costs nothing between
-    sweeps.
+    Each parallel call is one batch. The caller and up to [jobs - 1]
+    helper domains, spawned for the batch and joined at its end, claim
+    cell indices in order from one shared atomic cursor until the batch
+    is exhausted. No domain outlives its batch, so nothing idles between
+    sweeps and a batch never runs more than [jobs] cells at once. A call
+    made from inside a cell runs serially in that cell's domain.
 
     Determinism contract: {!parallel_map} writes each result into its
     input slot, so the output order never depends on the completion
-    order, and [jobs = 1] bypasses the pool entirely — a plain
-    left-to-right [Array.map], the bit-identical serial reference every
-    parallel sweep is compared against. *)
+    order, and [jobs = 1] spawns nothing — a plain left-to-right
+    [Array.map], the bit-identical serial reference every parallel sweep
+    is compared against. *)
 
 val default_jobs : unit -> int
 (** Worker budget when the caller does not pass [?jobs]: the
@@ -25,22 +20,18 @@ val default_jobs : unit -> int
 
 val parallel_map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 (** [parallel_map ~jobs f xs] is [Array.map f xs] computed by up to
-    [jobs] domains (the caller plus [jobs - 1] pool workers). Results
-    are in input order regardless of completion order.
+    [jobs] domains (the caller plus [jobs - 1] helpers, at most 112).
+    Results are in input order regardless of completion order.
 
-    [jobs] defaults to {!default_jobs}. With [jobs <= 1] (or fewer than
-    two elements) no pool is touched: the map runs serially,
-    left-to-right, in the calling domain.
+    [jobs] defaults to {!default_jobs}. With [jobs <= 1], fewer than two
+    elements, or a call from inside another batch's cell, the map runs
+    serially, left-to-right, in the calling domain.
 
-    [f] runs concurrently on arbitrary domains: it must not touch shared
+    [f] runs concurrently on several domains: it must not touch shared
     mutable state. If one or more applications raise, the remaining
-    unstarted tasks are skipped and the first exception recorded is
+    unstarted cells are skipped and the first exception recorded is
     re-raised in the caller (with its backtrace) after every started
-    task has finished.
-
-    Nested calls are safe: a worker that opens an inner [parallel_map]
-    helps execute pending tasks (its own first, then stolen ones) while
-    it waits, so the pool cannot deadlock on nesting. *)
+    cell has finished. *)
 
 val parallel_map_emit :
   ?jobs:int -> emit:(int -> 'b -> unit) -> ('a -> 'b) -> 'a array -> 'b array

@@ -1,10 +1,11 @@
-(* The work-stealing pool (lib/pool): the determinism contract — results
-   by input index, jobs=1 as the serial reference, frontier-ordered emit
-   — plus the concurrency behaviours a deadlock or lost task would break:
-   exception propagation, nesting from worker domains, reuse after
-   failure. The last two groups close the loop at the user level: a
-   differential matrix and a whole fuzz campaign must be identical
-   between -j 1 and -j 4, transcripts included. *)
+(* The domain pool (lib/pool): the determinism contract — results by
+   input index, jobs=1 as the serial reference, frontier-ordered emit —
+   plus the concurrency behaviours a deadlock or lost cell would break:
+   exception propagation, nested calls from inside a cell, reuse after
+   failure, and the [jobs] bound on cells running at once. The last two
+   groups close the loop at the user level: a differential matrix and a
+   whole fuzz campaign must be identical between -j 1 and -j 4,
+   transcripts included. *)
 
 module Pool = Voltron_pool.Pool
 module Campaign = Voltron_gen.Campaign
@@ -103,13 +104,38 @@ let test_emit_exception_propagates () =
   Alcotest.(check bool) "usable after emit failure" true (r = [| 2; 3; 4 |])
 
 let test_nested () =
-  (* Outer cells run on worker domains; each runs its own parallel_map.
-     Child tasks go onto the worker's own deque, so this must neither
-     deadlock nor lose results. *)
+  (* Outer cells run on the batch's domains; each opens its own
+     parallel_map, which runs serially in that domain, so this must
+     neither deadlock nor lose results. *)
   let inner x = Pool.parallel_map ~jobs:4 (fun y -> x + y) (Array.init 50 (fun i -> i)) in
   let outer = Pool.parallel_map ~jobs:4 inner (Array.init 8 (fun i -> i * 100)) in
   let expect = Array.init 8 (fun i -> Array.init 50 (fun j -> (i * 100) + j)) in
   Alcotest.(check bool) "nested results" true (outer = expect)
+
+(* A batch never runs more than [jobs] cells at once, also when an
+   earlier batch asked for more domains. *)
+let test_jobs_bound () =
+  let peak_of jobs =
+    let running = Atomic.make 0 and peak = Atomic.make 0 in
+    let cell _ =
+      let now = Atomic.fetch_and_add running 1 + 1 in
+      let rec raise_peak () =
+        let p = Atomic.get peak in
+        if now > p && not (Atomic.compare_and_set peak p now) then raise_peak ()
+      in
+      raise_peak ();
+      Unix.sleepf 0.002;
+      Atomic.decr running
+    in
+    ignore (Pool.parallel_map ~jobs cell (Array.make 64 ()));
+    Atomic.get peak
+  in
+  let peak4 = peak_of 4 in
+  Alcotest.(check bool) "jobs=4 runs at most 4 cells at once" true (peak4 <= 4);
+  let peak2 = peak_of 2 in
+  Alcotest.(check bool)
+    (Printf.sprintf "jobs=2 after jobs=4 peaks at %d <= 2" peak2)
+    true (peak2 <= 2)
 
 let test_default_jobs_env () =
   let saved = Sys.getenv_opt "VOLTRON_JOBS" in
@@ -175,6 +201,7 @@ let () =
           Alcotest.test_case "emit exception propagates" `Quick
             test_emit_exception_propagates;
           Alcotest.test_case "nested maps" `Quick test_nested;
+          Alcotest.test_case "jobs bounds running cells" `Quick test_jobs_bound;
           Alcotest.test_case "default_jobs env override" `Quick
             test_default_jobs_env;
         ] );
