@@ -612,15 +612,20 @@ let check_cmd =
       $ scale_arg $ json_arg $ jobs_arg)
 
 let disasm_cmd =
-  let disasm bench file cores strategy scale =
+  let disasm bench file cores strategy scale no_check =
     or_check_failure @@ fun () ->
     let _, p = resolve_program bench file scale in
     let machine = Config.default ~n_cores:cores in
-    let compiled = Driver.compile ~machine ~choice:(choice_of_string strategy) p in
+    let compiled =
+      Driver.compile ~machine ~choice:(choice_of_string strategy)
+        ~check:(not no_check) p
+    in
     Format.printf "%a" Voltron_isa.Program.pp compiled.Driver.executable
   in
   Cmd.v (Cmd.info "disasm" ~doc:"Disassemble the generated per-core code.")
-    Term.(const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg)
+    Term.(
+      const disasm $ bench_arg $ file_arg $ cores_arg $ strategy_arg $ scale_arg
+      $ no_check_arg)
 
 let asm_cmd =
   let asm file cores =

@@ -13,10 +13,11 @@ type t = {
   max_cycles : int;
   watchdog : int;
   fault : Voltron_fault.Fault.config;
-  (* Skip over windows where every core is provably blocked until a known
-     future cycle, bulk-crediting the skipped stall cycles (Machine's stall
-     fast-forward). Architecturally invisible; off keeps the reference
-     per-cycle path for differential testing. *)
+  (* Skip each stalled core until the first cycle its verdict can change,
+     and the whole machine when no core is due, crediting the skipped
+     cycles in one update (Machine's stall fast-forward). Architecturally
+     invisible; off keeps the reference per-cycle path for differential
+     testing. *)
   fast_forward : bool;
 }
 

@@ -18,7 +18,8 @@ type t = {
   watchdog : int;  (** abort after this many cycles without progress *)
   fault : Voltron_fault.Fault.config;  (** injection + recovery parameters *)
   fast_forward : bool;
-      (** skip provably-dead stall windows in the simulator, bulk-crediting
+      (** skip provably-dead stall windows in the simulator (per stalled
+          core, and for the whole machine when no core is due), crediting
           the skipped cycles to the same stall kinds and attribution cells
           the per-cycle path would record (architecturally invisible; the
           machine auto-falls back to per-cycle stepping whenever a tracer,

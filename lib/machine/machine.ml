@@ -40,7 +40,7 @@ type blame_event =
 
 type probe = {
   on_core_cycles :
-    core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit;
+    core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit;
   on_event : (Trace.event -> unit) option;
   every_cycle : (now:int -> unit) option;
 }
@@ -123,6 +123,15 @@ type core_state = {
      one lookup per cycle. *)
   mutable dec_pc : int;
   mutable dec : Image.decoded;
+  (* Deferred credit (decoupled mode under fast-forward). The sweep skips
+     the core until cycle [due], the first cycle its verdict can change
+     ([max_int]: only an event can change it); the cycles from [owed_from]
+     on are owed to it with the verdict it was skipped on — [deferred] when
+     Running, idle when Asleep or Halted — and are credited in one report
+     by [settle]. [owed_from = max_int]: nothing is owed. *)
+  mutable due : int;
+  mutable owed_from : int;
+  mutable deferred : wait;
 }
 
 type t = {
@@ -156,14 +165,22 @@ type t = {
   (* Stall fast-forward (Config.fast_forward). [ff_active] is resolved once
      at run entry: on unless something must see every cycle (a probe's
      [on_event] or [every_cycle], the fault injector — core-cycle reports
-     take bulk credit). [wake] is a scratch out-parameter of [blocker]: the
-     first cycle its verdict can change. [sc_wait]/[sc_waiting] are per-core
-     scratch for the step functions, preallocated to stay off the per-cycle
-     allocation path. *)
+     take deferred credit). [wake] is a scratch out-parameter of [blocker]:
+     the first cycle its verdict can change. [sweep_next] is the first core
+     the current decoupled sweep has not reached ([n] outside a sweep), so a
+     mid-sweep [stats] read settles each core exactly as far as the
+     per-cycle sweep would have credited it. [sc_wait]/[sc_waiting] are
+     per-core scratch for the coupled step, preallocated to stay off the
+     per-cycle allocation path. *)
   mutable ff_active : bool;
   mutable wake : int;
+  mutable sweep_next : int;
   sc_wait : wait option array;
   sc_waiting : bool array;
+  (* The blocker's verdicts that carry a core number, built once:
+     [recv_waits.(3 * sender + class)] and [send_full_waits.(target)]. *)
+  recv_waits : wait option array;
+  send_full_waits : wait option array;
 }
 
 let initial_regs = 64
@@ -182,6 +199,11 @@ let no_decoded =
   let b = Image.builder () in
   Image.emit b Bundle.empty;
   Image.decoded (Image.finish b) 0
+
+(* The stall kind of each RECV class, indexed by [recv_class]. *)
+let recv_kinds = [| Stats.Recv_data; Stats.Recv_pred; Stats.Sync |]
+
+let recv_class = function Inst.Rv_data -> 0 | Inst.Rv_pred -> 1 | Inst.Rv_sync -> 2
 
 let fresh_core cfg image id =
   {
@@ -205,6 +227,9 @@ let fresh_core cfg image id =
     snap_gen = 0;
     dec_pc = -1;
     dec = no_decoded;
+    due = 0;
+    owed_from = max_int;
+    deferred = W_asleep;
   }
 
 (* The decoded bundle at the core's pc, through the core's decode cache. *)
@@ -275,8 +300,13 @@ let create cfg (prog : Program.t) =
       on_window = None;
       ff_active = false;
       wake = max_int;
+      sweep_next = cfg.n_cores;
       sc_wait = Array.make cfg.n_cores None;
       sc_waiting = Array.make cfg.n_cores false;
+      recv_waits =
+        Array.init (3 * cfg.n_cores) (fun i ->
+            Some (W_recv { sender = i / 3; kind = recv_kinds.(i mod 3) }));
+      send_full_waits = Array.init cfg.n_cores (fun c -> Some (W_send_full c));
     }
   in
   (* Core 0's first fetch starts at cycle 0. *)
@@ -284,7 +314,6 @@ let create cfg (prog : Program.t) =
   t
 
 let memory t = t.mem
-let stats t = t.st
 let coherence t = t.hier
 let network t = t.net
 let tm t = t.tm
@@ -293,7 +322,7 @@ let mode t = t.mode
 
 let null_probe =
   {
-    on_core_cycles = (fun ~core:_ ~pc:_ ~k:_ ~redo:_ _ -> ());
+    on_core_cycles = (fun ~core:_ ~pc:_ ~k:_ ~upto:_ ~redo:_ _ -> ());
     on_event = None;
     every_cycle = None;
   }
@@ -349,13 +378,6 @@ let reg t ~core r = read_reg t.cores.(core) r
 
 (* --- Stall analysis ------------------------------------------------------ *)
 
-let producer_stall = function
-  | P_load -> Stats.D_stall
-  | P_recv_data -> Stats.Recv_data
-  | P_recv_pred -> Stats.Recv_pred
-  | P_getb -> Stats.Sync
-  | P_other -> Stats.Lat_stall
-
 let stall_of_wait = function
   | W_reg k -> k
   | W_ifetch -> Stats.I_stall
@@ -406,10 +428,12 @@ let wait_of_status = function
 
    Every core-cycle is classified exactly once, through one of the five
    functions below: each updates [Stats] and reports to the probe, [k]
-   identical cycles at a time ([k > 1] only from a fast-forward bulk
-   credit). Stalls and issues are also trace events; [on_event] turns
-   fast-forward off, so it only ever sees [k = 1]. With no probe attached
-   each site costs one branch and allocates nothing. *)
+   identical cycles ending at cycle [upto] at a time ([k > 1] only under
+   fast-forward: a deferred credit, a coupled group-stall window or a
+   status wait across a whole-machine jump). Stalls and issues are also
+   trace events; [on_event] turns fast-forward off, so it only ever sees
+   [k = 1] at [upto = t.now]. With no probe attached each site costs one
+   branch and allocates nothing. *)
 
 let trace_stall t cs (p : probe) kind =
   match p.on_event with
@@ -417,40 +441,42 @@ let trace_stall t cs (p : probe) kind =
   | Some f -> f (Trace.Stall { cycle = t.now; core = cs.id; kind })
 
 (* A running core blocked on its own wait [w]. *)
-let credit_wait t cs w k =
+let credit_wait t cs w ~k ~upto =
   let kind = stall_of_wait w in
   Stats.add_stall t.st ~core:cs.id kind k;
   match t.probe with
   | None -> ()
   | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial (Blame_wait w);
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial
+      (Blame_wait w);
     trace_stall t cs p kind
 
 (* A core whose status is the wait — at a barrier or commit round, queued
-   for the serial token, or wedged: a sync stall. *)
+   for the serial token, or wedged: a sync stall. Always credited at the
+   current cycle, because its blame edge reads the peers' status now. *)
 let credit_status t cs k =
   Stats.add_stall t.st ~core:cs.id Stats.Sync k;
   match t.probe with
   | None -> ()
   | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:cs.tm_serial
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
       (Blame_wait (wait_of_status cs.status));
     trace_stall t cs p Stats.Sync
 
 (* An issueable coupled core held by the stall bus: charged with the
    peers' dominant stall [kind], the lock-step overhead the coupled mode
    pays. *)
-let credit_lockstep t cs kind =
-  Stats.add_stall t.st ~core:cs.id kind 1;
+let credit_lockstep t cs kind k =
+  Stats.add_stall t.st ~core:cs.id kind k;
   match t.probe with
   | None -> ()
   | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k:1 ~redo:cs.tm_serial
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
       (Blame_lockstep { b_kind = kind });
     trace_stall t cs p kind
 
 (* An asleep or halted core. *)
-let credit_idle t cs k =
+let credit_idle t cs ~k ~upto =
   let core_st = Stats.core t.st cs.id in
   core_st.idle <- core_st.idle + k;
   match t.probe with
@@ -459,7 +485,7 @@ let credit_idle t cs k =
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
     let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~redo:false (Blame_wait w)
+    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:false (Blame_wait w)
 
 (* A core that issued the bundle [d] at [pc]; [redo] marks serial TM
    re-execution work. *)
@@ -474,13 +500,70 @@ let credit_busy t cs ~pc ~redo (d : Image.decoded) =
   match t.probe with
   | None -> ()
   | Some p -> (
-    p.on_core_cycles ~core:cs.id ~pc ~k:1 ~redo Blame_busy;
+    p.on_core_cycles ~core:cs.id ~pc ~k:1 ~upto:t.now ~redo Blame_busy;
     match p.on_event with
     | None -> ()
     | Some f ->
       f
         (Trace.Issue
            { cycle = t.now; core = cs.id; pc; ops = d.Image.d_real_ops }))
+
+(* Credit the cycles core [cs] is owed, through [upto], in one report: the
+   verdict it was skipped on still holds for all of them (its status is
+   unchanged while it is skipped). *)
+let settle t cs upto =
+  if upto >= cs.owed_from then begin
+    let k = upto - cs.owed_from + 1 in
+    cs.owed_from <- upto + 1;
+    match cs.status with
+    | Running -> credit_wait t cs cs.deferred ~k ~upto
+    | Asleep | Halted -> credit_idle t cs ~k ~upto
+    | At_barrier _ | At_commit | Wait_serial | Stuck _ -> assert false
+  end
+
+(* Settle every core through the last simulated cycle: a core the current
+   sweep has already passed through [t.now], the rest through the cycle
+   before (their verdict for [t.now] is not known yet). *)
+let settle_all t =
+  let last = min t.now t.cfg.Config.max_cycles in
+  for i = 0 to Array.length t.cores - 1 do
+    settle t t.cores.(i) (if i < t.sweep_next then last else last - 1)
+  done
+
+(* An event that can change core [c]'s verdict: it is due this cycle if
+   the sweep has yet to reach it, else next cycle. *)
+let make_due t c =
+  let cs = t.cores.(c) in
+  if cs.due > t.now then cs.due <- t.now
+
+let make_all_due t =
+  for c = 0 to Array.length t.cores - 1 do
+    make_due t c
+  done
+
+let stats t =
+  settle_all t;
+  t.st
+
+(* The blocker's verdicts, allocation-free (see [recv_waits]); only a peer
+   outside the machine, which unchecked assembly can name, gets a fresh
+   one. *)
+let recv_wait t ~sender kind =
+  if sender >= 0 && sender < Array.length t.cores then
+    t.recv_waits.((3 * sender) + recv_class kind)
+  else Some (W_recv { sender; kind = recv_kinds.(recv_class kind) })
+
+let send_full_wait t target =
+  if target >= 0 && target < Array.length t.cores then t.send_full_waits.(target)
+  else Some (W_send_full target)
+
+(* A scoreboard wait; each arm is a static constant. *)
+let reg_wait = function
+  | P_load -> Some (W_reg Stats.D_stall)
+  | P_recv_data -> Some (W_reg Stats.Recv_data)
+  | P_recv_pred -> Some (W_reg Stats.Recv_pred)
+  | P_getb -> Some (W_reg Stats.Sync)
+  | P_other -> Some (W_reg Stats.Lat_stall)
 
 (* First reason the core cannot issue its current bundle this cycle, or
    [None] when it can. Architecturally side-effect-free; as an
@@ -491,9 +574,9 @@ let credit_busy t cs ~pc ~redo (d : Image.decoded) =
    Wake times that need a network walk are only computed under
    [t.ff_active]; event-driven waits report [max_int]. *)
 (* The per-op and per-register scans are toplevel functions threading
-   their context as arguments: the blocker runs for every running core
-   every cycle, and a local closure here would cost ~20 heap words per
-   core-cycle. *)
+   their context as arguments: the blocker runs for every due running
+   core every cycle, and a local closure here would cost ~20 heap words
+   per core-cycle. *)
 let blocker_check_op t cs now op =
   match op with
   | Inst.Load _ | Inst.Store _ ->
@@ -513,16 +596,7 @@ let blocker_check_op t cs now op =
     else begin
       if t.ff_active then
         t.wake <- Net.next_value_ready t.net ~core:cs.id ~sender;
-      Some
-        (W_recv
-           {
-             sender;
-             kind =
-               (match kind with
-               | Inst.Rv_data -> Stats.Recv_data
-               | Inst.Rv_pred -> Stats.Recv_pred
-               | Inst.Rv_sync -> Stats.Sync);
-           })
+      recv_wait t ~sender kind
     end
   | Inst.Getb _ ->
     if Net.getb_ready t.net ~now ~core:cs.id then None
@@ -535,7 +609,7 @@ let blocker_check_op t cs now op =
     then begin
       (* Drains only when the receiver issues its RECV — event-driven. *)
       t.wake <- max_int;
-      Some (W_send_full target)
+      send_full_wait t target
     end
     else None
   | Inst.Alu _ | Inst.Fpu _ | Inst.Cmp _ | Inst.Select _ | Inst.Mov _
@@ -550,7 +624,7 @@ let rec blocker_reg_loop t cs now (u : int array) j =
     let r = u.(j) in
     if cs.ready.(r) > now then begin
       t.wake <- cs.ready.(r);
-      Some (W_reg (producer_stall cs.prod.(r)))
+      reg_wait cs.prod.(r)
     end
     else blocker_reg_loop t cs now u (j + 1)
 
@@ -623,7 +697,8 @@ let exec_comm_out t cs op =
         (Printf.sprintf "core %d cycle %d: %s" cs.id now
            (Net.error_to_string (Net.Put_failed { src_core = cs.id; error = e }))))
   | Inst.Bcast { src } ->
-    Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src)
+    Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src);
+    make_all_due t
   | Inst.Send { target; src } -> (
     let payload = Net.Value (read_operand cs src) in
     (* Not routed through [emit]: SENDs are frequent. *)
@@ -632,13 +707,14 @@ let exec_comm_out t cs op =
       f (Trace.Sent { cycle = now; src = cs.id; dst = target })
     | Some _ | None -> ());
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> ()
+    | Ok () -> make_due t target
     | Error Net.Channel_full ->
       (* Overflow NACK: the send is parked and retried with backoff rather
          than wedging the machine (can only arise under fault injection,
          where a retrying message holds its channel slot longer than the
          occupancy the issue check saw). *)
-      Net.defer t.net ~now ~src:cs.id ~dst:target payload
+      Net.defer t.net ~now ~src:cs.id ~dst:target payload;
+      make_due t target
     | Error (Net.Bad_destination _ as e) ->
       failwith
         (Printf.sprintf "core %d cycle %d: %s" cs.id now
@@ -649,8 +725,10 @@ let exec_comm_out t cs op =
     emit t (Trace.Spawned { cycle = t.now; by = cs.id; target });
     let payload = Net.Start addr in
     match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> ()
-    | Error Net.Channel_full -> Net.defer t.net ~now ~src:cs.id ~dst:target payload
+    | Ok () -> make_due t target
+    | Error Net.Channel_full ->
+      Net.defer t.net ~now ~src:cs.id ~dst:target payload;
+      make_due t target
     | Error (Net.Bad_destination _ as e) ->
       failwith
         (Printf.sprintf "core %d cycle %d: %s" cs.id now
@@ -762,6 +840,8 @@ let exec_main t cs (d : Image.decoded) i : int option =
       | Some { on_event = Some f; _ } ->
         f (Trace.Recvd { cycle = now; core = cs.id; sender })
       | Some _ | None -> ());
+      (* The sender may be blocked on this channel's capacity. *)
+      make_due t sender;
       let prod =
         match kind with
         | Inst.Rv_data -> P_recv_data
@@ -830,27 +910,26 @@ let finish_issue t cs (d : Image.decoded) =
     cs.pc <- (match target with Some tgt -> tgt | None -> cs.pc + 1));
   credit_busy t cs ~pc:issued_pc ~redo:was_redo d
 
-(* --- Per-cycle stepping --------------------------------------------------- *)
+(* --- Per-cycle stepping and stall fast-forward ----------------------------
 
-let try_wake t cs =
-  (match Net.take_start t.net ~now:t.now ~core:cs.id with
-  | Some addr ->
-    cs.pc <- addr;
-    cs.status <- Running;
-    initiate_fetch t cs
-  | None -> ());
-  credit_idle t cs 1
+   Under fast-forward a decoupled core is evaluated only when it is due:
+   at the first cycle its verdict can change. A blocked core is due at its
+   blocker's wake (the expiry of its FIRST failing condition in scan order
+   — scoreboard thresholds and message arrival times are fixed until then,
+   because only the core's own issue moves them), an asleep core when a
+   START can first be taken, a halted core never. Between evaluations the
+   sweep skips it and its cycles are owed, with the verdict it was skipped
+   on, until [settle] credits them in one report: when the core is next
+   evaluated, when [stats] is read, or at the end of [run]. The events
+   that can change a skipped core's verdict make it due at once
+   ([make_due]): a SEND or SPAWN to it, a RECV draining a channel it may be
+   blocked sending on, a START taken, a BCAST. Status waits (barrier,
+   commit, serial, stuck) are credited per cycle, since their blame edge
+   reads the peers' status. When no core is due the whole machine jumps to
+   the earliest due cycle, crediting only the status waits.
 
-(* --- Stall fast-forward ----------------------------------------------------
-
-   When no core can change machine state this cycle, every per-cycle
-   verdict is frozen until the expiry of its core's first failing
-   condition (scoreboard thresholds and message arrival times are fixed
-   while nothing issues, and event-driven waits cannot clear on their
-   own). The step functions detect that configuration, credit the whole
-   window's stalls/idles in one bulk update through the very same credit
-   functions, and jump [t.now] to the window end — bit-identical to
-   stepping each cycle, minus the wall-clock. *)
+   Without fast-forward every core is due every cycle, so the same sweep
+   is the per-cycle reference the differential tests compare against. *)
 
 (* Last cycle of the window starting at [t.now]: the cycle before the
    earliest verdict change, clipped so Out_of_cycles and the watchdog fire
@@ -861,23 +940,25 @@ let window_end t ~min_wake =
   min (min_wake - 1)
     (min t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
 
-(* Credit [k] cycles of core [i] in the frozen configuration captured in
-   [sc_wait]: exactly what [k] repetitions of the per-cycle sweep would
-   record for it. *)
-let credit_frozen t i k =
-  let cs = t.cores.(i) in
-  match cs.status with
-  | Halted | Asleep -> credit_idle t cs k
-  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs k
-  | Running -> (
-    match t.sc_wait.(i) with
-    | Some w -> credit_wait t cs w k
-    | None -> assert false)
+(* Skip the core until [due]; it owes the cycles after this one. *)
+let defer t cs due =
+  if t.ff_active then begin
+    cs.due <- max (t.now + 1) due;
+    cs.owed_from <- t.now + 1
+  end
 
-let bulk_credit t k =
-  for i = 0 to Array.length t.cores - 1 do
-    credit_frozen t i k
-  done
+let try_wake t cs =
+  match Net.take_start t.net ~now:t.now ~core:cs.id with
+  | Some addr ->
+    cs.pc <- addr;
+    cs.status <- Running;
+    initiate_fetch t cs;
+    (* The spawner may be blocked on the START's channel capacity. *)
+    make_all_due t;
+    credit_idle t cs ~k:1 ~upto:t.now
+  | None ->
+    credit_idle t cs ~k:1 ~upto:t.now;
+    defer t cs (Net.next_start_ready t.net ~core:cs.id)
 
 (* Issue one decoupled core's bundle: snapshot, phase 1 (communication
    out), phase 2. *)
@@ -887,79 +968,70 @@ let issue_decoupled t cs =
   exec_comm_outs t cs d;
   finish_issue t cs d
 
+(* Evaluate a due decoupled core: settle what it is owed, then run its
+   cycle. *)
 let decoupled_core_step t cs =
+  settle t cs (t.now - 1);
+  cs.owed_from <- max_int;
+  cs.due <- t.now + 1;
   match cs.status with
-  | Halted -> credit_idle t cs 1
+  | Halted ->
+    credit_idle t cs ~k:1 ~upto:t.now;
+    defer t cs max_int
   | Asleep -> try_wake t cs
-  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs 1
   | Running -> (
+    t.wake <- max_int;
     match blocker t cs with
-    | Some w -> credit_wait t cs w 1
+    | Some w ->
+      credit_wait t cs w ~k:1 ~upto:t.now;
+      cs.deferred <- w;
+      defer t cs t.wake
     | None -> issue_decoupled t cs)
+  | Wait_serial | At_barrier _ | At_commit | Stuck _ -> assert false
+
+(* The earliest due cycle over the cores that are not in a status wait. *)
+let min_due (cores : core_state array) =
+  let m = ref max_int in
+  for i = 0 to Array.length cores - 1 do
+    let cs = cores.(i) in
+    match cs.status with
+    | Running | Asleep | Halted -> if cs.due < !m then m := cs.due
+    | Wait_serial | At_barrier _ | At_commit | Stuck _ -> ()
+  done;
+  !m
 
 (* Decoupled: each core progresses independently, in core order — a core's
    issue is visible to later cores' checks within the same cycle. *)
 let decoupled_step t =
   let cores = t.cores in
   let n = Array.length cores in
-  if not t.ff_active then
+  let now = t.now in
+  let due = if t.ff_active then min_due cores else now in
+  if due > now then begin
+    (* No core is due: nothing can change machine state before [due], so
+       the window runs to the cycle before it. Skipped cores keep owing;
+       status waits are frozen and take the window in one credit. *)
+    let e = window_end t ~min_wake:due in
+    let k = e - now + 1 in
+    t.st.decoupled_cycles <- t.st.decoupled_cycles + (k - 1);
+    t.now <- e;
     for i = 0 to n - 1 do
-      decoupled_core_step t cores.(i)
+      let cs = cores.(i) in
+      match cs.status with
+      | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs k
+      | Running | Asleep | Halted -> ()
     done
+  end
   else begin
-    (* Probe for a fast-forward window: per-core verdicts in core order,
-       stopping at the first core that would change machine state this
-       cycle. [blocker] is effect-free, so the probed verdicts for the
-       frozen prefix are exactly what the sequential sweep computes. *)
-    let live = ref (-1) in
-    let min_wake = ref max_int in
-    let i = ref 0 in
-    while !live < 0 && !i < n do
-      let cs = cores.(!i) in
-      (match cs.status with
-      | Halted | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-        t.sc_wait.(!i) <- None
-      | Asleep ->
-        t.sc_wait.(!i) <- None;
-        let w = Net.next_start_ready t.net ~core:cs.id in
-        if w <= t.now then live := !i
-        else if w < !min_wake then min_wake := w
-      | Running -> (
-        t.wake <- max_int;
-        match blocker t cs with
-        | None -> live := !i
-        | Some _ as b ->
-          t.sc_wait.(!i) <- b;
-          if t.wake < !min_wake then min_wake := t.wake));
-      if !live < 0 then incr i
+    for i = 0 to n - 1 do
+      let cs = cores.(i) in
+      t.sweep_next <- i;
+      match cs.status with
+      | Wait_serial | At_barrier _ | At_commit | Stuck _ -> credit_status t cs 1
+      | Running | Asleep | Halted ->
+        if cs.due <= now then decoupled_core_step t cs
     done;
-    if !live < 0 then begin
-      let e = window_end t ~min_wake:!min_wake in
-      let k = e - t.now + 1 in
-      if k > 1 then begin
-        t.st.decoupled_cycles <- t.st.decoupled_cycles + (k - 1);
-        t.now <- e
-      end;
-      bulk_credit t k
-    end
-    else begin
-      (* Replay the frozen prefix for this one cycle (an asleep prefix core
-         has no deliverable START, so its [try_wake] is just an idle), then
-         run the state-changing sweep from the live core onward. A running
-         live core's [None] verdict still holds (the replay changes no
-         machine state), so it issues without a second [blocker]. *)
-      for j = 0 to !live - 1 do
-        credit_frozen t j 1
-      done;
-      let cs = cores.(!live) in
-      (match cs.status with
-      | Running -> issue_decoupled t cs
-      | Asleep | Halted | Wait_serial | At_barrier _ | At_commit | Stuck _ ->
-        decoupled_core_step t cs);
-      for j = !live + 1 to n - 1 do
-        decoupled_core_step t cores.(j)
-      done
-    end
+    t.sweep_next <- n
   end
 
 (* Coupled: lock-step with the stall bus — either every running core
@@ -971,7 +1043,6 @@ let coupled_step t =
   let cores = t.cores in
   let n = Array.length cores in
   let n_blocked = ref 0 in
-  let any_running_unblocked = ref false in
   let has_d = ref false and has_i = ref false in
   let first_kind = ref Stats.Sync in
   let min_wake = ref max_int in
@@ -982,9 +1053,7 @@ let coupled_step t =
     | Running -> (
       t.wake <- max_int;
       match blocker t cs with
-      | None ->
-        t.sc_wait.(i) <- None;
-        any_running_unblocked := true
+      | None -> t.sc_wait.(i) <- None
       | Some w as b ->
         t.sc_wait.(i) <- b;
         let k = stall_of_wait w in
@@ -1003,65 +1072,65 @@ let coupled_step t =
       failwith
         (Printf.sprintf "core %d in unexpected state during coupled mode" cs.id)
   done;
-  let bulked =
-    !n_blocked > 0 && t.ff_active && not !any_running_unblocked
+  let k =
+    if !n_blocked > 0 then begin
+      (* Group stall: nothing issues, so every blocked verdict, every held
+         core and the dominant kind stay frozen until the earliest blocked
+         core's wake; under fast-forward the stall is one window credited
+         once. A core with its own reason records it; the rest record the
+         peers' dominant reason (D over I over the first in core order). *)
+      let k =
+        if t.ff_active then begin
+          let e = window_end t ~min_wake:!min_wake in
+          let k = e - t.now + 1 in
+          t.st.coupled_cycles <- t.st.coupled_cycles + (k - 1);
+          t.now <- e;
+          k
+        end
+        else 1
+      in
+      let dominant =
+        if !has_d then Stats.D_stall
+        else if !has_i then Stats.I_stall
+        else !first_kind
+      in
+      for i = 0 to n - 1 do
+        let cs = cores.(i) in
+        if is_running cs then
+          match t.sc_wait.(i) with
+          | Some w -> credit_wait t cs w ~k ~upto:t.now
+          | None -> credit_lockstep t cs dominant k
+      done;
+      k
+    end
+    else begin
+      (* Phases 0 and 1, fused per core: snapshot the core's sources, then
+         run its communication-out ops — for all cores before any phase 2,
+         so same-cycle PUT/GET and BCAST pairing works regardless of core
+         order. Fusing is exact: a snapshot reads only its own core's
+         registers, which no communication-out op writes. *)
+      for i = 0 to n - 1 do
+        let cs = cores.(i) in
+        if is_running cs then begin
+          let d = decoded cs in
+          snapshot_sources cs d;
+          exec_comm_outs t cs d
+        end
+      done;
+      (* Phase 2. *)
+      for i = 0 to n - 1 do
+        let cs = cores.(i) in
+        if is_running cs then finish_issue t cs (decoded cs)
+      done;
+      1
+    end
   in
-  if bulked then begin
-    (* Every running core is blocked with its own verdict (the group-stall
-       "dominant" kind is moot), so the window credit is exact; waiting
-       cores take their Sync cycles in the same bulk update. *)
-    let e = window_end t ~min_wake:!min_wake in
-    let k = e - t.now + 1 in
-    if k > 1 then begin
-      t.st.coupled_cycles <- t.st.coupled_cycles + (k - 1);
-      t.now <- e
-    end;
-    bulk_credit t k
-  end
-  else if !n_blocked > 0 then begin
-    (* Group stall: a core with its own reason records it; the rest record
-       the peers' dominant reason (D over I over the first in core order). *)
-    let dominant =
-      if !has_d then Stats.D_stall
-      else if !has_i then Stats.I_stall
-      else !first_kind
-    in
-    for i = 0 to n - 1 do
-      let cs = cores.(i) in
-      if is_running cs then
-        match t.sc_wait.(i) with
-        | Some w -> credit_wait t cs w 1
-        | None -> credit_lockstep t cs dominant
-    done
-  end
-  else begin
-    (* Phases 0 and 1, fused per core: snapshot the core's sources, then
-       run its communication-out ops — for all cores before any phase 2, so
-       same-cycle PUT/GET and BCAST pairing works regardless of core order.
-       Fusing is exact: a snapshot reads only its own core's registers,
-       which no communication-out op writes. *)
-    for i = 0 to n - 1 do
-      let cs = cores.(i) in
-      if is_running cs then begin
-        let d = decoded cs in
-        snapshot_sources cs d;
-        exec_comm_outs t cs d
-      end
-    done;
-    (* Phase 2. *)
-    for i = 0 to n - 1 do
-      let cs = cores.(i) in
-      if is_running cs then finish_issue t cs (decoded cs)
-    done
-  end;
   (* Cores already waiting at the exit barrier count sync stalls. Only
      those waiting when the cycle began: a core that issued the barrier
-     bundle this very cycle already recorded that cycle as busy. (The bulk
-     path credited them inside [bulk_credit].) *)
-  if not bulked then
-    for i = 0 to n - 1 do
-      if t.sc_waiting.(i) then credit_status t cores.(i) 1
-    done
+     bundle this very cycle already recorded that cycle as busy. *)
+  for i = 0 to n - 1 do
+    if t.sc_waiting.(i) then credit_status t cores.(i) k
+  done
 
 (* --- Fault injection ------------------------------------------------------ *)
 
@@ -1373,11 +1442,11 @@ let finalize_counters t =
     t.st.flips_masked <- Ecc.masked e
 
 let run t =
-  (* Fast-forward needs every skipped cycle to be observationally dead:
-     a per-cycle observer (the probe's [on_event] or [every_cycle]) or
-     per-cycle randomness (fault injector) forces the cycle-by-cycle path.
-     Core-cycle reports stay compatible — they take the same credit in
-     bulk. *)
+  (* Fast-forward needs every skipped core-cycle to be observationally
+     dead: a per-cycle observer (the probe's [on_event] or [every_cycle])
+     or per-cycle randomness (fault injector) forces the cycle-by-cycle
+     path. Core-cycle reports stay compatible — they take the same credit,
+     deferred. *)
   t.ff_active <-
     t.cfg.Config.fast_forward
     && (match t.inj with None -> true | Some _ -> false)
@@ -1417,6 +1486,7 @@ let run t =
         outcome := Some (Deadlock (diagnose t))
     end
   done;
+  settle_all t;
   t.st.cycles <- t.now;
   (* End-of-run scrub: correct any injected flip that was never read, so the
      architectural image (and its checksum) matches the fault-free run. *)

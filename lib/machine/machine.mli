@@ -106,6 +106,12 @@ val run : t -> result
 
 val memory : t -> Voltron_mem.Memory.t
 val stats : t -> Stats.t
+(** The run's counters. Read mid-run (from {!set_on_window}'s callback, or
+    from a network, TM or coherence monitor in the middle of a cycle), it
+    first settles the credit the stall fast-forward has deferred, so the
+    counters are exactly what cycle-by-cycle stepping would show at that
+    point. *)
+
 val coherence : t -> Voltron_mem.Coherence.t
 val network : t -> Voltron_net.Operand_network.t
 val tm : t -> Voltron_mem.Tm.t
@@ -144,13 +150,20 @@ type blame_event =
 
 type probe = {
   on_core_cycles :
-    core:int -> pc:int -> k:int -> redo:bool -> blame_event -> unit;
+    core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit;
       (** Every simulated core-cycle is reported exactly once, right where
-          [Stats] counts it — [k] > 1 when a stall fast-forward window
-          credited [k] identical cycles in bulk. [pc] is the issue pc for
-          {!Blame_busy} and the stuck pc otherwise; [redo] marks serial TM
-          re-execution work. A [Blame_wait] on [W_asleep] or [W_halted] is
-          an idle cycle; any other wait is a stall of {!stall_of_wait}. *)
+          [Stats] counts it: the report covers the [k] identical cycles
+          [\[upto-k+1, upto\]] ([k] > 1 under stall fast-forward). [pc] is
+          the issue pc for {!Blame_busy} and the stuck pc otherwise; [redo]
+          marks serial TM re-execution work. A [Blame_wait] on [W_asleep] or
+          [W_halted] is an idle cycle; any other wait is a stall of
+          {!stall_of_wait}.
+
+          Reports arrive per core in time order, not in global cycle
+          order: a decoupled core the fast-forward skips is credited after
+          its window has ended (when it is next evaluated, when {!stats}
+          is read, or at the end of {!run}), so [upto] may lie before
+          {!now}. Read the cycle from [upto], never from {!now}. *)
   on_event : (Trace.event -> unit) option;
       (** Issues, stalls, SEND/RECV, spawns, mode changes, TM rounds and
           serial re-execution starts, in simulation order (see {!Trace}). *)
@@ -158,10 +171,10 @@ type probe = {
       (** Runs at the end of every cycle, after {!set_on_window}'s callback
           — the sanitizer's check. May call {!request_stop}. *)
 }
-(** Every callback is read-only: it may inspect the machine (stats,
-    coherence, network, [now], [mode], [pc]) but not mutate it. Fast-forward
-    stays on unless [on_event] or [every_cycle] is present, since those
-    must see every cycle. *)
+(** Every callback is read-only: it may inspect the machine (coherence,
+    network, [now], [mode], [pc]) but not mutate it. Fast-forward stays on
+    unless [on_event] or [every_cycle] is present, since those must see
+    every cycle. *)
 
 val null_probe : probe
 (** Reports nothing — the base to override the fields one consumer needs. *)

@@ -53,8 +53,7 @@ type stall_kind =
 val create : n_cores:int -> t
 
 (** [add_stall t ~core kind k] credits [k] stall cycles of [kind] to
-    [core] in one update ([k] > 1 is the stall fast-forward's bulk
-    credit). *)
+    [core] in one update ([k] > 1 is a stall fast-forward credit). *)
 val add_stall : t -> core:int -> stall_kind -> int -> unit
 
 val core : t -> int -> core

@@ -95,8 +95,7 @@ type t = {
 
 let mode_index = function Inst.Coupled -> 0 | Inst.Decoupled -> 1
 
-let record t ~core ~pc ~k ~redo (ev : Machine.blame_event) =
-  let upto = Machine.now t.machine in
+let record t ~core ~pc ~k ~upto ~redo (ev : Machine.blame_event) =
   let from = upto - k + 1 in
   let kind, blame =
     match ev with

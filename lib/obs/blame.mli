@@ -7,9 +7,10 @@
     wait on a named edge kind, with the blamed peer core where the wait
     names one. Contiguous cycles with identical classification are merged,
     so the record stays compact even for long runs; under stall
-    fast-forward a bulk-credited window arrives as one [k]-cycle report
-    and lands in the same interval representation, so recording does {e
-    not} force the cycle-by-cycle path.
+    fast-forward a skipped window arrives as one [k]-cycle report ending
+    at its [upto] (possibly after the machine has moved on) and lands in
+    the same interval representation, so recording does {e not} force the
+    cycle-by-cycle path.
 
     Network deliveries (SEND->RECV and SPAWN->START) are recorded
     separately with their enqueue cycle, giving {!Critpath} the exact

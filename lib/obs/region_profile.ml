@@ -81,7 +81,7 @@ let attach m (compiled : Driver.compiled) =
     Array.init (Array.length names) (fun _ ->
         Array.init 2 (fun _ -> Array.make (idle_slot + 1) 0))
   in
-  let on_core_cycles ~core ~pc ~k ~redo:_ (ev : Machine.blame_event) =
+  let on_core_cycles ~core ~pc ~k ~upto:_ ~redo:_ (ev : Machine.blame_event) =
     let slot =
       match ev with
       | Machine.Blame_busy -> busy_slot

@@ -241,6 +241,34 @@ let test_random_all_strategies =
             .Voltron.Run.verified)
         [ `Seq; `Ilp; `Tlp; `Llp; `Hybrid ])
 
+(* The command-line tool, from the [dune runtest] directory or the
+   repository root. *)
+let cli =
+  List.find Sys.file_exists
+    [ "../bin/voltron_sim.exe"; "_build/default/bin/voltron_sim.exe" ]
+
+(* [cli args]'s standard output and exit code. *)
+let run_cli args =
+  let ic = Unix.open_process_args_in cli (Array.of_list (cli :: args)) in
+  let out = In_channel.input_all ic in
+  let code =
+    match Unix.close_process_in ic with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> -1
+  in
+  (out, code)
+
+(* [disasm --no-check] only drops the checker gate: on a build the checker
+   passes it prints the very code [disasm] prints. *)
+let test_disasm_no_check () =
+  let args = [ "disasm"; "--bench"; "micro:gsm_llp"; "--cores"; "2"; "--strategy"; "llp" ] in
+  let checked, code = run_cli args in
+  let unchecked, code' = run_cli (args @ [ "--no-check" ]) in
+  Alcotest.(check int) "disasm exit" 0 code;
+  Alcotest.(check int) "disasm --no-check exit" 0 code';
+  Alcotest.(check bool) "code printed" true (String.length checked > 0);
+  Alcotest.(check string) "same code" checked unchecked
+
 let () =
   Alcotest.run "integration"
     [
@@ -259,4 +287,5 @@ let () =
           Alcotest.test_case "stall taxonomy" `Quick test_stall_taxonomy;
         ] );
       ("property", [ QCheck_alcotest.to_alcotest test_random_all_strategies ]);
+      ("cli", [ Alcotest.test_case "disasm --no-check" `Quick test_disasm_no_check ]);
     ]

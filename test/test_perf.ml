@@ -5,7 +5,8 @@
    architecturally visible number changes. These tests hold it to that —
    a full differential sweep of the workload suite with fast-forward on
    vs. off, comparing outcome, cycle count, memory checksum, every Stats
-   counter and every per-region attribution cell bit-for-bit — and pin
+   counter, every per-region attribution cell, every interval sample and
+   every mid-run counter reading bit-for-bit — and pin
    the per-cycle minor-heap allocation to a budget so the sweep cannot
    quietly regress into a GC-bound loop. *)
 
@@ -15,7 +16,9 @@ module Config = Voltron_machine.Config
 module Machine = Voltron_machine.Machine
 module Driver = Voltron_compiler.Driver
 module Region_profile = Voltron_obs.Region_profile
+module Sampler = Voltron_obs.Sampler
 module Coherence = Voltron_mem.Coherence
+module Net = Voltron_net.Operand_network
 
 let scale = 0.15
 
@@ -25,6 +28,8 @@ type snapshot = {
   checksum : int;
   stats : Stats.t;
   regions : Region_profile.row list;
+  samples : Sampler.sample list;
+  readings : int array list;
 }
 
 let outcome_tag (o : Machine.outcome) =
@@ -42,9 +47,21 @@ let run_one ?(protocol = Coherence.Snoop) ~ff ~choice ~cores program =
   in
   let compiled = Driver.compile ~machine ~choice ~check:false program in
   let m = Machine.create machine compiled.Driver.executable in
-  (* Attribution stays attached under fast-forward (bulk credit must land
-     in the very same cells), so the differential covers it too. *)
+  (* Three readers of the core-cycle credit stay attached under
+     fast-forward, so the differential covers each: the attribution probe
+     (deferred reports must land in the very same cells), the sampler
+     (reads [Machine.stats] from the window hook, between cycles) and a
+     network monitor that reads it mid-sweep, at every message enqueue
+     and delivery, where each core's credited total must be what the
+     per-cycle sweep has credited by then. *)
   let rp = Region_profile.attach m compiled in
+  let sampler = Sampler.attach ~every:500 m in
+  let readings = ref [] in
+  Net.set_monitor (Machine.network m) (fun _ ->
+      let credited (c : Stats.core) =
+        c.Stats.busy + c.Stats.idle + Stats.total_stalls c
+      in
+      readings := Array.map credited (Machine.stats m).Stats.per_core :: !readings);
   let result = Machine.run m in
   {
     outcome_tag = outcome_tag result.Machine.outcome;
@@ -52,6 +69,8 @@ let run_one ?(protocol = Coherence.Snoop) ~ff ~choice ~cores program =
     checksum = result.Machine.checksum;
     stats = Machine.stats m;
     regions = Region_profile.rows rp;
+    samples = Sampler.samples sampler;
+    readings = List.rev !readings;
   }
 
 let choices =
@@ -60,7 +79,8 @@ let choices =
 (* Every benchmark x every strategy x {2, 4} cores: fast-forward on and
    off must be indistinguishable in everything but wall-clock. Structural
    equality is exact here: [Stats.t] and [Region_profile.row] are records
-   of ints, strings and int arrays. *)
+   of ints, strings and int arrays; samples hold floats, compared with
+   [compare] so that a NaN gauge equals itself. *)
 let check_same label ~slow ~fast =
   Alcotest.(check string) (label ^ " outcome") slow.outcome_tag fast.outcome_tag;
   Alcotest.(check int) (label ^ " cycles") slow.cycles fast.cycles;
@@ -68,7 +88,12 @@ let check_same label ~slow ~fast =
   Alcotest.(check bool)
     (label ^ " stats bit-identical") true (slow.stats = fast.stats);
   Alcotest.(check bool)
-    (label ^ " attribution bit-identical") true (slow.regions = fast.regions)
+    (label ^ " attribution bit-identical") true (slow.regions = fast.regions);
+  Alcotest.(check bool)
+    (label ^ " samples bit-identical") true
+    (compare slow.samples fast.samples = 0);
+  Alcotest.(check bool)
+    (label ^ " mid-sweep readings identical") true (slow.readings = fast.readings)
 
 let test_differential () =
   List.iter
@@ -88,32 +113,32 @@ let test_differential () =
         choices)
     Suite.all
 
-(* The deep-queue case: hybrid on 16 cores over the directory keeps the
-   most operand-network messages in flight (at this scale 164.gzip and
-   cjpeg peak at 144 and 147), so the fast-forward wake queries scan long
-   channels here. *)
-let test_differential_16_directory () =
+(* The deep-queue case: hybrid on 16 cores keeps the most operand-network
+   messages in flight (at this scale 164.gzip and cjpeg peak at 144 and
+   147 over the directory), so the fast-forward wake queries scan long
+   channels here, and most cores are skipped at any one cycle. *)
+let test_differential_16 protocol () =
   List.iter
     (fun name ->
       let program = (Suite.by_name name).Suite.build ~scale () in
-      let run ~ff =
-        run_one ~protocol:Coherence.Directory ~ff ~choice:`Hybrid ~cores:16
-          program
-      in
-      check_same (name ^ "/hybrid/16 cores/directory") ~slow:(run ~ff:false)
-        ~fast:(run ~ff:true))
+      let run ~ff = run_one ~protocol ~ff ~choice:`Hybrid ~cores:16 program in
+      check_same
+        (Printf.sprintf "%s/hybrid/16 cores/%s" name
+           (Coherence.protocol_name protocol))
+        ~slow:(run ~ff:false) ~fast:(run ~ff:true))
     [ "164.gzip"; "cjpeg"; "gsmencode" ]
 
 (* Per-cycle minor-heap budget, in words. The sweep's residual allocations
-   are small and bounded (a [Some wait] per blocked core-cycle, a [Some
-   target] per taken branch, TM read/write set entries per transactional
-   access); measured 9.2 at 4 cores and 16.6 (snoop) and 17.0 (directory)
-   at 16 cores on this workload, and the budget is set well above that so
-   a regression that reintroduces per-cycle closures, lists or hashtables
-   (tens to hundreds of words each) fails loudly while normal drift does
-   not. The 16-core legs keep deep operand-network queues in flight, where
-   a query that walks or copies a queue shows first. *)
-let alloc_budget_words_per_cycle = 80.0
+   are small and bounded (a [Some target] per taken branch, TM read/write
+   set entries per transactional access; a blocked core's verdict is one
+   of the machine's preallocated waits, not a fresh [Some wait]); measured
+   2.6 at 4 cores and 5.4 (snoop) and 5.6 (directory) at 16 cores on this
+   workload, and the budget is set well above that so a regression that
+   reintroduces per-cycle closures, lists or hashtables (tens to hundreds
+   of words each) fails loudly while normal drift does not. The 16-core
+   legs keep deep operand-network queues in flight, where a query that
+   walks or copies a queue shows first. *)
+let alloc_budget_words_per_cycle = 24.0
 
 let test_allocation_budget ~cores ~protocol () =
   let b = Suite.by_name "gsmencode" in
@@ -179,7 +204,9 @@ let () =
         [
           Alcotest.test_case "differential suite sweep" `Slow test_differential;
           Alcotest.test_case "differential 16 cores directory" `Slow
-            test_differential_16_directory;
+            (test_differential_16 Coherence.Directory);
+          Alcotest.test_case "differential 16 cores snoop" `Slow
+            (test_differential_16 Coherence.Snoop);
         ] );
       ( "allocation",
         [
