@@ -13,8 +13,8 @@ let alu (op : Inst.alu_op) a b =
   | Inst.Xor -> a lxor b
   | Inst.Shl -> a lsl mask_shift b
   | Inst.Shr -> a asr mask_shift b
-  | Inst.Min -> min a b
-  | Inst.Max -> max a b
+  | Inst.Min -> Int.min a b
+  | Inst.Max -> Int.max a b
 
 let fpu (op : Inst.fpu_op) a b =
   match op with
@@ -23,7 +23,9 @@ let fpu (op : Inst.fpu_op) a b =
   | Inst.Fmul -> a * b
   | Inst.Fdiv -> if b = 0 then 0 else a / b
 
-let cmp (op : Inst.cmp_op) a b =
+(* Operands annotated [int] so each comparison compiles to an integer
+   test, not a polymorphic [compare_val] call. *)
+let cmp (op : Inst.cmp_op) (a : int) (b : int) =
   let holds =
     match op with
     | Inst.Eq -> a = b

@@ -132,7 +132,20 @@ type core_state = {
   mutable due : int;
   mutable owed_from : int;
   mutable deferred : wait;
+  (* NOP-run elision (coupled mode under fast-forward, see [enter_run]).
+     [nop_run.(pc)] is the length of the run of empty bundles from [pc]
+     whose successors all lie in the same I-line ([[||]] when the machine
+     cannot elide). While [el_left > 0] the core is in such a run: it
+     skips the group issues after number [el_base], and [settle_run]
+     credits them, one bundle each from [pc] on, at most [el_left]. *)
+  nop_run : int array;
+  mutable el_left : int;
+  mutable el_base : int;
 }
+
+(* A coupled core's verdict for the current cycle. Constant constructors
+   only, so the per-core stores into [sc_verdict] skip the write barrier. *)
+type verdict = V_issue | V_elided | V_blocked | V_waiting
 
 type t = {
   cfg : Config.t;
@@ -169,14 +182,27 @@ type t = {
      the first cycle its verdict can change. [sweep_next] is the first core
      the current decoupled sweep has not reached ([n] outside a sweep), so a
      mid-sweep [stats] read settles each core exactly as far as the
-     per-cycle sweep would have credited it. [sc_wait]/[sc_waiting] are
-     per-core scratch for the coupled step, preallocated to stay off the
-     per-cycle allocation path. *)
+     per-cycle sweep would have credited it. [sc_verdict] and [sc_wait]
+     (written for blocked cores only) are per-core scratch for the coupled
+     step, preallocated to stay off the per-cycle allocation path. *)
   mutable ff_active : bool;
   mutable wake : int;
   mutable sweep_next : int;
-  sc_wait : wait option array;
-  sc_waiting : bool array;
+  sc_verdict : verdict array;
+  sc_wait : wait array;
+  (* NOP-run elision, on when [elide_possible] holds and fast-forward is
+     active. [group_issues] counts coupled group issues; [gi_ring] holds
+     the cycles of the most recent ones ([gi_mask + 1] >= [line_words]
+     slots, indexed by count), enough for the longest run. [issue_next]
+     is the first core whose issue of the current group issue has not been
+     credited yet (0 in phases 0/1, [n] outside a group issue), so a
+     mid-issue [stats] or [pc] read settles each run exactly as far as
+     per-cycle issue would have. *)
+  mutable elide : bool;
+  mutable group_issues : int;
+  gi_ring : int array;
+  gi_mask : int;
+  mutable issue_next : int;
   (* The blocker's verdicts that carry a core number, built once:
      [recv_waits.(3 * sender + class)] and [send_full_waits.(target)]. *)
   recv_waits : wait option array;
@@ -205,7 +231,7 @@ let recv_kinds = [| Stats.Recv_data; Stats.Recv_pred; Stats.Sync |]
 
 let recv_class = function Inst.Rv_data -> 0 | Inst.Rv_pred -> 1 | Inst.Rv_sync -> 2
 
-let fresh_core cfg image id =
+let fresh_core cfg image id ~nop_run =
   {
     id;
     image;
@@ -230,6 +256,9 @@ let fresh_core cfg image id =
     due = 0;
     owed_from = max_int;
     deferred = W_asleep;
+    nop_run;
+    el_left = 0;
+    el_base = 0;
   }
 
 (* The decoded bundle at the core's pc, through the core's decode cache. *)
@@ -257,6 +286,27 @@ let validate_widths cfg (prog : Program.t) =
       done)
     prog.images
 
+(* NOP-run elision skips the issue of empty bundles, their fetches
+   included, so it needs every skipped fetch to be an I-line memo hit that
+   completes by the next cycle: a successor in the same line
+   ([line_words > 1]) and [lat_l1 = 1]. *)
+let elide_possible cfg =
+  cfg.Config.fast_forward
+  && cfg.Config.cache.Coherence.lat_l1 = 1
+  && cfg.Config.cache.Coherence.line_words > 1
+
+(* [runs.(pc)]: how many bundles from [pc] on are empty (no real op) and
+   have their successor inside the image and in the same I-line. *)
+let nop_runs (cache : Coherence.config) image =
+  let len = Image.length image in
+  let runs = Array.make len 0 in
+  let lw = cache.Coherence.line_words in
+  for pc = len - 2 downto 0 do
+    if (Image.decoded image pc).Image.d_real_ops = 0 && (pc + 1) / lw = pc / lw
+    then runs.(pc) <- 1 + runs.(pc + 1)
+  done;
+  runs
+
 let create cfg (prog : Program.t) =
   if Program.n_cores prog <> cfg.Config.n_cores then
     invalid_arg
@@ -277,6 +327,13 @@ let create cfg (prog : Program.t) =
       Some e
   in
   let mesh = Config.mesh cfg in
+  (* The smallest all-ones mask covering [line_words] slots. *)
+  let gi_mask =
+    let rec grow m =
+      if m + 1 >= cfg.cache.line_words then m else grow ((2 * m) + 1)
+    in
+    grow 1
+  in
   let t =
     {
       cfg;
@@ -287,7 +344,13 @@ let create cfg (prog : Program.t) =
       net =
         Net.create ?faults:inj ~hop_cost:cfg.net_hop_cost mesh
           ~receive_capacity:cfg.net_capacity;
-      cores = Array.init cfg.n_cores (fun id -> fresh_core cfg prog.images.(id) id);
+      cores =
+        Array.init cfg.n_cores (fun id ->
+            let image = prog.images.(id) in
+            let nop_run =
+              if elide_possible cfg then nop_runs cfg.cache image else [||]
+            in
+            fresh_core cfg image id ~nop_run);
       st = Stats.create ~n_cores:cfg.n_cores;
       inj;
       ecc;
@@ -301,8 +364,13 @@ let create cfg (prog : Program.t) =
       ff_active = false;
       wake = max_int;
       sweep_next = cfg.n_cores;
-      sc_wait = Array.make cfg.n_cores None;
-      sc_waiting = Array.make cfg.n_cores false;
+      sc_verdict = Array.make cfg.n_cores V_waiting;
+      sc_wait = Array.make cfg.n_cores W_halted;
+      elide = false;
+      group_issues = 0;
+      gi_ring = Array.make (gi_mask + 1) 0;
+      gi_mask;
+      issue_next = cfg.n_cores;
       recv_waits =
         Array.init (3 * cfg.n_cores) (fun i ->
             Some (W_recv { sender = i / 3; kind = recv_kinds.(i mod 3) }));
@@ -334,7 +402,6 @@ let attach_probe t p =
 
 let set_on_window t f = t.on_window <- Some f
 let request_stop t = t.stop_requested <- true
-let pc t ~core = t.cores.(core).pc
 let config t = t.cfg
 
 (* Forward a structured event to the probe. Only rare events come through
@@ -521,13 +588,48 @@ let settle t cs upto =
     | At_barrier _ | At_commit | Wait_serial | Stuck _ -> assert false
   end
 
+(* Credit the bundles of core [cs]'s elided run issued through group issue
+   [g]: each one busy cycle at its own pc, at the cycle [gi_ring] recorded
+   for its group issue, and the pc and fetch completion they leave. *)
+let settle_run t cs g =
+  let k = Int.min (g - cs.el_base) cs.el_left in
+  if k > 0 then begin
+    let core_st = Stats.core t.st cs.id in
+    core_st.busy <- core_st.busy + k;
+    core_st.bundles <- core_st.bundles + k;
+    (match t.probe with
+    | None -> ()
+    | Some p ->
+      for j = 0 to k - 1 do
+        p.on_core_cycles ~core:cs.id ~pc:(cs.pc + j) ~k:1
+          ~upto:t.gi_ring.((cs.el_base + 1 + j) land t.gi_mask)
+          ~redo:cs.tm_serial Blame_busy
+      done);
+    cs.pc <- cs.pc + k;
+    cs.el_base <- cs.el_base + k;
+    cs.el_left <- cs.el_left - k;
+    cs.fetch_done <-
+      t.gi_ring.(cs.el_base land t.gi_mask) + t.cfg.Config.cache.Coherence.lat_l1
+  end
+
+(* Settle core [i]'s elided run as far as per-cycle issue has credited it:
+   during a group issue the cores before [issue_next] have issued this
+   cycle, the rest not yet. *)
+let settle_run_at t i =
+  let cs = t.cores.(i) in
+  if cs.el_left > 0 then
+    settle_run t cs
+      (if i < t.issue_next then t.group_issues else t.group_issues - 1)
+
 (* Settle every core through the last simulated cycle: a core the current
    sweep has already passed through [t.now], the rest through the cycle
-   before (their verdict for [t.now] is not known yet). *)
+   before (their verdict for [t.now] is not known yet); and every elided
+   run likewise. *)
 let settle_all t =
-  let last = min t.now t.cfg.Config.max_cycles in
+  let last = Int.min t.now t.cfg.Config.max_cycles in
   for i = 0 to Array.length t.cores - 1 do
-    settle t t.cores.(i) (if i < t.sweep_next then last else last - 1)
+    settle t t.cores.(i) (if i < t.sweep_next then last else last - 1);
+    settle_run_at t i
   done
 
 (* An event that can change core [c]'s verdict: it is due this cycle if
@@ -544,6 +646,10 @@ let make_all_due t =
 let stats t =
   settle_all t;
   t.st
+
+let pc t ~core =
+  settle_run_at t core;
+  t.cores.(core).pc
 
 (* The blocker's verdicts, allocation-free (see [recv_waits]); only a peer
    outside the machine, which unchecked assembly can name, gets a fresh
@@ -787,18 +893,18 @@ let exec_main t cs (d : Image.decoded) i : int option =
         completion + t.cfg.fault.Fault.ecc_penalty
       | Some _ | None -> completion
     in
-    cs.mem_busy <- max cs.mem_busy completion;
+    cs.mem_busy <- Int.max cs.mem_busy completion;
     if completion > now + t.cfg.cache.Coherence.lat_l1 then
-      cs.miss_stall_until <- max cs.miss_stall_until completion;
-    write_reg cs dst v ~ready:(max (now + lat) completion) ~prod:P_load;
+      cs.miss_stall_until <- Int.max cs.miss_stall_until completion;
+    write_reg cs dst v ~ready:(Int.max (now + lat) completion) ~prod:P_load;
     None
   | Inst.Store { base; offset; src } ->
     let addr = read_operand cs base + read_operand cs offset in
     Tm.write t.tm ~core:cs.id addr (read_operand cs src);
     let completion = Coherence.access t.hier ~now ~core:cs.id Coherence.Dstore addr in
-    cs.mem_busy <- max cs.mem_busy completion;
+    cs.mem_busy <- Int.max cs.mem_busy completion;
     if completion > now + t.cfg.cache.Coherence.lat_l1 then
-      cs.miss_stall_until <- max cs.miss_stall_until completion;
+      cs.miss_stall_until <- Int.max cs.miss_stall_until completion;
     None
   | Inst.Pbr { btr; _ } ->
     let addr = d.Image.d_pbr_addr.(i) in
@@ -937,13 +1043,13 @@ let finish_issue t cs (d : Image.decoded) =
    always (a currently-failing condition cannot expire in the past), so
    the window is never empty. *)
 let window_end t ~min_wake =
-  min (min_wake - 1)
-    (min t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
+  Int.min (min_wake - 1)
+    (Int.min t.cfg.Config.max_cycles (t.last_progress + t.cfg.Config.watchdog + 1))
 
 (* Skip the core until [due]; it owes the cycles after this one. *)
 let defer t cs due =
   if t.ff_active then begin
-    cs.due <- max (t.now + 1) due;
+    cs.due <- Int.max (t.now + 1) due;
     cs.owed_from <- t.now + 1
   end
 
@@ -1034,40 +1140,72 @@ let decoupled_step t =
     t.sweep_next <- n
   end
 
+(* NOP-run elision. A coupled core that has just issued, at cycle [now],
+   and now sits at the head of a run of empty bundles each followed in the
+   same I-line, can issue nothing but those bundles at its next group
+   issues: its verdict is None at every cycle until the run ends, because
+   an empty bundle checks no operand, its fetch is an I-line memo hit
+   completing the cycle after its issue ([lat_l1 = 1]), and a clear
+   [miss_stall_until] and [stall_until] change only through the core's own
+   loads and stores (the fault injector turns fast-forward off). So the
+   core skips those group issues: no blocker, snapshot, comm-out,
+   execution, fetch or credit until [settle_run] credits them from
+   [group_issues]. *)
+let enter_run t cs =
+  let pc = cs.pc in
+  if pc >= 0 && pc < Array.length cs.nop_run && is_running cs then begin
+    let e = cs.nop_run.(pc) and next = t.now + 1 in
+    if e > 0 && cs.fetch_done <= next && cs.miss_stall_until <= next
+       && cs.stall_until <= next
+    then begin
+      cs.el_left <- e;
+      cs.el_base <- t.group_issues
+    end
+  end
+
 (* Coupled: lock-step with the stall bus — either every running core
-   issues, or none does. One indexed scan computes the verdicts (and
-   checks the status invariant off the issue path); the issue path then
-   runs two passes (snapshot plus communication-out, then main) so VLIW
-   read-before-write and same-cycle PUT/GET pairing hold across cores. *)
+   issues, or none does. One indexed scan computes each core's verdict
+   once (and checks the status invariant off the issue path); the issue
+   path then runs two passes (snapshot plus communication-out, then main)
+   so VLIW read-before-write and same-cycle PUT/GET pairing hold across
+   cores. A core in an elided NOP run is issueable without a blocker call
+   and skips both passes. *)
 let coupled_step t =
   let cores = t.cores in
   let n = Array.length cores in
-  let n_blocked = ref 0 in
+  let verdict = t.sc_verdict in
+  let n_blocked = ref 0 and n_elided = ref 0 in
   let has_d = ref false and has_i = ref false in
   let first_kind = ref Stats.Sync in
   let min_wake = ref max_int in
   for i = 0 to n - 1 do
     let cs = cores.(i) in
-    t.sc_waiting.(i) <- false;
     match cs.status with
-    | Running -> (
-      t.wake <- max_int;
-      match blocker t cs with
-      | None -> t.sc_wait.(i) <- None
-      | Some w as b ->
-        t.sc_wait.(i) <- b;
-        let k = stall_of_wait w in
-        if !n_blocked = 0 then first_kind := k;
-        incr n_blocked;
-        (match k with
-        | Stats.D_stall -> has_d := true
-        | Stats.I_stall -> has_i := true
-        | Stats.Lat_stall | Stats.Recv_data | Stats.Recv_pred | Stats.Sync ->
-          ());
-        if t.wake < !min_wake then min_wake := t.wake)
-    | At_barrier _ | Stuck _ ->
-      t.sc_wait.(i) <- None;
-      t.sc_waiting.(i) <- true
+    | Running ->
+      if cs.el_left > 0 && t.group_issues - cs.el_base < cs.el_left then begin
+        verdict.(i) <- V_elided;
+        incr n_elided
+      end
+      else begin
+        (* A run that ended at the last group issue is settled first. *)
+        if cs.el_left > 0 then settle_run t cs t.group_issues;
+        t.wake <- max_int;
+        match blocker t cs with
+        | None -> verdict.(i) <- V_issue
+        | Some w ->
+          verdict.(i) <- V_blocked;
+          t.sc_wait.(i) <- w;
+          let k = stall_of_wait w in
+          if !n_blocked = 0 then first_kind := k;
+          incr n_blocked;
+          (match k with
+          | Stats.D_stall -> has_d := true
+          | Stats.I_stall -> has_i := true
+          | Stats.Lat_stall | Stats.Recv_data | Stats.Recv_pred | Stats.Sync ->
+            ());
+          if t.wake < !min_wake then min_wake := t.wake
+      end
+    | At_barrier _ | Stuck _ -> verdict.(i) <- V_waiting
     | Asleep | Halted | At_commit | Wait_serial ->
       failwith
         (Printf.sprintf "core %d in unexpected state during coupled mode" cs.id)
@@ -1078,7 +1216,9 @@ let coupled_step t =
          core and the dominant kind stay frozen until the earliest blocked
          core's wake; under fast-forward the stall is one window credited
          once. A core with its own reason records it; the rest record the
-         peers' dominant reason (D over I over the first in core order). *)
+         peers' dominant reason (D over I over the first in core order).
+         An elided core is held too; a probe gets its elided bundles
+         first, so its reports stay in time order. *)
       let k =
         if t.ff_active then begin
           let e = window_end t ~min_wake:!min_wake in
@@ -1096,32 +1236,49 @@ let coupled_step t =
       in
       for i = 0 to n - 1 do
         let cs = cores.(i) in
-        if is_running cs then
-          match t.sc_wait.(i) with
-          | Some w -> credit_wait t cs w ~k ~upto:t.now
-          | None -> credit_lockstep t cs dominant k
+        match verdict.(i) with
+        | V_blocked -> credit_wait t cs t.sc_wait.(i) ~k ~upto:t.now
+        | V_issue -> credit_lockstep t cs dominant k
+        | V_elided ->
+          (match t.probe with
+          | Some _ -> settle_run t cs t.group_issues
+          | None -> ());
+          credit_lockstep t cs dominant k
+        | V_waiting -> ()
       done;
       k
     end
     else begin
+      t.group_issues <- t.group_issues + 1;
+      t.gi_ring.(t.group_issues land t.gi_mask) <- t.now;
+      (* An elided core makes progress like any issuing one. *)
+      if !n_elided > 0 then t.last_progress <- t.now;
       (* Phases 0 and 1, fused per core: snapshot the core's sources, then
          run its communication-out ops — for all cores before any phase 2,
          so same-cycle PUT/GET and BCAST pairing works regardless of core
          order. Fusing is exact: a snapshot reads only its own core's
-         registers, which no communication-out op writes. *)
+         registers, which no communication-out op writes. [cs.dec] is the
+         bundle at the core's pc: its blocker call decoded it. *)
+      t.issue_next <- 0;
       for i = 0 to n - 1 do
-        let cs = cores.(i) in
-        if is_running cs then begin
-          let d = decoded cs in
-          snapshot_sources cs d;
-          exec_comm_outs t cs d
-        end
+        match verdict.(i) with
+        | V_issue ->
+          let cs = cores.(i) in
+          snapshot_sources cs cs.dec;
+          exec_comm_outs t cs cs.dec
+        | V_elided | V_blocked | V_waiting -> ()
       done;
       (* Phase 2. *)
       for i = 0 to n - 1 do
-        let cs = cores.(i) in
-        if is_running cs then finish_issue t cs (decoded cs)
+        match verdict.(i) with
+        | V_issue ->
+          let cs = cores.(i) in
+          t.issue_next <- i;
+          finish_issue t cs cs.dec;
+          if t.elide then enter_run t cs
+        | V_elided | V_blocked | V_waiting -> ()
       done;
+      t.issue_next <- n;
       1
     end
   in
@@ -1129,7 +1286,9 @@ let coupled_step t =
      those waiting when the cycle began: a core that issued the barrier
      bundle this very cycle already recorded that cycle as busy. *)
   for i = 0 to n - 1 do
-    if t.sc_waiting.(i) then credit_status t cores.(i) k
+    match verdict.(i) with
+    | V_waiting -> credit_status t cores.(i) k
+    | V_issue | V_elided | V_blocked -> ()
   done
 
 (* --- Fault injection ------------------------------------------------------ *)
@@ -1358,6 +1517,9 @@ let core_wait t cs =
   | Wait_serial -> Some W_serial
 
 let diagnose t =
+  for i = 0 to Array.length t.cores - 1 do
+    settle_run_at t i
+  done;
   let d_cores =
     Array.map
       (fun cs ->
@@ -1454,6 +1616,7 @@ let run t =
        | Some { on_event = Some _; _ } | Some { every_cycle = Some _; _ } ->
          false
        | Some _ | None -> true);
+  t.elide <- t.ff_active && elide_possible t.cfg;
   let outcome = ref None in
   while match !outcome with None -> true | Some _ -> false do
     t.now <- t.now + 1;

@@ -108,9 +108,9 @@ val memory : t -> Voltron_mem.Memory.t
 val stats : t -> Stats.t
 (** The run's counters. Read mid-run (from {!set_on_window}'s callback, or
     from a network, TM or coherence monitor in the middle of a cycle), it
-    first settles the credit the stall fast-forward has deferred, so the
-    counters are exactly what cycle-by-cycle stepping would show at that
-    point. *)
+    first settles the credit the stall fast-forward has deferred and the
+    bundles NOP-run elision has skipped, so the counters are exactly what
+    cycle-by-cycle stepping would show at that point. *)
 
 val coherence : t -> Voltron_mem.Coherence.t
 val network : t -> Voltron_net.Operand_network.t
@@ -124,7 +124,9 @@ val mode : t -> Voltron_isa.Inst.mode
 (** Current execution mode. *)
 
 val pc : t -> core:int -> int
-(** That core's current pc — the blame recorder's region lookup key. *)
+(** That core's current pc — the blame recorder's region lookup key.
+    Read mid-run it first settles the core's elided NOP run, as {!stats}
+    does. *)
 
 val config : t -> Config.t
 (** The configuration the machine was created with. *)
@@ -163,7 +165,12 @@ type probe = {
           order: a decoupled core the fast-forward skips is credited after
           its window has ended (when it is next evaluated, when {!stats}
           is read, or at the end of {!run}), so [upto] may lie before
-          {!now}. Read the cycle from [upto], never from {!now}. *)
+          {!now}. Likewise a coupled core in an elided NOP run (see
+          DESIGN.md §10) has its bundles reported at settlement, one
+          [Blame_busy] per bundle with its own pc and issue cycle: when
+          the run ends, before the core's next report of a group stall,
+          when {!stats} or {!pc} is read, in a diagnosis, or at the end of
+          {!run}. Read the cycle from [upto], never from {!now}. *)
   on_event : (Trace.event -> unit) option;
       (** Issues, stalls, SEND/RECV, spawns, mode changes, TM rounds and
           serial re-execution starts, in simulation order (see {!Trace}). *)

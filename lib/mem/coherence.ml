@@ -248,7 +248,7 @@ let l2_writeback t line =
 
 (* Acquire the bus at the earliest of [now]/[bus_free]; account wait time. *)
 let acquire_bus t ~now ~core =
-  let start = max now t.bus_free in
+  let start = Int.max now t.bus_free in
   t.per_core.(core).bus_wait_cycles <-
     t.per_core.(core).bus_wait_cycles + (start - now);
   t.bus_free <- start + t.cfg.bus_occupancy;
@@ -386,7 +386,7 @@ let home_of t line = line mod t.n_cores
    [bus_wait_cycles] counter (it is interconnect/serialization wait either
    way). *)
 let acquire_home t ~now ~core home =
-  let start = max now t.home_free.(home) in
+  let start = Int.max now t.home_free.(home) in
   t.per_core.(core).bus_wait_cycles <-
     t.per_core.(core).bus_wait_cycles + (start - now);
   t.home_free.(home) <- start + t.cfg.dir_occupancy;

@@ -117,7 +117,12 @@ val set_monitor : t -> (core:int -> completion:int -> kind -> int -> unit) -> un
     [completion - now] above the L1 hit latency marks a miss-fill edge),
     the access kind and the word address. Passive — the callback must not
     mutate the hierarchy. Unset (the default), the hot path pays a single
-    branch. *)
+    branch.
+
+    The machine's NOP-run elision (fast-forward on, coupled mode) skips
+    the fetches of the empty bundles it elides, so the monitor is not told
+    of them. Each is a fetch from the I-line of the core's previous fetch
+    — a memo hit that changes no cache state and no counter. *)
 
 val l1d_line_states : t -> addr:int -> int * (int * Cache.state) list
 (** The data line holding word [addr], and every core whose L1D currently

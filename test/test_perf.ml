@@ -1,12 +1,13 @@
 (* Performance-safety tests.
 
    The simulator's hot-path machinery (predecoded images, the stall
-   fast-forward, the allocation-free sweep) is licensed by one promise: no
-   architecturally visible number changes. These tests hold it to that —
-   a full differential sweep of the workload suite with fast-forward on
-   vs. off, comparing outcome, cycle count, memory checksum, every Stats
-   counter, every per-region attribution cell, every interval sample and
-   every mid-run counter reading bit-for-bit — and pin
+   fast-forward, NOP-run elision, the allocation-free sweep) is licensed
+   by one promise: no architecturally visible number changes. These tests
+   hold it to that — a full differential sweep of the workload suite with
+   fast-forward on vs. off, comparing outcome, cycle count, memory
+   checksum, every Stats counter, every per-region attribution cell (per
+   core-cycle reports for hand-written programs), every interval sample
+   and every mid-run counter reading bit-for-bit — and pin
    the per-cycle minor-heap allocation to a budget so the sweep cannot
    quietly regress into a GC-bound loop. *)
 
@@ -19,17 +20,25 @@ module Region_profile = Voltron_obs.Region_profile
 module Sampler = Voltron_obs.Sampler
 module Coherence = Voltron_mem.Coherence
 module Net = Voltron_net.Operand_network
+module Asm = Voltron_isa.Asm
 
 let scale = 0.15
+
+type attribution =
+  | Regions of Region_profile.row list  (** compiled programs *)
+  | Timeline of (int * int * bool * Machine.blame_event) list array
+      (** hand-written programs: per core, one [(cycle, pc, redo, event)]
+          per core-cycle, in report order *)
 
 type snapshot = {
   outcome_tag : string;
   cycles : int;
   checksum : int;
   stats : Stats.t;
-  regions : Region_profile.row list;
+  attribution : attribution;
   samples : Sampler.sample list;
   readings : int array list;
+  fetches : int;  (** instruction fetches the coherence monitor saw *)
 }
 
 let outcome_tag (o : Machine.outcome) =
@@ -40,38 +49,74 @@ let outcome_tag (o : Machine.outcome) =
   | Machine.Fault_limit _ -> "fault-limit"
   | Machine.Stopped _ -> "stopped"
 
-let run_one ?(protocol = Coherence.Snoop) ~ff ~choice ~cores program =
-  let machine =
-    Config.with_coherence protocol
-      { (Config.default ~n_cores:cores) with Config.fast_forward = ff }
-  in
-  let compiled = Driver.compile ~machine ~choice ~check:false program in
-  let m = Machine.create machine compiled.Driver.executable in
-  (* Three readers of the core-cycle credit stay attached under
-     fast-forward, so the differential covers each: the attribution probe
-     (deferred reports must land in the very same cells), the sampler
-     (reads [Machine.stats] from the window hook, between cycles) and a
-     network monitor that reads it mid-sweep, at every message enqueue
-     and delivery, where each core's credited total must be what the
-     per-cycle sweep has credited by then. *)
-  let rp = Region_profile.attach m compiled in
-  let sampler = Sampler.attach ~every:500 m in
+(* Three readers of the core-cycle credit stay attached under
+   fast-forward, so the differential covers each: the attribution probe
+   (deferred reports must land in the very same cells), the sampler
+   (reads [Machine.stats] from the window hook, between cycles) and a
+   network monitor that reads it mid-sweep, at every message enqueue and
+   delivery and every direct-mode PUT (phase 1 of a coupled issue) and GET
+   (phase 2), where each core's credited total must be what the per-cycle
+   sweep has credited by then. A coherence monitor counts instruction
+   fetches, which NOP-run elision skips. *)
+let observe ~every m ~attribution =
+  let sampler = Sampler.attach ~every m in
   let readings = ref [] in
   Net.set_monitor (Machine.network m) (fun _ ->
       let credited (c : Stats.core) =
         c.Stats.busy + c.Stats.idle + Stats.total_stalls c
       in
       readings := Array.map credited (Machine.stats m).Stats.per_core :: !readings);
+  let fetches = ref 0 in
+  Coherence.set_monitor (Machine.coherence m) (fun ~core:_ ~completion:_ kind _ ->
+      match kind with
+      | Coherence.Ifetch -> incr fetches
+      | Coherence.Dload | Coherence.Dstore -> ());
   let result = Machine.run m in
   {
     outcome_tag = outcome_tag result.Machine.outcome;
     cycles = result.Machine.cycles;
     checksum = result.Machine.checksum;
     stats = Machine.stats m;
-    regions = Region_profile.rows rp;
+    attribution = attribution ();
     samples = Sampler.samples sampler;
     readings = List.rev !readings;
+    fetches = !fetches;
   }
+
+let config ?(protocol = Coherence.Snoop) ?(tweak = Fun.id) ~ff cores =
+  tweak
+    (Config.with_coherence protocol
+       { (Config.default ~n_cores:cores) with Config.fast_forward = ff })
+
+let run_one ?protocol ?tweak ~ff ~choice ~cores program =
+  let machine = config ?protocol ?tweak ~ff cores in
+  let compiled = Driver.compile ~machine ~choice ~check:false program in
+  let m = Machine.create machine compiled.Driver.executable in
+  let rp = Region_profile.attach m compiled in
+  observe ~every:500 m ~attribution:(fun () -> Regions (Region_profile.rows rp))
+
+(* A hand-written program has no regions, so its probe records every
+   core-cycle report, expanded to one entry per cycle; a report that does
+   not continue its core's timeline (out of time order, or leaving a gap)
+   fails at once. *)
+let run_asm ?tweak ~ff ~cores program =
+  let m = Machine.create (config ?tweak ~ff cores) program in
+  let rev = Array.make cores [] and next = Array.make cores 1 in
+  Machine.attach_probe m
+    {
+      Machine.null_probe with
+      on_core_cycles =
+        (fun ~core ~pc ~k ~upto ~redo ev ->
+          let from = upto - k + 1 in
+          if from <> next.(core) then
+            Alcotest.failf "core %d: report [%d, %d] breaks its timeline at %d"
+              core from upto next.(core);
+          for c = from to upto do
+            rev.(core) <- (c, pc, redo, ev) :: rev.(core)
+          done;
+          next.(core) <- upto + 1);
+    };
+  observe ~every:7 m ~attribution:(fun () -> Timeline (Array.map List.rev rev))
 
 let choices =
   [ (`Seq, "seq"); (`Ilp, "ilp"); (`Tlp, "tlp"); (`Llp, "llp"); (`Hybrid, "hybrid") ]
@@ -88,7 +133,8 @@ let check_same label ~slow ~fast =
   Alcotest.(check bool)
     (label ^ " stats bit-identical") true (slow.stats = fast.stats);
   Alcotest.(check bool)
-    (label ^ " attribution bit-identical") true (slow.regions = fast.regions);
+    (label ^ " attribution bit-identical") true
+    (slow.attribution = fast.attribution);
   Alcotest.(check bool)
     (label ^ " samples bit-identical") true
     (compare slow.samples fast.samples = 0);
@@ -128,17 +174,163 @@ let test_differential_16 protocol () =
         ~slow:(run ~ff:false) ~fast:(run ~ff:true))
     [ "164.gzip"; "cjpeg"; "gsmencode" ]
 
+(* NOP-run elision on a hand-written 4-core coupled program (8-word
+   I-lines, so lines start at bundle addresses 0, 8, 16, 24). Core 0 PUTs
+   to core 1 in the second coupled cycle while cores 2 and 3 are in NOP
+   runs; core 2 PUTs to core 3 in the fifth while core 1 is in one and
+   core 3's GET runs in phase 2 after it. Core 0's runs cross the lines at
+   8 and 16 and its loop branches back into the middle of a run at
+   [mid0]; core 3's runs each follow a load that misses. *)
+let nop_runs_program =
+  {|.memory 512
+
+=== core 0 ===
+    spawn c1, w1
+    spawn c2, w2
+    spawn c3, w3
+    mode_switch coupled
+    mov r1 = #7
+    put.e r1
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    mov r3 = #3
+    pbr b0 = mid0
+    nop
+    nop
+mid0:
+    nop
+    nop
+    nop
+    sub r3 = r3, #1
+    cmp.gt r4 = r3, #0
+    nop
+    br b0 if r4
+    mode_switch decoupled
+    halt
+
+=== core 1 ===
+w1:
+    mode_switch coupled
+    nop
+    get.w r2
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    mode_switch decoupled
+    halt
+
+=== core 2 ===
+w2:
+    mode_switch coupled
+    mov r1 = #9
+    nop
+    nop
+    nop
+    put.e r1
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    mode_switch decoupled
+    halt
+
+=== core 3 ===
+w3:
+    mode_switch coupled
+    mov r5 = #64
+    load r6 = [r5 + #0]
+    nop
+    nop
+    get.w r2
+    nop
+    nop
+    nop
+    load r7 = [r5 + #128]
+    nop
+    nop
+    nop
+    nop
+    nop
+    nop
+    mode_switch decoupled
+    halt
+|}
+
+let with_lat_l1 lat (c : Config.t) =
+  { c with Config.cache = { c.Config.cache with Coherence.lat_l1 = lat } }
+
+(* Elision must engage here (fast-forward skips fetches the per-cycle
+   reference makes) and change nothing else. *)
+let test_elision_program () =
+  let program = Asm.parse nop_runs_program in
+  let slow = run_asm ~ff:false ~cores:4 program
+  and fast = run_asm ~ff:true ~cores:4 program in
+  Alcotest.(check string) "finished" "finished" slow.outcome_tag;
+  check_same "nop runs" ~slow ~fast;
+  Alcotest.(check bool)
+    (Printf.sprintf "elided fetches (%d of %d made)" fast.fetches slow.fetches)
+    true
+    (fast.fetches < slow.fetches)
+
+(* At [lat_l1 = 2] a memo-hit fetch blocks the next cycle, so elision must
+   switch itself off: every fetch is made, and nothing else differs. *)
+let test_elision_off_lat_l1 () =
+  let tweak = with_lat_l1 2 in
+  let same label ~slow ~fast =
+    check_same label ~slow ~fast;
+    Alcotest.(check int) (label ^ " fetches") slow.fetches fast.fetches
+  in
+  let program = Asm.parse nop_runs_program in
+  same "nop runs/lat_l1 2"
+    ~slow:(run_asm ~tweak ~ff:false ~cores:4 program)
+    ~fast:(run_asm ~tweak ~ff:true ~cores:4 program);
+  List.iter
+    (fun name ->
+      let program = (Suite.by_name name).Suite.build ~scale () in
+      let run ~ff = run_one ~tweak ~ff ~choice:`Hybrid ~cores:16 program in
+      same (name ^ "/hybrid/16 cores/lat_l1 2") ~slow:(run ~ff:false)
+        ~fast:(run ~ff:true))
+    [ "cjpeg"; "gsmencode" ]
+
 (* Per-cycle minor-heap budget, in words. The sweep's residual allocations
    are small and bounded (a [Some target] per taken branch, TM read/write
    set entries per transactional access; a blocked core's verdict is one
    of the machine's preallocated waits, not a fresh [Some wait]); measured
    2.6 at 4 cores and 5.4 (snoop) and 5.6 (directory) at 16 cores on this
-   workload, and the budget is set well above that so a regression that
-   reintroduces per-cycle closures, lists or hashtables (tens to hundreds
-   of words each) fails loudly while normal drift does not. The 16-core
-   legs keep deep operand-network queues in flight, where a query that
-   walks or copies a queue shows first. *)
-let alloc_budget_words_per_cycle = 24.0
+   workload. The budget sits above that drift but below the 9.2 / 16.6 /
+   17.0 these runs measured while a blocked core still allocated a fresh
+   [Some (W_recv _)] per cycle, so reintroducing that allocation fails,
+   and so does any per-cycle closure, list or hashtable (tens to hundreds
+   of words each). The 16-core legs keep deep operand-network queues in
+   flight, where a query that walks or copies a queue shows first. *)
+let alloc_budget_words_per_cycle = 8.0
 
 let test_allocation_budget ~cores ~protocol () =
   let b = Suite.by_name "gsmencode" in
@@ -207,6 +399,10 @@ let () =
             (test_differential_16 Coherence.Directory);
           Alcotest.test_case "differential 16 cores snoop" `Slow
             (test_differential_16 Coherence.Snoop);
+          Alcotest.test_case "NOP-run elision, hand-written program" `Quick
+            test_elision_program;
+          Alcotest.test_case "NOP-run elision off at lat_l1 2" `Slow
+            test_elision_off_lat_l1;
         ] );
       ( "allocation",
         [
