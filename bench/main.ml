@@ -221,9 +221,19 @@ let run_json ~scale ~jobs m wanted =
    so the numbers track the Machine.run hot loop and nothing else. Each
    invocation appends its entries to PERF.json's series, so the speedup
    history is a recorded artifact rather than a claim; each sweep is gated
-   against its own floor in bench/perf_baseline.json (see DESIGN.md §10). *)
+   against its own floor in bench/perf_baseline.json (see DESIGN.md §10).
+   Each workload's run is timed [perf_repeats] times on fresh machines and
+   its median recorded: one timing spreads too widely on a shared host to
+   show a 10-50% change. *)
 
 type perf_row = { pw_bench : string; pw_cycles : int; pw_host_s : float }
+
+let perf_repeats = 5
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
 
 let host_cores () = Domain.recommended_domain_count ()
 
@@ -320,25 +330,42 @@ let run_serial_sweep ~scale ~machine () =
   let n_cores = machine.Config.n_cores in
   let protocol = Coherence.protocol_name machine.Config.cache.Coherence.protocol in
   Printf.printf
-    "perf: %d-core hybrid sweep (%s) over %d workloads (scale %.2f, fast_forward %b)\n%!"
-    n_cores protocol (List.length Suite.all) scale machine.Config.fast_forward;
+    "perf: %d-core hybrid sweep (%s) over %d workloads (scale %.2f, fast_forward \
+     %b, median of %d runs)\n%!"
+    n_cores protocol (List.length Suite.all) scale machine.Config.fast_forward
+    perf_repeats;
   let rows =
     List.map
       (fun (b : Suite.benchmark) ->
         let p = b.Suite.build ~scale () in
         let compiled = Driver.compile ~machine ~choice:`Hybrid ~check:false p in
-        let m = Machine.create machine compiled.Driver.executable in
-        let t0 = Unix.gettimeofday () in
-        let r = Machine.run m in
-        let host = Unix.gettimeofday () -. t0 in
-        (match r.Machine.outcome with
-        | Machine.Finished -> ()
-        | Machine.Out_of_cycles | Machine.Deadlock _ | Machine.Fault_limit _
-        | Machine.Stopped _ ->
-          Printf.eprintf "perf: %s did not finish\n" b.Suite.bench_name;
-          exit 1);
+        let time_run () =
+          let m = Machine.create machine compiled.Driver.executable in
+          let t0 = Unix.gettimeofday () in
+          let r = Machine.run m in
+          let host = Unix.gettimeofday () -. t0 in
+          (match r.Machine.outcome with
+          | Machine.Finished -> ()
+          | Machine.Out_of_cycles | Machine.Deadlock _ | Machine.Fault_limit _
+          | Machine.Stopped _ ->
+            Printf.eprintf "perf: %s did not finish\n" b.Suite.bench_name;
+            exit 1);
+          (r.Machine.cycles, host)
+        in
+        let runs = List.init perf_repeats (fun _ -> time_run ()) in
+        let cycles = fst (List.hd runs) in
+        if List.exists (fun (c, _) -> c <> cycles) runs then begin
+          Printf.eprintf "perf: %s cycle counts differ between repeats: %s\n"
+            b.Suite.bench_name
+            (String.concat " " (List.map (fun (c, _) -> string_of_int c) runs));
+          exit 1
+        end;
         let row =
-          { pw_bench = b.Suite.bench_name; pw_cycles = r.Machine.cycles; pw_host_s = host }
+          {
+            pw_bench = b.Suite.bench_name;
+            pw_cycles = cycles;
+            pw_host_s = median (List.map snd runs);
+          }
         in
         Printf.printf "  %-16s %10d cycles %8.3fs %12.0f cyc/s\n%!" row.pw_bench
           row.pw_cycles row.pw_host_s
@@ -361,6 +388,7 @@ let run_serial_sweep ~scale ~machine () =
         ("jobs", Json.Int 1);
         ("host_cores", Json.Int (host_cores ()));
         ("fast_forward", Json.Bool machine.Config.fast_forward);
+        ("repeats", Json.Int perf_repeats);
         ("total_cycles", Json.Int total_cycles);
         ("total_host_s", Json.Float total_host);
         ("cycles_per_sec", Json.Float cps);

@@ -40,9 +40,14 @@ type blame_event =
 
 type probe = {
   on_core_cycles :
-    core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit;
+    (core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit)
+    option;
   on_event : (Trace.event -> unit) option;
   every_cycle : (now:int -> unit) option;
+  on_window : (from:int -> upto:int -> unit) option;
+  on_net : (Net.event -> unit) option;
+  on_tm : (Tm.event -> unit) option;
+  on_access : (core:int -> completion:int -> Coherence.kind -> int -> unit) option;
 }
 
 type core_diag = {
@@ -162,19 +167,12 @@ type t = {
   mutable now : int;
   mutable serial_queue : int list;
   mutable last_progress : int;
-  (* The one observer of the machine's own activity: every core-cycle
-     classification, the structured events and a per-cycle check. [None]
-     (the default) keeps every report site to a single branch, off the
-     allocation path. *)
+  (* Every attached probe, composed. [None] (the default) keeps every report
+     site to a single branch, off the allocation path. *)
   mutable probe : probe option;
-  (* A stop request any probe or monitor callback can raise; the run loop
-     converts it into a [Stopped] outcome at the end of the cycle. *)
+  (* A stop request any probe callback can raise; the run loop converts it
+     into a [Stopped] outcome at the end of the cycle. *)
   mutable stop_requested : bool;
-  (* Cycle-window hook: called once per run-loop iteration with the closed
-     cycle interval that iteration covered (a fast-forward jump covers
-     many). Attaching it does NOT disable fast-forward — that is its whole
-     point. *)
-  mutable on_window : (from:int -> upto:int -> unit) option;
   (* Stall fast-forward (Config.fast_forward). [ff_active] is resolved once
      at run entry: on unless something must see every cycle (a probe's
      [on_event] or [every_cycle], the fault injector — core-cycle reports
@@ -360,7 +358,6 @@ let create cfg (prog : Program.t) =
       last_progress = 0;
       probe = None;
       stop_requested = false;
-      on_window = None;
       ff_active = false;
       wake = max_int;
       sweep_next = cfg.n_cores;
@@ -389,18 +386,39 @@ let now t = t.now
 let mode t = t.mode
 
 let null_probe =
+  { on_core_cycles = None; on_event = None; every_cycle = None; on_window = None;
+    on_net = None; on_tm = None; on_access = None }
+
+(* [a]'s callbacks, then [b]'s; a field only one side sets is kept as is. *)
+let compose a b =
+  let join a b both =
+    match (a, b) with None, x | x, None -> x | Some f, Some g -> Some (both f g)
+  in
+  let seq f g x = f x; g x in
   {
-    on_core_cycles = (fun ~core:_ ~pc:_ ~k:_ ~upto:_ ~redo:_ _ -> ());
-    on_event = None;
-    every_cycle = None;
+    on_core_cycles =
+      join a.on_core_cycles b.on_core_cycles (fun f g ~core ~pc ~k ~upto ~redo ev ->
+          f ~core ~pc ~k ~upto ~redo ev; g ~core ~pc ~k ~upto ~redo ev);
+    on_event = join a.on_event b.on_event seq;
+    every_cycle = join a.every_cycle b.every_cycle (fun f g ~now -> f ~now; g ~now);
+    on_window =
+      join a.on_window b.on_window (fun f g ~from ~upto ->
+          f ~from ~upto; g ~from ~upto);
+    on_net = join a.on_net b.on_net seq;
+    on_tm = join a.on_tm b.on_tm seq;
+    on_access =
+      join a.on_access b.on_access (fun f g ~core ~completion kind addr ->
+          f ~core ~completion kind addr; g ~core ~completion kind addr);
   }
 
 let attach_probe t p =
-  match t.probe with
-  | Some _ -> invalid_arg "Machine.attach_probe: a probe is already attached"
-  | None -> t.probe <- Some p
+  let p = match t.probe with None -> p | Some q -> compose q p in
+  t.probe <- Some p;
+  Option.iter (Net.set_monitor t.net) p.on_net;
+  Option.iter (Tm.set_monitor t.tm) p.on_tm;
+  Option.iter (Coherence.set_monitor t.hier) p.on_access
 
-let set_on_window t f = t.on_window <- Some f
+let set_on_window t f = attach_probe t { null_probe with on_window = Some f }
 let request_stop t = t.stop_requested <- true
 let config t = t.cfg
 
@@ -507,16 +525,17 @@ let trace_stall t cs (p : probe) kind =
   | None -> ()
   | Some f -> f (Trace.Stall { cycle = t.now; core = cs.id; kind })
 
+let report_wait t cs (p : probe) w kind ~k ~upto =
+  (match p.on_core_cycles with
+  | None -> ()
+  | Some f -> f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial (Blame_wait w));
+  trace_stall t cs p kind
+
 (* A running core blocked on its own wait [w]. *)
 let credit_wait t cs w ~k ~upto =
   let kind = stall_of_wait w in
   Stats.add_stall t.st ~core:cs.id kind k;
-  match t.probe with
-  | None -> ()
-  | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial
-      (Blame_wait w);
-    trace_stall t cs p kind
+  match t.probe with None -> () | Some p -> report_wait t cs p w kind ~k ~upto
 
 (* A core whose status is the wait — at a barrier or commit round, queued
    for the serial token, or wedged: a sync stall. Always credited at the
@@ -525,10 +544,7 @@ let credit_status t cs k =
   Stats.add_stall t.st ~core:cs.id Stats.Sync k;
   match t.probe with
   | None -> ()
-  | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
-      (Blame_wait (wait_of_status cs.status));
-    trace_stall t cs p Stats.Sync
+  | Some p -> report_wait t cs p (wait_of_status cs.status) Stats.Sync ~k ~upto:t.now
 
 (* An issueable coupled core held by the stall bus: charged with the
    peers' dominant stall [kind], the lock-step overhead the coupled mode
@@ -538,8 +554,11 @@ let credit_lockstep t cs kind k =
   match t.probe with
   | None -> ()
   | Some p ->
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
-      (Blame_lockstep { b_kind = kind });
+    (match p.on_core_cycles with
+    | None -> ()
+    | Some f ->
+      f ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
+        (Blame_lockstep { b_kind = kind }));
     trace_stall t cs p kind
 
 (* An asleep or halted core. *)
@@ -547,12 +566,12 @@ let credit_idle t cs ~k ~upto =
   let core_st = Stats.core t.st cs.id in
   core_st.idle <- core_st.idle + k;
   match t.probe with
-  | None -> ()
-  | Some p ->
+  | Some { on_core_cycles = Some f; _ } ->
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
     let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
-    p.on_core_cycles ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:false (Blame_wait w)
+    f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:false (Blame_wait w)
+  | Some _ | None -> ()
 
 (* A core that issued the bundle [d] at [pc]; [redo] marks serial TM
    re-execution work. *)
@@ -567,7 +586,9 @@ let credit_busy t cs ~pc ~redo (d : Image.decoded) =
   match t.probe with
   | None -> ()
   | Some p -> (
-    p.on_core_cycles ~core:cs.id ~pc ~k:1 ~upto:t.now ~redo Blame_busy;
+    (match p.on_core_cycles with
+    | None -> ()
+    | Some f -> f ~core:cs.id ~pc ~k:1 ~upto:t.now ~redo Blame_busy);
     match p.on_event with
     | None -> ()
     | Some f ->
@@ -598,13 +619,13 @@ let settle_run t cs g =
     core_st.busy <- core_st.busy + k;
     core_st.bundles <- core_st.bundles + k;
     (match t.probe with
-    | None -> ()
-    | Some p ->
+    | Some { on_core_cycles = Some f; _ } ->
       for j = 0 to k - 1 do
-        p.on_core_cycles ~core:cs.id ~pc:(cs.pc + j) ~k:1
+        f ~core:cs.id ~pc:(cs.pc + j) ~k:1
           ~upto:t.gi_ring.((cs.el_base + 1 + j) land t.gi_mask)
           ~redo:cs.tm_serial Blame_busy
-      done);
+      done
+    | Some _ | None -> ());
     cs.pc <- cs.pc + k;
     cs.el_base <- cs.el_base + k;
     cs.el_left <- cs.el_left - k;
@@ -1241,8 +1262,8 @@ let coupled_step t =
         | V_issue -> credit_lockstep t cs dominant k
         | V_elided ->
           (match t.probe with
-          | Some _ -> settle_run t cs t.group_issues
-          | None -> ());
+          | Some { on_core_cycles = Some _; _ } -> settle_run t cs t.group_issues
+          | Some _ | None -> ());
           credit_lockstep t cs dominant k
         | V_waiting -> ()
       done;
@@ -1637,10 +1658,11 @@ let run t =
       resolve_serial_queue t;
       (* The step may have fast-forwarded: report the whole covered window.
          [c0 = t.now] when it stepped one cycle. *)
-      (match t.on_window with None -> () | Some f -> f ~from:c0 ~upto:t.now);
       (match t.probe with
-      | Some { every_cycle = Some f; _ } -> f ~now:t.now
-      | Some _ | None -> ());
+      | None -> ()
+      | Some p -> (
+        (match p.on_window with None -> () | Some f -> f ~from:c0 ~upto:t.now);
+        match p.every_cycle with None -> () | Some f -> f ~now:t.now));
       if t.stop_requested then outcome := Some (Stopped (diagnose t))
       else if finished t then outcome := Some Finished
       else if (match t.inj with Some f -> Fault.exceeded f | None -> false)

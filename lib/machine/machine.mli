@@ -106,8 +106,8 @@ val run : t -> result
 
 val memory : t -> Voltron_mem.Memory.t
 val stats : t -> Stats.t
-(** The run's counters. Read mid-run (from {!set_on_window}'s callback, or
-    from a network, TM or coherence monitor in the middle of a cycle), it
+(** The run's counters. Read mid-run (from a probe's [on_window], or from
+    its [on_net], [on_tm] or [on_access] in the middle of a cycle), it
     first settles the credit the stall fast-forward has deferred and the
     bundles NOP-run elision has skipped, so the counters are exactly what
     cycle-by-cycle stepping would show at that point. *)
@@ -152,7 +152,8 @@ type blame_event =
 
 type probe = {
   on_core_cycles :
-    core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit;
+    (core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit)
+    option;
       (** Every simulated core-cycle is reported exactly once, right where
           [Stats] counts it: the report covers the [k] identical cycles
           [\[upto-k+1, upto\]] ([k] > 1 under stall fast-forward). [pc] is
@@ -175,30 +176,35 @@ type probe = {
       (** Issues, stalls, SEND/RECV, spawns, mode changes, TM rounds and
           serial re-execution starts, in simulation order (see {!Trace}). *)
   every_cycle : (now:int -> unit) option;
-      (** Runs at the end of every cycle, after {!set_on_window}'s callback
-          — the sanitizer's check. May call {!request_stop}. *)
+      (** Runs at the end of every cycle, after [on_window] — the
+          sanitizer's check. May call {!request_stop}. *)
+  on_window : (from:int -> upto:int -> unit) option;
+      (** Once per run-loop iteration, with the cycles [\[from, upto\]] it
+          covered ([from < upto] across a stall fast-forward jump). *)
+  on_net : (Voltron_net.Operand_network.event -> unit) option;
+  on_tm : (Voltron_mem.Tm.event -> unit) option;  (** also every load and store *)
+  on_access :
+    (core:int -> completion:int -> Voltron_mem.Coherence.kind -> int -> unit) option;
+      (** see {!Voltron_mem.Coherence.set_monitor} *)
 }
 (** Every callback is read-only: it may inspect the machine (coherence,
-    network, [now], [mode], [pc]) but not mutate it. Fast-forward stays on
-    unless [on_event] or [every_cycle] is present, since those must see
-    every cycle. *)
+    network, [now], [mode], [pc], [stats]) but not mutate it. Fast-forward
+    stays on unless [on_event] or [every_cycle] is present. *)
 
 val null_probe : probe
-(** Reports nothing — the base to override the fields one consumer needs. *)
+(** Every field [None] — the base to set the fields one consumer needs. *)
 
 val attach_probe : t -> probe -> unit
-(** Attach the probe; call before {!run}. With none attached (the default)
-    every report site pays a single branch and allocates nothing. Raises
-    [Invalid_argument] if a probe is already attached. *)
+(** Attach a probe; call before {!run}. Probes compose field by field, in
+    attach order; a field only one probe sets is called directly. The
+    machine owns its network's, TM's and hierarchy's monitor slots and
+    installs the composed [on_net], [on_tm] and [on_access] there. With no
+    probe (the default) every report site pays one branch, no allocation. *)
 
 val set_on_window : t -> (from:int -> upto:int -> unit) -> unit
-(** Invoke a callback once per run-loop iteration with the closed cycle
-    interval [\[from, upto\]] that iteration covered — [from = upto] on an
-    ordinary cycle, [from < upto] across a stall fast-forward jump.
-    Attaching it does {e not} disable fast-forward. Same read-only contract
-    as the probe; a later call displaces the callback. *)
+(** [attach_probe] with only [on_window] set. *)
 
 val request_stop : t -> unit
 (** Ask the run loop to stop at the end of the current cycle with a
     {!Stopped} outcome carrying the usual structured diagnosis. Callable
-    from any hook or monitor callback; idempotent. *)
+    from any probe callback; idempotent. *)

@@ -110,14 +110,14 @@ val stats : t -> core:int -> stats
 val total_stats : t -> stats
 
 val set_monitor : t -> (core:int -> completion:int -> kind -> int -> unit) -> unit
-(** Attach an access monitor (the runtime sanitizer, the causal
-    profiler): called after every {!access}, once the coherence transition
-    for that access has fully landed — under either backend — with the
-    accessing core, the cycle the access completes (the fill time —
-    [completion - now] above the L1 hit latency marks a miss-fill edge),
-    the access kind and the word address. Passive — the callback must not
-    mutate the hierarchy. Unset (the default), the hot path pays a single
-    branch.
+(** The one access monitor slot, which a machine owns (its probes'
+    [on_access]); a later call replaces it. Called after every {!access},
+    once the coherence transition for that access has fully landed —
+    under either backend — with the accessing core, the cycle the access
+    completes (the fill time — [completion - now] above the L1 hit latency
+    marks a miss-fill edge), the access kind and the word address. Passive
+    — the callback must not mutate the hierarchy. Unset (the default), the
+    hot path pays a single branch.
 
     The machine's NOP-run elision (fast-forward on, coupled mode) skips
     the fetches of the empty bundles it elides, so the monitor is not told

@@ -5,22 +5,17 @@ type tx = {
   write_order : int Voltron_util.Vec.t;  (** addresses in first-write order *)
 }
 
-(* Runtime sanitizer hooks: one narrow callback per TM-visible event. All
-   passive — the sanitizer mirrors the write buffers and shadow memory from
-   these, it never mutates the TM. [tx] on read/write says whether the core
-   was inside a transaction (buffered) at that access. *)
-type monitor = {
-  m_read : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_write : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_begin : core:int -> unit;
-  m_commit : core:int -> unit;  (** after the buffer landed in memory *)
-  m_abort : core:int -> unit;  (** after the buffer was discarded *)
-}
+type event =
+  | Ev_begin of { core : int }
+  | Ev_commit of { core : int }  (** after the buffer landed in memory *)
+  | Ev_abort of { core : int }  (** after the buffer was discarded *)
+  | Ev_read of { core : int; addr : int; value : int; tx : bool }
+  | Ev_write of { core : int; addr : int; value : int; tx : bool }
 
 type t = {
   mem : Memory.t;
   txs : tx array;
-  mutable monitor : monitor option;
+  mutable monitor : (event -> unit) option;
   (* Test-only sabotage: when armed, the next abort leaks its first
      buffered store into memory before discarding the buffer — a broken
      rollback for the sanitizer's TM oracle to catch. *)
@@ -43,7 +38,7 @@ let create mem ~n_cores =
     leak_next_abort = false;
   }
 
-let set_monitor t m = t.monitor <- Some m
+let set_monitor t f = t.monitor <- Some f
 
 let test_leak_next_abort t = t.leak_next_abort <- true
 
@@ -56,7 +51,7 @@ let tx_begin t ~core =
   Hashtbl.reset tx.reads;
   Hashtbl.reset tx.writes;
   Voltron_util.Vec.clear tx.write_order;
-  match t.monitor with None -> () | Some m -> m.m_begin ~core
+  match t.monitor with None -> () | Some f -> f (Ev_begin { core })
 
 let read t ~core addr =
   let tx = t.txs.(core) in
@@ -72,7 +67,7 @@ let read t ~core addr =
   in
   (match t.monitor with
   | None -> ()
-  | Some m -> m.m_read ~core ~addr ~value:v ~tx:in_tx);
+  | Some f -> f (Ev_read { core; addr; value = v; tx = in_tx }));
   v
 
 let write t ~core addr v =
@@ -90,7 +85,7 @@ let write t ~core addr v =
   end;
   match t.monitor with
   | None -> ()
-  | Some m -> m.m_write ~core ~addr ~value:v ~tx:in_tx
+  | Some f -> f (Ev_write { core; addr; value = v; tx = in_tx })
 
 let clear_tx t ~core =
   let tx = t.txs.(core) in
@@ -111,7 +106,7 @@ let abort t ~core =
     Memory.write t.mem addr (Hashtbl.find tx.writes addr)
   end;
   clear_tx t ~core;
-  match t.monitor with None -> () | Some m -> m.m_abort ~core
+  match t.monitor with None -> () | Some f -> f (Ev_abort { core })
 
 let commit_one t ~core =
   let tx = t.txs.(core) in
@@ -119,7 +114,7 @@ let commit_one t ~core =
     (fun addr -> Memory.write t.mem addr (Hashtbl.find tx.writes addr))
     tx.write_order;
   clear_tx t ~core;
-  match t.monitor with None -> () | Some m -> m.m_commit ~core
+  match t.monitor with None -> () | Some f -> f (Ev_commit { core })
 
 let commit_round t ~cores =
   let committed_writes : (int, unit) Hashtbl.t = Hashtbl.create 64 in

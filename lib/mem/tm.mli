@@ -14,23 +14,22 @@
 
 type t
 
-(** Runtime sanitizer hooks — one narrow callback per TM-visible event,
-    all passive (the sanitizer mirrors buffers and shadow memory from
-    them; it never mutates the TM). [tx] on read/write reports whether the
-    access was inside a transaction (i.e. buffered). Every architectural
-    memory access in the machine goes through {!read}/{!write}, so these
-    two callbacks double as the machine-wide load/store event stream. *)
-type monitor = {
-  m_read : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_write : core:int -> addr:int -> value:int -> tx:bool -> unit;
-  m_begin : core:int -> unit;
-  m_commit : core:int -> unit;  (** after the buffer landed in memory *)
-  m_abort : core:int -> unit;  (** after the buffer was discarded *)
-}
+(** One event per TM-visible action, built only when a monitor is set.
+    Every architectural load and store goes through {!read}/{!write}, so
+    [Ev_read]/[Ev_write] are the machine-wide load/store stream; [tx] says
+    whether the access was inside a transaction (i.e. buffered). *)
+type event =
+  | Ev_begin of { core : int }
+  | Ev_commit of { core : int }  (** after the buffer landed in memory *)
+  | Ev_abort of { core : int }  (** after the buffer was discarded *)
+  | Ev_read of { core : int; addr : int; value : int; tx : bool }
+  | Ev_write of { core : int; addr : int; value : int; tx : bool }
 
 val create : Memory.t -> n_cores:int -> t
 
-val set_monitor : t -> monitor -> unit
+val set_monitor : t -> (event -> unit) -> unit
+(** The one slot, which the machine owns (its probes' [on_tm]); a later
+    call replaces it. Passive — the callback must not mutate the TM. *)
 
 val test_leak_next_abort : t -> unit
 (** Arm a one-shot sabotage: the next {!abort} of a transaction with a

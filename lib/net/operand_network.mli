@@ -200,8 +200,9 @@ type event =
       (** successful latch drain at the consuming core *)
 
 val set_monitor : t -> (event -> unit) -> unit
-(** Passive: the callback must not mutate the network. Unset (the default),
-    the hot path pays a single branch per event site. *)
+(** The one slot, which a machine owns (its probes' [on_net]); a later call
+    replaces it. Passive: the callback must not mutate the network. Unset
+    (the default), the hot path pays a single branch per event site. *)
 
 val in_flight_count : t -> int
 (** Messages currently in flight — the conservation figure the sanitizer

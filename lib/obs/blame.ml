@@ -75,12 +75,6 @@ type interval = {
 
 type delivery = { dv_cycle : int; dv_src : int; dv_sent : int; dv_start : bool }
 
-type tm_counts = {
-  mutable tr_begins : int;
-  mutable tr_commits : int;
-  mutable tr_aborts : int;
-}
-
 type t = {
   machine : Machine.t;
   n_cores : int;
@@ -88,7 +82,7 @@ type t = {
   region_of : core:int -> pc:int -> int;
   ivs : interval Vec.t array;  (** per core, in time order, tiling the run *)
   dvs : delivery Vec.t array;  (** per destination core, in delivery order *)
-  tm : tm_counts array;  (** per region *)
+  tm : int array array;  (** per region: TM begins, commits, aborts *)
   hop_cost : int;
   hops : int -> int -> int;
 }
@@ -132,7 +126,6 @@ let record t ~core ~pc ~k ~upto ~redo (ev : Machine.blame_event) =
 let attach m (compiled : Driver.compiled) =
   let names, _, region_of = Region_profile.lookup compiled in
   let n_cores = Program.n_cores compiled.Driver.executable in
-  let net = Machine.network m in
   let t =
     {
       machine = m;
@@ -141,36 +134,39 @@ let attach m (compiled : Driver.compiled) =
       region_of;
       ivs = Array.init n_cores (fun _ -> Vec.create ());
       dvs = Array.init n_cores (fun _ -> Vec.create ());
-      tm = Array.init (Array.length names) (fun _ ->
-          { tr_begins = 0; tr_commits = 0; tr_aborts = 0 });
+      tm = Array.init (Array.length names) (fun _ -> Array.make 3 0);
       hop_cost = (Machine.config m).Config.net_hop_cost;
-      hops = Mesh.hops (Net.mesh net);
+      hops = Mesh.hops (Net.mesh (Machine.network m));
     }
   in
-  Machine.attach_probe m { Machine.null_probe with on_core_cycles = record t };
-  Net.set_monitor net (fun ev ->
-      match ev with
-      | Net.Ev_deliver { ev_src; ev_dst; ev_payload; ev_sent; ev_seq = _ } ->
-        Vec.push t.dvs.(ev_dst)
-          {
-            dv_cycle = Machine.now m;
-            dv_src = ev_src;
-            dv_sent = ev_sent;
-            dv_start =
-              (match ev_payload with Net.Start _ -> true | Net.Value _ -> false);
-          }
-      | Net.Ev_send _ | Net.Ev_put _ | Net.Ev_get _ -> ());
-  let tm_at core =
-    t.tm.(t.region_of ~core ~pc:(Machine.pc m ~core))
+  let count core i =
+    let c = t.tm.(t.region_of ~core ~pc:(Machine.pc m ~core)) in
+    c.(i) <- c.(i) + 1
   in
-  Tm.set_monitor (Machine.tm m)
+  Machine.attach_probe m
     {
-      Tm.m_read = (fun ~core:_ ~addr:_ ~value:_ ~tx:_ -> ());
-      m_write = (fun ~core:_ ~addr:_ ~value:_ ~tx:_ -> ());
-      m_begin = (fun ~core -> let r = tm_at core in r.tr_begins <- r.tr_begins + 1);
-      m_commit =
-        (fun ~core -> let r = tm_at core in r.tr_commits <- r.tr_commits + 1);
-      m_abort = (fun ~core -> let r = tm_at core in r.tr_aborts <- r.tr_aborts + 1);
+      Machine.null_probe with
+      on_core_cycles = Some (record t);
+      on_net =
+        Some
+          (function
+          | Net.Ev_deliver { ev_src; ev_dst; ev_payload; ev_sent; ev_seq = _ } ->
+            Vec.push t.dvs.(ev_dst)
+              {
+                dv_cycle = Machine.now m;
+                dv_src = ev_src;
+                dv_sent = ev_sent;
+                dv_start =
+                  (match ev_payload with Net.Start _ -> true | Net.Value _ -> false);
+              }
+          | Net.Ev_send _ | Net.Ev_put _ | Net.Ev_get _ -> ());
+      on_tm =
+        Some
+          (function
+          | Tm.Ev_begin { core } -> count core 0
+          | Tm.Ev_commit { core } -> count core 1
+          | Tm.Ev_abort { core } -> count core 2
+          | Tm.Ev_read _ | Tm.Ev_write _ -> ());
     };
   t
 
@@ -234,7 +230,6 @@ let tm_regions t =
   let out = ref [] in
   for r = Array.length t.tm - 1 downto 0 do
     let c = t.tm.(r) in
-    if c.tr_begins > 0 || c.tr_aborts > 0 then
-      out := (t.names.(r), c.tr_begins, c.tr_commits, c.tr_aborts) :: !out
+    if c.(0) > 0 || c.(2) > 0 then out := (t.names.(r), c.(0), c.(1), c.(2)) :: !out
   done;
   !out

@@ -2,7 +2,7 @@
 
     [attach] attaches a machine probe reading the core-cycle stream
     ({!Voltron_machine.Machine.probe.on_core_cycles}) plus the network and
-    TM monitors, and records a per-core sequence of {e blame
+    TM events, and records a per-core sequence of {e blame
     intervals}: every core-cycle of the run classified as compute or as a
     wait on a named edge kind, with the blamed peer core where the wait
     names one. Contiguous cycles with identical classification are merged,
@@ -57,10 +57,9 @@ type delivery = {
 type t
 
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
-(** Attach the blame probe and the network/TM monitors. Call before
-    {!Voltron_machine.Machine.run}. Raises [Invalid_argument] when the
-    machine already has a probe (the sanitizer's, say), so the two never
-    displace each other. Recording does not disable stall fast-forward. *)
+(** Attach the blame probe. Call before {!Voltron_machine.Machine.run}.
+    It composes with any other probe (the sanitizer's, say). Recording
+    does not disable stall fast-forward. *)
 
 val n_cores : t -> int
 

@@ -26,8 +26,7 @@ val of_stats :
 
 val snapshot : ?label:string -> Voltron_machine.Machine.t -> t
 (** Read every counter of a live (or finished) machine, including
-    per-core cache stats. Safe to call from a probe callback or the
-    {!Voltron_machine.Machine.set_on_window} hook. *)
+    per-core cache stats. Safe to call from a probe callback. *)
 
 val delta : before:t -> after:t -> t
 (** Pointwise [after - before] over every counter ([max_occupancy], a

@@ -81,7 +81,7 @@ let attach m (compiled : Driver.compiled) =
     Array.init (Array.length names) (fun _ ->
         Array.init 2 (fun _ -> Array.make (idle_slot + 1) 0))
   in
-  let on_core_cycles ~core ~pc ~k ~upto:_ ~redo:_ (ev : Machine.blame_event) =
+  let record ~core ~pc ~k ~upto:_ ~redo:_ (ev : Machine.blame_event) =
     let slot =
       match ev with
       | Machine.Blame_busy -> busy_slot
@@ -95,7 +95,7 @@ let attach m (compiled : Driver.compiled) =
     let cell = counts.(region_of ~core ~pc).(mode) in
     cell.(slot) <- cell.(slot) + k
   in
-  Machine.attach_probe m { Machine.null_probe with on_core_cycles };
+  Machine.attach_probe m { Machine.null_probe with on_core_cycles = Some record };
   { names; strategies; counts }
 
 let row_of_cell t r mode_idx =

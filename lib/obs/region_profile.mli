@@ -35,8 +35,7 @@ val lookup :
 val attach : Voltron_machine.Machine.t -> Voltron_compiler.Driver.compiled -> t
 (** Attach the attribution probe to a machine created from
     [compiled.executable]. Call before {!Voltron_machine.Machine.run}.
-    Raises [Invalid_argument] on a core-count mismatch, or when the machine
-    already has a probe. *)
+    Raises [Invalid_argument] on a core-count mismatch. *)
 
 val rows : t -> row list
 (** One row per (region, mode) with any cycles, in plan order (catch-all

@@ -32,7 +32,7 @@ let sample_of t ~cycle d =
     s_msgs = List.assoc "msgs_sent" (Metrics.counters d);
   }
 
-(* The window hook sees every cycle exactly once, as closed intervals
+(* [on_window] sees every cycle exactly once, as closed intervals
    [from, upto] — one cycle wide normally, many across a stall
    fast-forward jump (which is why sampling no longer forces the
    cycle-by-cycle path). A window can therefore cross several sample
@@ -41,6 +41,28 @@ let sample_of t ~cycle d =
    previous snapshot happened at or before it), and any further boundaries
    inside the jump take synthesized all-stall samples — zero activity over
    [every] cycles, exactly what per-cycle stepping would have recorded. *)
+let on_window t ~from:_ ~upto =
+  if upto / t.every * t.every > t.last_boundary then begin
+    let cur = Metrics.snapshot t.machine in
+    let d = Metrics.delta ~before:t.prev ~after:cur in
+    let first = t.last_boundary + t.every in
+    let boundary = ref first in
+    while !boundary <= upto do
+      let s =
+        if !boundary = first then
+          sample_of t ~cycle:!boundary
+            (Metrics.with_cycles (first - t.last_boundary) d)
+        else
+          sample_of t ~cycle:!boundary
+            (Metrics.with_cycles t.every (Metrics.delta ~before:cur ~after:cur))
+      in
+      t.rev_samples <- s :: t.rev_samples;
+      t.last_boundary <- !boundary;
+      boundary := !boundary + t.every
+    done;
+    t.prev <- cur
+  end
+
 let attach ~every m =
   if every <= 0 then invalid_arg "Sampler.attach: every must be positive";
   let t =
@@ -52,27 +74,7 @@ let attach ~every m =
       rev_samples = [];
     }
   in
-  Machine.set_on_window m (fun ~from:_ ~upto ->
-      if upto / t.every * t.every > t.last_boundary then begin
-        let cur = Metrics.snapshot t.machine in
-        let d = Metrics.delta ~before:t.prev ~after:cur in
-        let first = t.last_boundary + t.every in
-        let boundary = ref first in
-        while !boundary <= upto do
-          let s =
-            if !boundary = first then
-              sample_of t ~cycle:!boundary
-                (Metrics.with_cycles (first - t.last_boundary) d)
-            else
-              sample_of t ~cycle:!boundary
-                (Metrics.with_cycles t.every (Metrics.delta ~before:cur ~after:cur))
-          in
-          t.rev_samples <- s :: t.rev_samples;
-          t.last_boundary <- !boundary;
-          boundary := !boundary + t.every
-        done;
-        t.prev <- cur
-      end);
+  Machine.attach_probe m { Machine.null_probe with on_window = Some (on_window t) };
   t
 
 let samples t = List.rev t.rev_samples

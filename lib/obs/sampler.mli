@@ -1,12 +1,10 @@
 (** Interval time-series sampler.
 
-    Hooks {!Voltron_machine.Machine.set_on_window} and, every [every]
+    Attaches a machine probe's [on_window] and, every [every]
     cycles, records the interval's IPC, occupancy, L1D miss rate, average
     network latency and message count as a {!Metrics.delta} between
     consecutive snapshots — "what was the machine doing {e then}", not
-    just the end-of-run average. The window hook is not the machine's
-    probe, so a sampler runs alongside the one probe consumer a machine
-    takes (region profile, blame recorder, tracer or sanitizer).
+    just the end-of-run average.
 
     Sampling is fast-forward-compatible: a window that jumps a long stall
     region reports all the boundaries it crossed at once — the first takes
@@ -27,9 +25,8 @@ type sample = {
 type t
 
 val attach : every:int -> Voltron_machine.Machine.t -> t
-(** Install the sampling hook (displacing any previous [set_on_window]
-    callback). Call before {!Voltron_machine.Machine.run}. Raises
-    [Invalid_argument] when [every <= 0]. *)
+(** Attach the sampling probe. Call before {!Voltron_machine.Machine.run}.
+    Raises [Invalid_argument] when [every <= 0]. *)
 
 val samples : t -> sample list
 (** In time order. *)

@@ -211,29 +211,12 @@ let check_line t ~core addr =
   if !m + !e > 1 || ((!m = 1 || !e = 1) && !total > 1) || !o > 1 then
     record t ~core ~addr (Coherence_states { line; states })
 
-let on_access t ~core kind addr =
+let on_access t ~core ~completion:_ kind addr =
   match kind with
   | Coherence.Ifetch -> ()
   | Coherence.Dload | Coherence.Dstore -> check_line t ~core addr
 
 (* --- TM / shadow-memory oracle --------------------------------------------- *)
-
-let on_read t ~core ~addr ~value ~tx =
-  let expected =
-    if tx then
-      match Hashtbl.find_opt t.tx_mirror.(core) addr with
-      | Some v -> v
-      | None -> t.shadow.(addr)
-    else t.shadow.(addr)
-  in
-  if value <> expected then
-    record t ~core ~addr (Read_divergence { expected; got = value })
-
-let on_write t ~core ~addr ~value ~tx =
-  if tx then Hashtbl.replace t.tx_mirror.(core) addr value
-  else t.shadow.(addr) <- value
-
-let on_begin t ~core = Hashtbl.reset t.tx_mirror.(core)
 
 let on_commit t ~core =
   Hashtbl.iter (fun addr v -> t.shadow.(addr) <- v) t.tx_mirror.(core);
@@ -255,6 +238,24 @@ let on_abort t ~core =
           (Aborted_store_leaked { expected = t.shadow.(addr); got }))
     t.tx_mirror.(core);
   Hashtbl.reset t.tx_mirror.(core)
+
+let on_tm t = function
+  | Tm.Ev_read { core; addr; value; tx } ->
+    let expected =
+      if tx then
+        match Hashtbl.find_opt t.tx_mirror.(core) addr with
+        | Some v -> v
+        | None -> t.shadow.(addr)
+      else t.shadow.(addr)
+    in
+    if value <> expected then
+      record t ~core ~addr (Read_divergence { expected; got = value })
+  | Tm.Ev_write { core; addr; value; tx } ->
+    if tx then Hashtbl.replace t.tx_mirror.(core) addr value
+    else t.shadow.(addr) <- value
+  | Tm.Ev_begin { core } -> Hashtbl.reset t.tx_mirror.(core)
+  | Tm.Ev_commit { core } -> on_commit t ~core
+  | Tm.Ev_abort { core } -> on_abort t ~core
 
 (* --- Network conservation -------------------------------------------------- *)
 
@@ -282,6 +283,8 @@ let remove_seq q seq =
   Queue.clear q;
   Queue.transfer keep q;
   !found
+
+let dir_index = function Inst.North -> 0 | South -> 1 | East -> 2 | West -> 3
 
 let on_net_event t = function
   | Net.Ev_send { ev_src; ev_dst; ev_seq; ev_payload } ->
@@ -312,16 +315,13 @@ let on_net_event t = function
       end
     end
   | Net.Ev_put { ev_src; ev_dst; ev_dir } ->
-    let slot = Inst.opposite ev_dir in
-    let d = match slot with Inst.North -> 0 | South -> 1 | East -> 2 | West -> 3 in
+    let d = dir_index (Inst.opposite ev_dir) in
     if t.latch_mirror.(ev_dst).(d) then
       record t ~core:ev_dst ~blame:(ev_dst, ev_src)
         (Latch_double_fill { dir = ev_dir })
     else t.latch_mirror.(ev_dst).(d) <- true
   | Net.Ev_get { ev_core; ev_dir } ->
-    let d =
-      match ev_dir with Inst.North -> 0 | South -> 1 | East -> 2 | West -> 3
-    in
+    let d = dir_index ev_dir in
     if not t.latch_mirror.(ev_core).(d) then
       record t ~core:ev_core (Latch_empty_get { dir = ev_dir })
     else t.latch_mirror.(ev_core).(d) <- false
@@ -343,15 +343,7 @@ let on_cycle t ~now:_ =
 
 let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
   let mem = Machine.memory m in
-  let size = Memory.size mem in
-  let shadow = Array.init size (fun i -> Memory.peek mem i) in
-  let hier = Machine.coherence m in
-  let net = Machine.network m in
-  let n =
-    (* Latch mirror is indexed by core; the mesh's core count equals the
-       machine's. *)
-    Voltron_net.Mesh.n_cores (Net.mesh net)
-  in
+  let n = (Machine.config m).Voltron_machine.Config.n_cores in
   let t =
     {
       machine = m;
@@ -359,9 +351,9 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
       log;
       limit;
       mem;
-      hier;
-      net;
-      shadow;
+      hier = Machine.coherence m;
+      net = Machine.network m;
+      shadow = Array.init (Memory.size mem) (Memory.peek mem);
       tx_mirror = Array.init n (fun _ -> Hashtbl.create 32);
       channels = Hashtbl.create 32;
       outstanding = 0;
@@ -374,20 +366,14 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
       by_class = Hashtbl.create 8;
     }
   in
-  (* The probe first: if the machine already has one, nothing is wired. *)
   Machine.attach_probe m
-    { Machine.null_probe with every_cycle = Some (on_cycle t) };
-  Coherence.set_monitor hier (fun ~core ~completion:_ kind addr ->
-      on_access t ~core kind addr);
-  Tm.set_monitor (Machine.tm m)
     {
-      Tm.m_read = (fun ~core ~addr ~value ~tx -> on_read t ~core ~addr ~value ~tx);
-      m_write = (fun ~core ~addr ~value ~tx -> on_write t ~core ~addr ~value ~tx);
-      m_begin = (fun ~core -> on_begin t ~core);
-      m_commit = (fun ~core -> on_commit t ~core);
-      m_abort = (fun ~core -> on_abort t ~core);
+      Machine.null_probe with
+      every_cycle = Some (on_cycle t);
+      on_access = Some (on_access t);
+      on_tm = Some (on_tm t);
+      on_net = Some (on_net_event t);
     };
-  Net.set_monitor net (fun ev -> on_net_event t ev);
   t
 
 let finalize t ~completed =

@@ -1,6 +1,6 @@
 (** Runtime invariant sanitizer: dynamic verification of the coherence
     protocol, the operand network and transactional memory, attached to a
-    live {!Voltron_machine.Machine} through its narrow monitor callbacks.
+    live {!Voltron_machine.Machine} through one machine probe.
 
     The sanitizer mirrors the architectural contract from the event streams
     the memory system, network and TM announce, and cross-checks the
@@ -116,9 +116,9 @@ val attach :
     defaults to [Abort]; [log] (default: silent) receives each recorded
     violation's rendering as it happens; [limit] (default 32) bounds the
     violations kept and logged — everything past it is still counted.
-    The per-cycle check runs as the machine's probe ([every_cycle], which
-    turns stall fast-forward off); raises [Invalid_argument] when the
-    machine already has a probe. *)
+    One probe carries the per-cycle check ([every_cycle], which turns stall
+    fast-forward off) and the coherence, TM and network streams; it
+    composes with any other probe on the machine. *)
 
 val finalize : t -> completed:bool -> unit
 (** End-of-run checks, to call once the machine has stopped: the

@@ -635,25 +635,22 @@ let test_blame_fast_forward_invariant () =
         slow)
     [ "cjpeg"; "164.gzip" ]
 
-(* One probe per machine: a second attach is refused instead of silently
-   displacing the first, which keeps observing the run. *)
-let test_one_probe () =
+(* Probes compose: a region profile and a blame recorder on one machine
+   each see every core-cycle, so the profile still totals n_cores x cycles
+   and the critical path still spans the whole run. *)
+let test_probes_compose () =
   let p = Suite.micro_gsm_llp ~scale:0.5 () in
   let machine = Config.default ~n_cores:2 in
   let compiled = Driver.compile ~machine ~choice:`Llp p in
   let m = Machine.create machine compiled.Driver.executable in
   let rp = Region_profile.attach m compiled in
-  let refused attach =
-    match attach () with exception Invalid_argument _ -> true | _ -> false
-  in
-  Alcotest.(check bool) "second probe refused" true
-    (refused (fun () -> Machine.attach_probe m Machine.null_probe));
-  Alcotest.(check bool) "blame on a profiled machine refused" true
-    (refused (fun () -> ignore (Blame.attach m compiled)));
+  let b = Blame.attach m compiled in
   let result = Machine.run m in
-  Alcotest.(check int) "first probe still attributes every core-cycle"
+  Alcotest.(check int) "profile attributes every core-cycle"
     (2 * result.Machine.cycles)
-    (Region_profile.total_cycles rp)
+    (Region_profile.total_cycles rp);
+  Alcotest.(check int) "critical path = cycles" result.Machine.cycles
+    (Critpath.length (Critpath.compute b))
 
 let () =
   Alcotest.run "obs"
@@ -663,7 +660,7 @@ let () =
           Alcotest.test_case "per-core invariant" `Quick test_per_core_invariant;
           Alcotest.test_case "region attribution reconciles" `Quick
             test_region_attribution_reconciles;
-          Alcotest.test_case "one probe per machine" `Quick test_one_probe;
+          Alcotest.test_case "probes compose" `Quick test_probes_compose;
         ] );
       ( "export",
         [

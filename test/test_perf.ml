@@ -52,25 +52,36 @@ let outcome_tag (o : Machine.outcome) =
 (* Three readers of the core-cycle credit stay attached under
    fast-forward, so the differential covers each: the attribution probe
    (deferred reports must land in the very same cells), the sampler
-   (reads [Machine.stats] from the window hook, between cycles) and a
-   network monitor that reads it mid-sweep, at every message enqueue and
+   (reads [Machine.stats] from its [on_window], between cycles) and a
+   probe whose [on_net] reads it mid-sweep, at every message enqueue and
    delivery and every direct-mode PUT (phase 1 of a coupled issue) and GET
    (phase 2), where each core's credited total must be what the per-cycle
-   sweep has credited by then. A coherence monitor counts instruction
-   fetches, which NOP-run elision skips. *)
+   sweep has credited by then. The same probe's [on_access] counts
+   instruction fetches, which NOP-run elision skips. All three are
+   composed on one machine, so the network and coherence readers run
+   through the machine's forwarding of the subsystem streams. *)
 let observe ~every m ~attribution =
   let sampler = Sampler.attach ~every m in
   let readings = ref [] in
-  Net.set_monitor (Machine.network m) (fun _ ->
-      let credited (c : Stats.core) =
-        c.Stats.busy + c.Stats.idle + Stats.total_stalls c
-      in
-      readings := Array.map credited (Machine.stats m).Stats.per_core :: !readings);
   let fetches = ref 0 in
-  Coherence.set_monitor (Machine.coherence m) (fun ~core:_ ~completion:_ kind _ ->
-      match kind with
-      | Coherence.Ifetch -> incr fetches
-      | Coherence.Dload | Coherence.Dstore -> ());
+  Machine.attach_probe m
+    {
+      Machine.null_probe with
+      on_net =
+        Some
+          (fun _ ->
+            let credited (c : Stats.core) =
+              c.Stats.busy + c.Stats.idle + Stats.total_stalls c
+            in
+            readings :=
+              Array.map credited (Machine.stats m).Stats.per_core :: !readings);
+      on_access =
+        Some
+          (fun ~core:_ ~completion:_ kind _ ->
+            match kind with
+            | Coherence.Ifetch -> incr fetches
+            | Coherence.Dload | Coherence.Dstore -> ());
+    };
   let result = Machine.run m in
   {
     outcome_tag = outcome_tag result.Machine.outcome;
@@ -106,15 +117,16 @@ let run_asm ?tweak ~ff ~cores program =
     {
       Machine.null_probe with
       on_core_cycles =
-        (fun ~core ~pc ~k ~upto ~redo ev ->
-          let from = upto - k + 1 in
-          if from <> next.(core) then
-            Alcotest.failf "core %d: report [%d, %d] breaks its timeline at %d"
-              core from upto next.(core);
-          for c = from to upto do
-            rev.(core) <- (c, pc, redo, ev) :: rev.(core)
-          done;
-          next.(core) <- upto + 1);
+        Some
+          (fun ~core ~pc ~k ~upto ~redo ev ->
+            let from = upto - k + 1 in
+            if from <> next.(core) then
+              Alcotest.failf "core %d: report [%d, %d] breaks its timeline at %d"
+                core from upto next.(core);
+            for c = from to upto do
+              rev.(core) <- (c, pc, redo, ev) :: rev.(core)
+            done;
+            next.(core) <- upto + 1);
     };
   observe ~every:7 m ~attribution:(fun () -> Timeline (Array.map List.rev rev))
 

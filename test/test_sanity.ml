@@ -19,6 +19,9 @@ module Fault = Voltron_fault.Fault
 module Config = Voltron_machine.Config
 module Suite = Voltron_workloads.Suite
 module Frontend = Voltron_lang.Frontend
+module Driver = Voltron_compiler.Driver
+module Blame = Voltron_obs.Blame
+module Critpath = Voltron_obs.Critpath
 
 (* --- Helpers -------------------------------------------------------------- *)
 
@@ -187,6 +190,94 @@ let test_detects_dropped_message () =
     Alcotest.(check int) "detected on the drop cycle" !drop_cycle
       v.Sanity.v_cycle
 
+(* --- Sanitized and observed ------------------------------------------------ *)
+
+(* The sanitizer and a blame recorder on one machine, attached in the
+   given order; [arm] runs once both are attached. *)
+let sanitized_blame ~blame_first ~arm config compiled =
+  let m = Machine.create config compiled.Driver.executable in
+  let b, s =
+    if blame_first then
+      let b = Blame.attach m compiled in
+      (b, Sanity.attach m)
+    else
+      let s = Sanity.attach m in
+      (Blame.attach m compiled, s)
+  in
+  arm m;
+  let result = Machine.run m in
+  Sanity.finalize s ~completed:(result.Machine.outcome = Machine.Finished);
+  (result.Machine.cycles, Sanity.report s, b)
+
+(* Either attach order yields the same run, the same sanitizer report and
+   the same blame record; returns that report. *)
+let check_either_order ?(arm = ignore) label config compiled =
+  let c1, r1, b1 = sanitized_blame ~blame_first:false ~arm config compiled in
+  let c2, r2, b2 = sanitized_blame ~blame_first:true ~arm config compiled in
+  Alcotest.(check int) (label ^ ": same cycles either order") c1 c2;
+  Alcotest.(check bool) (label ^ ": same report either order") true (r1 = r2);
+  for core = 0 to Blame.n_cores b1 - 1 do
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: same blame record either order, core %d" label core)
+      true
+      (Blame.intervals b1 core = Blame.intervals b2 core
+      && Blame.deliveries b1 core = Blame.deliveries b2 core)
+  done;
+  r1
+
+(* A sanitized run can also be observed: with the blame recorder attached
+   it keeps the plain run's numbers and a clean report, and the critical
+   path still spans every cycle. *)
+let test_sanitized_and_blamed () =
+  let p = (Suite.by_name "gsmencode").Suite.build ~scale:0.1 () in
+  let config = Config.default ~n_cores:4 in
+  let compiled = Driver.compile ~machine:config ~choice:`Hybrid p in
+  let plain, () = Run.simulate ~attach:ignore config compiled in
+  let sane, b =
+    Run.simulate ~sanitize:Sanity.Report
+      ~attach:(fun m -> Blame.attach m compiled)
+      config compiled
+  in
+  Alcotest.(check int) "same cycles" plain.Run.cycles sane.Run.cycles;
+  Alcotest.(check bool) "same stats" true (plain.Run.stats = sane.Run.stats);
+  Alcotest.(check bool) "clean" true (Sanity.clean (report_exn sane));
+  Alcotest.(check int) "critical path = cycles" sane.Run.cycles
+    (Critpath.length (Critpath.compute b));
+  ignore (check_either_order "gsmencode" config compiled)
+
+(* The dropped-message case with the blame recorder also attached: still
+   caught, on the drop cycle. *)
+let test_dropped_message_blamed () =
+  let p = Suite.micro_gzip_strands () in
+  let drop_cycle = ref (-1) in
+  let arm m =
+    drop_cycle := -1;
+    Machine.set_on_window m (fun ~from:_ ~upto ->
+        if !drop_cycle < 0 && Net.test_drop (Machine.network m) then
+          drop_cycle := upto)
+  in
+  let prepare c m =
+    ignore (Blame.attach m c);
+    arm m
+  in
+  let m = Run.run ~choice:`Tlp ~prepare ~sanitize:Sanity.Abort ~n_cores:2 p in
+  let r = report_exn m in
+  Alcotest.(check bool) "machine stopped at the violation" true (stopped m);
+  Alcotest.(check bool) "a message was dropped" true (!drop_cycle >= 0);
+  (match
+     List.find_opt
+       (fun v -> Sanity.kind_class v.Sanity.v_kind = "msg-conservation")
+       r.Sanity.r_recorded
+   with
+  | None -> Alcotest.fail "no recorded msg-conservation violation"
+  | Some v ->
+    Alcotest.(check int) "detected on the drop cycle" !drop_cycle
+      v.Sanity.v_cycle);
+  let config = Config.default ~n_cores:2 in
+  check_class "dropped message, either order" "msg-conservation"
+    (check_either_order ~arm "dropped message" config
+       (Driver.compile ~machine:config ~choice:`Tlp p))
+
 (* --- Detection: memory ---------------------------------------------------- *)
 
 (* A word rewritten behind ECC's back (no syndrome, so correction and
@@ -345,6 +436,13 @@ let () =
           Alcotest.test_case "report policy keeps running" `Quick
             test_report_policy_does_not_stop;
           Alcotest.test_case "tm rollback leak" `Quick test_detects_tm_leak;
+        ] );
+      ( "observed",
+        [
+          Alcotest.test_case "sanitized run with blame" `Quick
+            test_sanitized_and_blamed;
+          Alcotest.test_case "dropped message with blame" `Quick
+            test_dropped_message_blamed;
         ] );
       ( "recover",
         [
