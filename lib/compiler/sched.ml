@@ -11,6 +11,18 @@ type result = {
   participants : int list;
 }
 
+(* How a defined value reaches other cores (paper Fig. 5). *)
+type kind =
+  | Move  (* coupled: same-cycle PUT/GET chain along the mesh route *)
+  | Bcast  (* coupled: BCAST/GETB of a branch condition *)
+  | Send of Inst.recv_kind  (* decoupled: SEND/RECV *)
+
+type delivery = {
+  kind : kind;
+  dsts : int list;  (* the consumer cores, sorted *)
+  late : bool;  (* created after the block's other deliveries *)
+}
+
 (* A schedulable node: one or two (core, op) slots issued in the same
    cycle (two for a coupled-mode PUT/GET move). *)
 type node = {
@@ -45,14 +57,8 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
   let n_ops = Array.length dg.Depgraph.ops in
   let core_of i = partition.core_of.(i) in
   let replicable i = core_of i = -1 in
-  (* Ops of each block, in program order, as dg indices. *)
-  let block_ops = Array.make n_blocks [] in
-  for i = n_ops - 1 downto 0 do
-    let bi = dg.Depgraph.block_of.(i) in
-    block_ops.(bi) <- i :: block_ops.(bi)
-  done;
-  (* Terminator-condition consumers: vreg -> block indices whose Branch
-     reads it. *)
+  let uses_of v = Option.value ~default:[] (Hashtbl.find_opt dg.Depgraph.uses_of v) in
+  (* Vreg -> blocks whose Branch reads it. *)
   let branch_conds : (Voltron_ir.Hir.vreg, int list) Hashtbl.t = Hashtbl.create 8 in
   Array.iteri
     (fun bi (block : Cfg.block) ->
@@ -62,39 +68,62 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
           (bi :: Option.value ~default:[] (Hashtbl.find_opt branch_conds cond))
       | Cfg.Jump _ | Cfg.Stop -> ())
     cfg.Cfg.blocks;
-  let def_of_vreg v =
-    match Hashtbl.find_opt dg.Depgraph.defs_of v with
-    | Some (d :: _) -> Some d
-    | Some [] | None -> None
-  in
-  (* Consumer cores of op [i]'s defined value, excluding its home core. *)
-  let consumers_of i =
-    let home = core_of i in
-    let cores = Hashtbl.create 4 in
-    List.iter
-      (fun v ->
-        List.iter
-          (fun u ->
-            if not (replicable u) then begin
-              let c = core_of u in
-              if c <> home then Hashtbl.replace cores c ()
-            end)
-          (Option.value ~default:[] (Hashtbl.find_opt dg.Depgraph.uses_of v));
-        (* Branch conditions are consumed by the replicated BR on every
-           participating core — but when the branch sits in the defining
-           op's own block, the terminator plan distributes it (BCAST or
-           pred-SEND) instead, so skip it here to avoid double delivery. *)
-        let def_block = dg.Depgraph.block_of.(i) in
-        let cond_blocks =
-          Option.value ~default:[] (Hashtbl.find_opt branch_conds v)
+  (* The region's delivery plan, built in one backward pass over its ops
+     (every op defines at most one vreg).
+     - [reaching.(bi)] is the op whose value block [bi]'s branch reads: the
+       last definition of the condition in the block, or -1 when none is
+       (a condition from another block was delivered there; the interlock
+       covers it).
+     - [plan.(i)] is how op [i]'s value reaches each other core that needs
+       it, one delivery per (op, core). A definition goes to each core with
+       a non-replicable use of the vreg, and to every other participant
+       when a branch in another block reads it, by a PUT/GET chain or
+       SEND/RECV. A block's reaching definition instead goes to every other
+       participant by BCAST/GETB or SEND/RECV(pred), which serves its other
+       uses too; it stays in program order when it has any (the queue
+       FIFOs follow it), and is otherwise [late].
+     So each branch instance gets exactly one delivery, of the definition
+     that reaches it. *)
+  let block_ops = Array.make n_blocks [] in
+  let reaching = Array.make n_blocks (-1) in
+  let plan = Array.make n_ops { kind = Move; dsts = []; late = false } in
+  for i = n_ops - 1 downto 0 do
+    let bi = dg.Depgraph.block_of.(i) in
+    block_ops.(bi) <- i :: block_ops.(bi);
+    match Inst.defs dg.Depgraph.ops.(i).Cfg.inst with
+    | [ v ] ->
+      let reaches =
+        reaching.(bi) < 0
+        &&
+        match cfg.Cfg.blocks.(bi).Cfg.b_term with
+        | Cfg.Branch { cond; _ } -> cond = v
+        | Cfg.Jump _ | Cfg.Stop -> false
+      in
+      if reaches then reaching.(bi) <- i;
+      if not (replicable i) then begin
+        let home = core_of i in
+        let others = List.filter (fun c -> c <> home) participants in
+        let cond_blocks = Option.value ~default:[] (Hashtbl.find_opt branch_conds v) in
+        let users =
+          List.filter_map
+            (fun u -> if replicable u || core_of u = home then None else Some (core_of u))
+            (uses_of v)
         in
-        if List.exists (fun bb -> bb <> def_block) cond_blocks then
-          List.iter
-            (fun c -> if c <> home then Hashtbl.replace cores c ())
-            participants)
-      (Inst.defs dg.Depgraph.ops.(i).Cfg.inst);
-    Hashtbl.fold (fun c () acc -> c :: acc) cores [] |> List.sort compare
-  in
+        let dsts =
+          if List.exists (fun bb -> bb <> bi) cond_blocks then others @ users else users
+        in
+        plan.(i) <-
+          (if reaches then
+             { kind = (if coupled then Bcast else Send Inst.Rv_pred); dsts = others;
+               late = dsts = [] }
+           else
+             { kind =
+                 (if coupled then Move
+                  else Send (if cond_blocks <> [] then Inst.Rv_pred else Inst.Rv_data));
+               dsts = List.sort_uniq compare dsts; late = false })
+      end
+    | _ -> ()
+  done;
   let out = Array.make_matrix n_cores n_blocks [] in
   (* ----- per block ----- *)
   Array.iteri
@@ -118,42 +147,27 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
             Hashtbl.replace op_node (i, c) nid
           end)
         block_ops.(bi);
-      (* Intra-block dependence edges, mapped through replication. *)
+      (* Intra-block dependence edges, mapped through replication: a
+         replicated end pairs with the other end's copy on the same core. *)
       List.iter
         (fun { Depgraph.e_src = p; e_dst = q; e_lat } ->
-          if
-            dg.Depgraph.block_of.(p) = bi
-            && dg.Depgraph.block_of.(q) = bi
-          then begin
-            match (replicable p, replicable q) with
-            | false, false ->
+          if dg.Depgraph.block_of.(p) = bi && dg.Depgraph.block_of.(q) = bi then
+            if not (replicable p || replicable q) then
               add_edge b
                 (Hashtbl.find op_node (p, core_of p))
                 (Hashtbl.find op_node (q, core_of q))
                 e_lat
-            | true, false ->
-              let c = core_of q in
-              (match Hashtbl.find_opt op_node (p, c) with
-              | Some np -> add_edge b np (Hashtbl.find op_node (q, c)) e_lat
-              | None -> ())
-            | false, true ->
-              let c = core_of p in
-              (match Hashtbl.find_opt op_node (q, c) with
-              | Some nq -> add_edge b (Hashtbl.find op_node (p, c)) nq e_lat
-              | None -> ())
-            | true, true ->
+            else
               List.iter
                 (fun c ->
-                  match
-                    (Hashtbl.find_opt op_node (p, c), Hashtbl.find_opt op_node (q, c))
-                  with
+                  match (Hashtbl.find_opt op_node (p, c), Hashtbl.find_opt op_node (q, c)) with
                   | Some np, Some nq -> add_edge b np nq e_lat
                   | _ -> ())
-                participants
-          end)
+                (if not (replicable p) then [ core_of p ]
+                 else if not (replicable q) then [ core_of q ]
+                 else participants))
         dg.Depgraph.edges;
-      (* Value communication: deliveries for defs in this block, plus the
-         branch-condition distribution for this block's own terminator. *)
+      (* Value communication, as the plan says. *)
       let fifo : (int * int, int list) Hashtbl.t = Hashtbl.create 8 in
       (* (src,dst) -> send node ids in insertion (program) order, and the
          matching receive nodes mirror the same order. *)
@@ -177,165 +191,117 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
                 if u > i then add_edge b delivery nu 1
                 else add_edge b nu delivery 0
             end)
-          (Option.value ~default:[]
-             (Hashtbl.find_opt dg.Depgraph.uses_of v))
+          (uses_of v)
       in
-      let deliver_value i v dst =
-        let home = core_of i in
-        let def_node = Hashtbl.find op_node (i, home) in
-        if coupled then begin
-          (* Chain of same-cycle PUT/GET moves along the mesh route. *)
-          let path = Mesh.path_cores mesh ~src:home ~dst in
-          let rec hop prev_node = function
-            | a :: c :: rest ->
-              let dir =
-                List.find
-                  (fun d -> Mesh.neighbour mesh a d = Some c)
-                  [ Inst.North; Inst.South; Inst.East; Inst.West ]
-              in
-              let mv =
-                new_node b ~is_comm:true ~out_lat:1
-                  [
-                    (a, Inst.Put { dir; src = Inst.Reg v });
-                    (c, Inst.Get { dir = Inst.opposite dir; dst = v });
-                  ]
-              in
-              let lat = if prev_node = def_node then lat_of i else 1 in
-              add_edge b prev_node mv lat;
-              wire_local_uses i v c mv;
-              hop mv (c :: rest)
-            | [ _ ] | [] -> ()
-          in
-          hop def_node path
-        end
-        else begin
-          let send =
-            new_node b ~is_comm:true ~out_lat:1
-              [ (home, Inst.Send { target = dst; src = Inst.Reg v }) ]
-          in
-          add_edge b def_node send (lat_of i);
-          chain fifo (home, dst) send;
-          let kind =
-            if Hashtbl.mem branch_conds v then Inst.Rv_pred else Inst.Rv_data
-          in
-          let recv =
-            new_node b ~is_comm:true ~out_lat:1
-              [ (dst, Inst.Recv { sender = home; dst = v; kind }) ]
-          in
-          add_edge b send recv (1 + Mesh.hops mesh home dst);
-          chain fifo_recv (home, dst) recv;
-          wire_local_uses i v dst recv
-        end
+      (* Create op [i]'s deliveries; the node that writes its value on each
+         destination core. *)
+      let deliver i =
+        match plan.(i) with
+        | { dsts = []; _ } -> []
+        | { kind; dsts; _ } -> (
+          let v = List.hd (Inst.defs dg.Depgraph.ops.(i).Cfg.inst) in
+          let home = core_of i in
+          let def_node = Hashtbl.find op_node (i, home) in
+          match kind with
+          | Move ->
+            (* Chain of same-cycle PUT/GET moves along the mesh route. *)
+            let rec hop prev_node = function
+              | a :: (c :: _ as rest) ->
+                let dir =
+                  List.find
+                    (fun d -> Mesh.neighbour mesh a d = Some c)
+                    [ Inst.North; Inst.South; Inst.East; Inst.West ]
+                in
+                let mv =
+                  new_node b ~is_comm:true ~out_lat:1
+                    [
+                      (a, Inst.Put { dir; src = Inst.Reg v });
+                      (c, Inst.Get { dir = Inst.opposite dir; dst = v });
+                    ]
+                in
+                let lat = if prev_node = def_node then lat_of i else 1 in
+                add_edge b prev_node mv lat;
+                wire_local_uses i v c mv;
+                hop mv rest
+              | [ _ ] | [] -> prev_node
+            in
+            List.map (fun dst -> (dst, hop def_node (Mesh.path_cores mesh ~src:home ~dst))) dsts
+          | Bcast ->
+            let bcast =
+              new_node b ~is_comm:true ~out_lat:0
+                [ (home, Inst.Bcast { src = Inst.Reg v }) ]
+            in
+            add_edge b def_node bcast (lat_of i);
+            List.map
+              (fun c ->
+                let g = new_node b ~is_comm:true ~out_lat:1 [ (c, Inst.Getb { dst = v }) ] in
+                add_edge b bcast g (Mesh.hops mesh home c);
+                wire_local_uses i v c g;
+                (c, g))
+              dsts
+          | Send kind ->
+            List.map
+              (fun dst ->
+                let send =
+                  new_node b ~is_comm:true ~out_lat:1
+                    [ (home, Inst.Send { target = dst; src = Inst.Reg v }) ]
+                in
+                add_edge b def_node send (lat_of i);
+                chain fifo (home, dst) send;
+                let recv =
+                  new_node b ~is_comm:true ~out_lat:1
+                    [ (dst, Inst.Recv { sender = home; dst = v; kind }) ]
+                in
+                add_edge b send recv (1 + Mesh.hops mesh home dst);
+                chain fifo_recv (home, dst) recv;
+                wire_local_uses i v dst recv;
+                (dst, recv))
+              dsts)
+      in
+      let reach = reaching.(bi) in
+      let reach_at = ref [] in
+      let deliver_now i =
+        let at = deliver i in
+        if i = reach then reach_at := at
       in
       List.iter
-        (fun i ->
-          if not (replicable i) then
-            List.iter
-              (fun dst ->
-                List.iter
-                  (fun v -> deliver_value i v dst)
-                  (Inst.defs dg.Depgraph.ops.(i).Cfg.inst))
-              (consumers_of i))
+        (fun i -> if not (replicable i || plan.(i).late) then deliver_now i)
         block_ops.(bi);
       (* ----- terminator ----- *)
-      let next_label =
-        if bi + 1 < n_blocks then Some cfg.Cfg.blocks.(bi + 1).Cfg.b_label else None
+      (* A late condition is delivered after the block's other values: the
+         list scheduler breaks priority ties by node id. *)
+      if reach >= 0 && plan.(reach).late then deliver_now reach;
+      (* The node that makes the branch's condition available on core [c]. *)
+      let cond_at c =
+        if reach < 0 then None
+        else if replicable reach || c = core_of reach then Hashtbl.find_opt op_node (reach, c)
+        else List.assoc_opt c !reach_at
       in
-      let term_plan =
+      let term =
         match block.Cfg.b_term with
         | Cfg.Stop -> None
-        | Cfg.Jump l when Some l = next_label -> None
-        | Cfg.Jump l -> Some (l, None)
-        | Cfg.Branch { cond; invert; target } -> Some (target, Some (cond, invert))
+        | Cfg.Jump l when bi + 1 < n_blocks && cfg.Cfg.blocks.(bi + 1).Cfg.b_label = l ->
+          None
+        | Cfg.Jump target -> Some (target, None, false)
+        | Cfg.Branch { cond; invert; target } -> Some (target, Some (Inst.Reg cond), invert)
       in
-      let br_nodes = ref [] in
-      (match term_plan with
-      | None -> ()
-      | Some (target, cond_info) ->
-        (* Branch-condition availability per core. *)
-        let cond_dep_of_core =
-          match cond_info with
-          | None -> fun _ -> None
-          | Some (cond, _) -> (
-            match def_of_vreg cond with
-            | None -> fun _ -> None
-            | Some d ->
-              if replicable d then fun c ->
-                if dg.Depgraph.block_of.(d) = bi then
-                  Hashtbl.find_opt op_node (d, c)
-                else None
-              else if dg.Depgraph.block_of.(d) <> bi then (fun _ -> None)
-                (* delivered in the defining block; interlock covers *)
-              else begin
-                let home = core_of d in
-                let def_node = Hashtbl.find op_node (d, home) in
-                if coupled then begin
-                  (* BCAST/GETB distribution (Fig. 5(b)). *)
-                  let others = List.filter (fun c -> c <> home) participants in
-                  if others = [] then fun c ->
-                    if c = home then Some def_node else None
-                  else begin
-                    let bcast =
-                      new_node b ~is_comm:true ~out_lat:0
-                        [ (home, Inst.Bcast { src = Inst.Reg cond }) ]
-                    in
-                    add_edge b def_node bcast (lat_of d);
-                    let getb_of =
-                      List.map
-                        (fun c ->
-                          let g =
-                            new_node b ~is_comm:true ~out_lat:1
-                              [ (c, Inst.Getb { dst = cond }) ]
-                          in
-                          add_edge b bcast g (Mesh.hops mesh home c);
-                          (c, g))
-                        others
-                    in
-                    fun c ->
-                      if c = home then Some def_node else List.assoc_opt c getb_of
-                  end
-                end
-                else begin
-                  (* SEND/RECV(pred) distribution. *)
-                  let others = List.filter (fun c -> c <> home) participants in
-                  let recv_of =
-                    List.map
-                      (fun c ->
-                        let send =
-                          new_node b ~is_comm:true ~out_lat:1
-                            [ (home, Inst.Send { target = c; src = Inst.Reg cond }) ]
-                        in
-                        add_edge b def_node send (lat_of d);
-                        chain fifo (home, c) send;
-                        let recv =
-                          new_node b ~is_comm:true ~out_lat:1
-                            [ (c, Inst.Recv { sender = home; dst = cond; kind = Inst.Rv_pred }) ]
-                        in
-                        add_edge b send recv (1 + Mesh.hops mesh home c);
-                        chain fifo_recv (home, c) recv;
-                        (c, recv))
-                      others
-                  in
-                  fun c -> if c = home then Some def_node else List.assoc_opt c recv_of
-                end
-              end)
-        in
-        List.iter
-          (fun c ->
-            let pbr = new_node b ~out_lat:1 [ (c, Inst.Pbr { btr = 0; target }) ] in
-            let br_inst =
-              match cond_info with
-              | None -> Inst.Br { btr = 0; pred = None; invert = false }
-              | Some (cond, invert) ->
-                Inst.Br { btr = 0; pred = Some (Inst.Reg cond); invert }
-            in
-            let br = new_node b ~is_br:true ~out_lat:0 [ (c, br_inst) ] in
-            add_edge b pbr br 1;
-            (match cond_dep_of_core c with
-            | Some dep -> add_edge b dep br 1
-            | None -> ());
-            br_nodes := br :: !br_nodes)
-          participants);
+      let brs =
+        match term with
+        | None -> []
+        | Some (target, pred, invert) ->
+          List.map
+            (fun c ->
+              let pbr = new_node b ~out_lat:1 [ (c, Inst.Pbr { btr = 0; target }) ] in
+              let br =
+                new_node b ~is_br:true ~out_lat:0 [ (c, Inst.Br { btr = 0; pred; invert }) ]
+              in
+              add_edge b pbr br 1;
+              (match cond_at c with
+              | Some dep -> add_edge b dep br 1
+              | None -> ());
+              br)
+            participants
+      in
       (* ----- list scheduling ----- *)
       let nodes = Vec.to_array b.nodes in
       let n = Array.length nodes in
@@ -345,11 +311,14 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
           succs.(p) <- (s, lat) :: succs.(p);
           preds.(s) <- (p, lat) :: preds.(s))
         b.edges;
-      (* Critical-path priorities (graph is a DAG; compute via memo DFS). *)
+      (* Critical-path priorities by memo DFS; -2 marks a node in progress,
+         so a dependence cycle fails instead of recursing without end. *)
       let prio = Array.make n (-1) in
       let rec cp i =
         if prio.(i) >= 0 then prio.(i)
+        else if prio.(i) = -2 then failwith "Sched: dependence cycle in block graph"
         else begin
+          prio.(i) <- -2;
           let best =
             List.fold_left (fun acc (j, lat) -> max acc (lat + cp j)) 0 succs.(i)
           in
@@ -379,10 +348,9 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
             Hashtbl.replace tbl (c, t) (slot_count tbl (c, t) + 1))
           node.slots
       in
-      let unsched = ref 0 in
-      let n_real = ref 0 in
-      Array.iter (fun nd -> if not nd.is_br then incr n_real) nodes;
-      unsched := !n_real;
+      let unsched =
+        ref (Array.fold_left (fun acc nd -> if nd.is_br then acc else acc + 1) 0 nodes)
+      in
       while !unsched > 0 do
         (* Ready non-branch nodes. *)
         let best = ref None in
@@ -421,7 +389,6 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
           (fun acc nd -> if nd.is_br then acc else max acc cycle.(nd.nid))
           (-1) nodes
       in
-      let brs = List.rev !br_nodes in
       if brs <> [] then begin
         let dep_ready nid =
           List.fold_left
@@ -474,32 +441,19 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
       in
       List.iter
         (fun c ->
-          (* Gather (cycle, inst) for this core. *)
-          let by_cycle : (int, Inst.t list) Hashtbl.t = Hashtbl.create 16 in
+          (* This core's ops by cycle. *)
+          let by_cycle = Array.make total_len [] in
           Array.iter
             (fun nd ->
               List.iter
                 (fun (core, inst) ->
-                  if core = c then
-                    Hashtbl.replace by_cycle cycle.(nd.nid)
-                      (inst
-                      :: Option.value ~default:[]
-                           (Hashtbl.find_opt by_cycle cycle.(nd.nid))))
+                  let t = cycle.(nd.nid) in
+                  if core = c then by_cycle.(t) <- inst :: by_cycle.(t))
                 nd.slots)
             nodes;
-          let bundles =
-            if coupled then
-              List.init total_len (fun t ->
-                  Option.value ~default:[] (Hashtbl.find_opt by_cycle t))
-            else begin
-              let cycles =
-                Hashtbl.fold (fun t _ acc -> t :: acc) by_cycle []
-                |> List.sort compare
-              in
-              List.map (fun t -> Hashtbl.find by_cycle t) cycles
-            end
-          in
-          out.(c).(bi) <- bundles)
+          let bundles = Array.to_list by_cycle in
+          (* A decoupled schedule is compressed: no empty bundles. *)
+          out.(c).(bi) <- (if coupled then bundles else List.filter (( <> ) []) bundles))
         participants)
     cfg.Cfg.blocks;
   { block_code = out; participants }

@@ -18,6 +18,14 @@
       order aligned with receive order. Schedules are compressed per core
       (the scoreboard interlock absorbs residual latency).
 
+    Who delivers what is one plan per region, built before list
+    scheduling: at most one delivery per (defining op, consumer core). Each
+    branch instance gets exactly one delivery of its condition, of the
+    definition that reaches it: the last definition in the branch's own
+    block, sent to every other participant (BCAST/GETB coupled,
+    SEND/RECV(pred) decoupled); a condition defined only in earlier blocks
+    was delivered where it was defined, and the interlock covers it.
+
     Correctness does not depend on the static latencies being exact: the
     machine interlock covers variable memory latency, and in coupled mode
     the stall bus keeps PUT/GET pairs aligned through group stalls. *)

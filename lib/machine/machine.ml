@@ -202,9 +202,13 @@ type t = {
   gi_mask : int;
   mutable issue_next : int;
   (* The blocker's verdicts that carry a core number, built once:
-     [recv_waits.(3 * sender + class)] and [send_full_waits.(target)]. *)
+     [recv_waits.(3 * sender + class)] and [send_full_waits.(target)];
+     the probe's events for them, [recv_events] indexed by sender and
+     stall kind ([wait_event]). *)
   recv_waits : wait option array;
   send_full_waits : wait option array;
+  recv_events : blame_event array;
+  send_full_events : blame_event array;
 }
 
 let initial_regs = 64
@@ -372,6 +376,11 @@ let create cfg (prog : Program.t) =
         Array.init (3 * cfg.n_cores) (fun i ->
             Some (W_recv { sender = i / 3; kind = recv_kinds.(i mod 3) }));
       send_full_waits = Array.init cfg.n_cores (fun c -> Some (W_send_full c));
+      recv_events =
+        Array.init (Stats.n_stall_kinds * cfg.n_cores) (fun i ->
+            let kind = List.nth Stats.all_stall_kinds (i mod Stats.n_stall_kinds) in
+            Blame_wait (W_recv { sender = i / Stats.n_stall_kinds; kind }));
+      send_full_events = Array.init cfg.n_cores (fun c -> Blame_wait (W_send_full c));
     }
   in
   (* Core 0's first fetch starts at cycle 0. *)
@@ -498,13 +507,13 @@ let blame_of t ~core w =
   | W_halted ->
     None
 
-(* The wait a non-Running status stands for. Only called with a probe
-   attached — the [W_barrier] case allocates. *)
+(* The wait a non-Running status stands for; every arm is a constant. *)
 let wait_of_status = function
   | Running -> assert false
   | Asleep -> W_asleep
   | Halted -> W_halted
-  | At_barrier m -> W_barrier m
+  | At_barrier Inst.Coupled -> W_barrier Inst.Coupled
+  | At_barrier Inst.Decoupled -> W_barrier Inst.Decoupled
   | At_commit -> W_commit
   | Wait_serial -> W_serial
   | Stuck w -> w
@@ -525,10 +534,33 @@ let trace_stall t cs (p : probe) kind =
   | None -> ()
   | Some f -> f (Trace.Stall { cycle = t.now; core = cs.id; kind })
 
+(* The probe's events, preallocated so a report allocates nothing: static
+   constants, one per stall kind, and the machine's tables for the waits
+   that name a core. Only a peer outside the machine, or a wedged GET,
+   gets a fresh one. *)
+let by_kind f = Array.of_list (List.map f Stats.all_stall_kinds)
+let reg_events = by_kind (fun k -> Blame_wait (W_reg k))
+let lockstep_events = by_kind (fun k -> Blame_lockstep { b_kind = k })
+
+let wait_event t w =
+  let n = Array.length t.cores in
+  match w with
+  | W_reg k -> reg_events.(Stats.stall_kind_index k)
+  | W_recv { sender; kind } when sender >= 0 && sender < n ->
+    t.recv_events.((Stats.n_stall_kinds * sender) + Stats.stall_kind_index kind)
+  | W_send_full dst when dst >= 0 && dst < n -> t.send_full_events.(dst)
+  | W_ifetch -> Blame_wait W_ifetch | W_dmem -> Blame_wait W_dmem | W_btr -> Blame_wait W_btr
+  | W_getb -> Blame_wait W_getb | W_stall_fault -> Blame_wait W_stall_fault
+  | W_commit -> Blame_wait W_commit | W_serial -> Blame_wait W_serial
+  | W_asleep -> Blame_wait W_asleep | W_halted -> Blame_wait W_halted
+  | W_barrier Inst.Coupled -> Blame_wait (W_barrier Inst.Coupled)
+  | W_barrier Inst.Decoupled -> Blame_wait (W_barrier Inst.Decoupled)
+  | W_recv _ | W_send_full _ | W_get_latch _ -> Blame_wait w
+
 let report_wait t cs (p : probe) w kind ~k ~upto =
   (match p.on_core_cycles with
   | None -> ()
-  | Some f -> f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial (Blame_wait w));
+  | Some f -> f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial (wait_event t w));
   trace_stall t cs p kind
 
 (* A running core blocked on its own wait [w]. *)
@@ -558,7 +590,7 @@ let credit_lockstep t cs kind k =
     | None -> ()
     | Some f ->
       f ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
-        (Blame_lockstep { b_kind = kind }));
+        lockstep_events.(Stats.stall_kind_index kind));
     trace_stall t cs p kind
 
 (* An asleep or halted core. *)
@@ -569,8 +601,8 @@ let credit_idle t cs ~k ~upto =
   | Some { on_core_cycles = Some f; _ } ->
     (* A just-woken core (status already Running in [try_wake]) spent the
        cycle asleep waiting for its START — report it as such. *)
-    let w = match cs.status with Halted -> W_halted | _ -> W_asleep in
-    f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:false (Blame_wait w)
+    let ev = match cs.status with Halted -> Blame_wait W_halted | _ -> Blame_wait W_asleep in
+    f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:false ev
   | Some _ | None -> ()
 
 (* A core that issued the bundle [d] at [pc]; [redo] marks serial TM

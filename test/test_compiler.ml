@@ -352,6 +352,96 @@ let test_coupled_blocks_aligned () =
         sched.Voltron_compiler.Sched.block_code.(core))
     participants
 
+(* Every branch instance gets exactly one delivery of its condition, of the
+   definition that reaches it: each non-home participant receives the
+   condition once in the branch's block (GETB coupled, RECV(pred)
+   decoupled), and the home core sends it only after the block's last
+   definition. The two shapes redefine the condition in the branch's
+   block, once after an earlier definition in the same block and once
+   after a definition in an earlier block. *)
+let test_branch_condition_delivered_once () =
+  let shapes =
+    [
+      "array a[8];\nregion r {\n  var v1 = 0;\n  v1 = 2;\n  if (v1) {\n    a[0] = 1;\n  }\n}\n";
+      "array a[8];\nregion r {\n  var v8 = 0;\n  if (a[3]) {\n  }\n  v8 = (-1);\n\
+       \  if (v8) {\n    a[0] = 1;\n  }\n}\n";
+    ]
+  in
+  let check_shape src ~n_cores ~mode =
+    let p = Voltron_lang.Frontend.parse_string ~name:"branch_cond" src in
+    let machine = Config.default ~n_cores in
+    let lay = Voltron_ir.Layout.compute p in
+    let lctx = Voltron_ir.Lower.make_ctx ~layout:lay ~first_vreg:p.Voltron_ir.Hir.n_vregs in
+    let region = List.hd p.Voltron_ir.Hir.regions in
+    let cfg = Voltron_ir.Lower.region lctx region.Voltron_ir.Hir.stmts in
+    let memdep =
+      Voltron_analysis.Memdep.create ~region_stmts:region.Voltron_ir.Hir.stmts cfg
+    in
+    let dg = Voltron_analysis.Depgraph.build ~cfg ~memdep ~latency:Config.latency in
+    (* Every op on core 0; the other cores only run the replicated BRs. *)
+    let partition =
+      {
+        Voltron_compiler.Partition.core_of =
+          Array.make (Array.length dg.Voltron_analysis.Depgraph.ops) 0;
+        participants = List.init n_cores Fun.id;
+      }
+    in
+    let sched = Voltron_compiler.Sched.schedule_region ~machine ~cfg ~dg ~partition ~mode in
+    let what = Format.asprintf "%a, %d cores" Inst.pp_mode mode n_cores in
+    let checked = ref 0 in
+    Array.iteri
+      (fun bi (block : Voltron_ir.Cfg.block) ->
+        match block.Voltron_ir.Cfg.b_term with
+        | Voltron_ir.Cfg.Branch { cond; _ }
+          when List.exists
+                 (fun (op : Voltron_ir.Cfg.lop) -> Inst.defs op.Voltron_ir.Cfg.inst = [ cond ])
+                 block.Voltron_ir.Cfg.b_ops ->
+          incr checked;
+          let code c = sched.Voltron_compiler.Sched.block_code.(c).(bi) in
+          (* Bundle positions on core [c] holding an op that [p] accepts. *)
+          let where c p =
+            List.concat
+              (List.mapi (fun k bundle -> if List.exists p bundle then [ k ] else []) (code c))
+          in
+          let last_def =
+            List.fold_left max (-1)
+              (where 0 (fun i ->
+                   Inst.defs i = [ cond ]
+                   && Inst.unit_class i <> Inst.Commun))
+          in
+          List.iter
+            (fun k ->
+              if k <= last_def then
+                Alcotest.failf "%s, block %d: r%d sent in bundle %d, last defined in %d" what bi
+                  cond k last_def)
+            (where 0 (function
+              | Inst.Bcast { src = Inst.Reg r } | Inst.Send { src = Inst.Reg r; _ } -> r = cond
+              | _ -> false));
+          for c = 1 to n_cores - 1 do
+            let receives =
+              List.length
+                (List.filter
+                   (function
+                     | Inst.Getb { dst } | Inst.Recv { dst; kind = Inst.Rv_pred; _ } -> dst = cond
+                     | _ -> false)
+                   (List.concat (code c)))
+            in
+            Alcotest.(check int)
+              (Printf.sprintf "%s, block %d: core %d receives r%d once" what bi c cond)
+              1 receives
+          done
+        | _ -> ())
+      cfg.Voltron_ir.Cfg.blocks;
+    Alcotest.(check bool) (what ^ ": a redefined branch condition was checked") true (!checked > 0)
+  in
+  List.iter
+    (fun src ->
+      List.iter
+        (fun mode ->
+          List.iter (fun n_cores -> check_shape src ~n_cores ~mode) [ 2; 4 ])
+        [ Inst.Coupled; Inst.Decoupled ])
+    shapes
+
 let test_wide_issue_schedules_pack () =
   (* With issue width 4, the sequential schedule of a wide expression tree
      is much shorter than with width 1. *)
@@ -791,6 +881,8 @@ let () =
         [
           Alcotest.test_case "coupled lock-step alignment" `Quick
             test_coupled_blocks_aligned;
+          Alcotest.test_case "branch condition delivered once" `Quick
+            test_branch_condition_delivered_once;
           Alcotest.test_case "wide issue packs" `Quick test_wide_issue_schedules_pack;
         ] );
       ( "opt",
