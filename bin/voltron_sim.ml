@@ -11,7 +11,7 @@
 module Suite = Voltron_workloads.Suite
 module Stats = Voltron_machine.Stats
 module Machine = Voltron_machine.Machine
-module Trace = Voltron_machine.Trace
+module Trace = Voltron_obs.Trace
 module Select = Voltron_compiler.Select
 module Driver = Voltron_compiler.Driver
 module Config = Voltron_machine.Config
@@ -672,12 +672,12 @@ let trace_cmd =
   let trace bench file cores strategy scale limit timeline json_out =
     or_check_failure @@ fun () ->
     let _, p = resolve_program bench file scale in
-    let machine = Config.default ~n_cores:cores in
+    (* The timeline lists every core-cycle in order: step cycle by cycle. *)
+    let machine = { (Config.default ~n_cores:cores) with Config.fast_forward = false } in
     let tracer = Trace.create ~limit () in
     let r, executable =
       observe ~machine ~choice:(choice_of_string strategy) p (fun m c ->
-          Machine.attach_probe m
-            { Machine.null_probe with on_event = Some (Trace.record tracer) };
+          Trace.attach m tracer c.Driver.executable;
           c.Driver.executable)
     in
     let completed = Voltron.Run.completed r in

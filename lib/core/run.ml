@@ -45,10 +45,12 @@ let outcome_of_machine = function
 let simulate ?sanitize ?sanitize_log ~attach config
     (compiled : Driver.compiled) =
   let m = Machine.create config compiled.Driver.executable in
+  (* The sanitizer goes last, so its end-of-window check sees what the
+     caller's [on_window] did in the same window. *)
+  let observer = attach m in
   let san =
     Option.map (fun policy -> Sanity.attach ~policy ?log:sanitize_log m) sanitize
   in
-  let observer = attach m in
   let result = Machine.run m in
   Option.iter
     (fun s ->

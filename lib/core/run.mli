@@ -47,15 +47,16 @@ val simulate :
   Voltron_compiler.Driver.compiled ->
   measurement * 'a
 (** The machine half of {!run}, and the one place a compiled program is
-    simulated and judged: build a machine for the configuration, attach
-    the runtime sanitizer when [sanitize] is given (disabling stall
-    fast-forward for the run; [sanitize_log] sees each recorded violation
-    as it happens), then call [attach] on the machine, run it, finalize
-    the sanitizer and judge the outcome and memory image. The sanitizer
-    attaches first because it snapshots memory: anything [attach] does —
-    an observer (tracer, region attribution, blame, sampler) or a test's
-    tampering backdoor — is seen by it. [attach]'s result is returned
-    with the measurement.
+    simulated and judged: build a machine for the configuration, call
+    [attach] on it, then attach the runtime sanitizer when [sanitize] is
+    given ([sanitize_log] sees each recorded violation as it happens), run
+    the machine, finalize the sanitizer and judge the outcome and memory
+    image. The sanitizer attaches last, so in every window its
+    conservation check runs after the [on_window] of whatever [attach]
+    added — an observer (region attribution, blame, sampler) or a test's
+    tampering backdoor. It snapshots memory when it attaches, so [attach]
+    must not write memory itself. [attach]'s result is returned with the
+    measurement.
 
     [verified] holds when the run completed and the array-footprint
     checksum equals [compiled]'s oracle checksum. A deadlock, cycle-cap

@@ -109,6 +109,9 @@ let string_of_cmp = function
 let string_of_dir = function
   | North -> "n" | South -> "s" | East -> "e" | West -> "w"
 
+let dir_name = function
+  | North -> "north" | South -> "south" | East -> "east" | West -> "west"
+
 let pp_operand ppf = function
   | Reg r -> Format.fprintf ppf "r%d" r
   | Imm i -> Format.fprintf ppf "#%d" i

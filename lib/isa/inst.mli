@@ -106,6 +106,9 @@ val opposite : dir -> dir
 (** [opposite North = South] etc. — the direction a value put eastward is
     received from. *)
 
+val dir_name : dir -> string
+(** ["north"], ["south"], ["east"], ["west"]: the diagnostics' spelling. *)
+
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val pp_mode : Format.formatter -> mode -> unit

@@ -22,7 +22,8 @@ type wait =
   | W_recv of { sender : int; kind : Stats.stall_kind }
   | W_getb
   | W_send_full of int  (** receive queue of that core at capacity *)
-  | W_get_latch of Inst.dir  (** GET on an empty direct-mode latch *)
+  | W_get_latch of Inst.dir  (** GET with no same-cycle PUT on its latch *)
+  | W_put_latch of Inst.dir  (** PUT into a full latch, or off the mesh *)
   | W_stall_fault  (** injected transient stall in effect *)
   | W_barrier of Inst.mode
   | W_commit
@@ -38,15 +39,20 @@ type blame_event =
   | Blame_wait of wait
   | Blame_lockstep of { b_kind : Stats.stall_kind }
 
+(* The rare machine-wide events no other stream carries. *)
+type event =
+  | Mode_change of { cycle : int; mode : Inst.mode }
+  | Tm_round of { cycle : int; conflict_at : int option }
+  | Serial_start of { cycle : int; core : int }
+
 type probe = {
   on_core_cycles :
     (core:int -> pc:int -> k:int -> upto:int -> redo:bool -> blame_event -> unit)
     option;
-  on_event : (Trace.event -> unit) option;
-  every_cycle : (now:int -> unit) option;
+  on_event : (event -> unit) option;
   on_window : (from:int -> upto:int -> unit) option;
   on_net : (Net.event -> unit) option;
-  on_tm : (Tm.event -> unit) option;
+  on_tm : (core:int -> Tm.action -> addr:int -> value:int -> unit) option;
   on_access : (core:int -> completion:int -> Coherence.kind -> int -> unit) option;
 }
 
@@ -174,13 +180,13 @@ type t = {
      into a [Stopped] outcome at the end of the cycle. *)
   mutable stop_requested : bool;
   (* Stall fast-forward (Config.fast_forward). [ff_active] is resolved once
-     at run entry: on unless something must see every cycle (a probe's
-     [on_event] or [every_cycle], the fault injector — core-cycle reports
-     take deferred credit). [wake] is a scratch out-parameter of [blocker]:
-     the first cycle its verdict can change. [sweep_next] is the first core
-     the current decoupled sweep has not reached ([n] outside a sweep), so a
-     mid-sweep [stats] read settles each core exactly as far as the
-     per-cycle sweep would have credited it. [sc_verdict] and [sc_wait]
+     at run entry: on unless the fault injector draws per cycle. No probe
+     turns it off: core-cycle reports take deferred credit, and [on_window]
+     sees each skipped window whole. [wake] is a scratch out-parameter of
+     [blocker]: the first cycle its verdict can change. [sweep_next] is the
+     first core the current decoupled sweep has not reached ([n] outside a
+     sweep), so a mid-sweep [stats] read settles each core exactly as far as
+     the per-cycle sweep would have credited it. [sc_verdict] and [sc_wait]
      (written for blocked cores only) are per-core scratch for the coupled
      step, preallocated to stay off the per-cycle allocation path. *)
   mutable ff_active : bool;
@@ -395,8 +401,8 @@ let now t = t.now
 let mode t = t.mode
 
 let null_probe =
-  { on_core_cycles = None; on_event = None; every_cycle = None; on_window = None;
-    on_net = None; on_tm = None; on_access = None }
+  { on_core_cycles = None; on_event = None; on_window = None; on_net = None;
+    on_tm = None; on_access = None }
 
 (* [a]'s callbacks, then [b]'s; a field only one side sets is kept as is. *)
 let compose a b =
@@ -409,12 +415,13 @@ let compose a b =
       join a.on_core_cycles b.on_core_cycles (fun f g ~core ~pc ~k ~upto ~redo ev ->
           f ~core ~pc ~k ~upto ~redo ev; g ~core ~pc ~k ~upto ~redo ev);
     on_event = join a.on_event b.on_event seq;
-    every_cycle = join a.every_cycle b.every_cycle (fun f g ~now -> f ~now; g ~now);
     on_window =
       join a.on_window b.on_window (fun f g ~from ~upto ->
           f ~from ~upto; g ~from ~upto);
     on_net = join a.on_net b.on_net seq;
-    on_tm = join a.on_tm b.on_tm seq;
+    on_tm =
+      join a.on_tm b.on_tm (fun f g ~core act ~addr ~value ->
+          f ~core act ~addr ~value; g ~core act ~addr ~value);
     on_access =
       join a.on_access b.on_access (fun f g ~core ~completion kind addr ->
           f ~core ~completion kind addr; g ~core ~completion kind addr);
@@ -431,9 +438,7 @@ let set_on_window t f = attach_probe t { null_probe with on_window = Some f }
 let request_stop t = t.stop_requested <- true
 let config t = t.cfg
 
-(* Forward a structured event to the probe. Only rare events come through
-   here: frequent ones build their record inside the probe match, so the
-   probe-less path allocates nothing. *)
+(* Forward a rare machine-wide event to the probe. *)
 let emit t ev =
   match t.probe with Some { on_event = Some f; _ } -> f ev | Some _ | None -> ()
 
@@ -478,8 +483,8 @@ let stall_of_wait = function
   | W_dmem -> Stats.D_stall
   | W_btr -> Stats.Lat_stall
   | W_recv { kind; _ } -> kind
-  | W_getb | W_send_full _ | W_get_latch _ | W_stall_fault | W_barrier _
-  | W_commit | W_serial | W_asleep | W_halted ->
+  | W_getb | W_send_full _ | W_get_latch _ | W_put_latch _ | W_stall_fault
+  | W_barrier _ | W_commit | W_serial | W_asleep | W_halted ->
     Stats.Sync
 
 (* Which core is [core] waiting on, when its wait names one — shared by the
@@ -487,7 +492,7 @@ let stall_of_wait = function
 let blame_of t ~core w =
   match w with
   | W_recv { sender; _ } -> Some sender
-  | W_get_latch dir -> Mesh.neighbour (Net.mesh t.net) core dir
+  | W_get_latch dir | W_put_latch dir -> Mesh.neighbour (Net.mesh t.net) core dir
   | W_send_full dst -> Some dst
   | W_commit ->
     Array.to_list t.cores
@@ -524,15 +529,8 @@ let wait_of_status = function
    functions below: each updates [Stats] and reports to the probe, [k]
    identical cycles ending at cycle [upto] at a time ([k > 1] only under
    fast-forward: a deferred credit, a coupled group-stall window or a
-   status wait across a whole-machine jump). Stalls and issues are also
-   trace events; [on_event] turns fast-forward off, so it only ever sees
-   [k = 1] at [upto = t.now]. With no probe attached each site costs one
-   branch and allocates nothing. *)
-
-let trace_stall t cs (p : probe) kind =
-  match p.on_event with
-  | None -> ()
-  | Some f -> f (Trace.Stall { cycle = t.now; core = cs.id; kind })
+   status wait across a whole-machine jump). With no probe attached each
+   site costs one branch and allocates nothing. *)
 
 (* The probe's events, preallocated so a report allocates nothing: static
    constants, one per stall kind, and the machine's tables for the waits
@@ -555,28 +553,25 @@ let wait_event t w =
   | W_asleep -> Blame_wait W_asleep | W_halted -> Blame_wait W_halted
   | W_barrier Inst.Coupled -> Blame_wait (W_barrier Inst.Coupled)
   | W_barrier Inst.Decoupled -> Blame_wait (W_barrier Inst.Decoupled)
-  | W_recv _ | W_send_full _ | W_get_latch _ -> Blame_wait w
+  | W_recv _ | W_send_full _ | W_get_latch _ | W_put_latch _ -> Blame_wait w
 
-let report_wait t cs (p : probe) w kind ~k ~upto =
-  (match p.on_core_cycles with
-  | None -> ()
-  | Some f -> f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial (wait_event t w));
-  trace_stall t cs p kind
+let report_wait t cs w ~k ~upto =
+  match t.probe with
+  | Some { on_core_cycles = Some f; _ } ->
+    f ~core:cs.id ~pc:cs.pc ~k ~upto ~redo:cs.tm_serial (wait_event t w)
+  | Some _ | None -> ()
 
 (* A running core blocked on its own wait [w]. *)
 let credit_wait t cs w ~k ~upto =
-  let kind = stall_of_wait w in
-  Stats.add_stall t.st ~core:cs.id kind k;
-  match t.probe with None -> () | Some p -> report_wait t cs p w kind ~k ~upto
+  Stats.add_stall t.st ~core:cs.id (stall_of_wait w) k;
+  report_wait t cs w ~k ~upto
 
 (* A core whose status is the wait — at a barrier or commit round, queued
    for the serial token, or wedged: a sync stall. Always credited at the
    current cycle, because its blame edge reads the peers' status now. *)
 let credit_status t cs k =
   Stats.add_stall t.st ~core:cs.id Stats.Sync k;
-  match t.probe with
-  | None -> ()
-  | Some p -> report_wait t cs p (wait_of_status cs.status) Stats.Sync ~k ~upto:t.now
+  report_wait t cs (wait_of_status cs.status) ~k ~upto:t.now
 
 (* An issueable coupled core held by the stall bus: charged with the
    peers' dominant stall [kind], the lock-step overhead the coupled mode
@@ -584,14 +579,10 @@ let credit_status t cs k =
 let credit_lockstep t cs kind k =
   Stats.add_stall t.st ~core:cs.id kind k;
   match t.probe with
-  | None -> ()
-  | Some p ->
-    (match p.on_core_cycles with
-    | None -> ()
-    | Some f ->
-      f ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
-        lockstep_events.(Stats.stall_kind_index kind));
-    trace_stall t cs p kind
+  | Some { on_core_cycles = Some f; _ } ->
+    f ~core:cs.id ~pc:cs.pc ~k ~upto:t.now ~redo:cs.tm_serial
+      lockstep_events.(Stats.stall_kind_index kind)
+  | Some _ | None -> ()
 
 (* An asleep or halted core. *)
 let credit_idle t cs ~k ~upto =
@@ -616,17 +607,9 @@ let credit_busy t cs ~pc ~redo (d : Image.decoded) =
   core_st.ops_comm <- core_st.ops_comm + d.Image.d_n_comm;
   core_st.ops_mul_div <- core_st.ops_mul_div + d.Image.d_n_muldiv;
   match t.probe with
-  | None -> ()
-  | Some p -> (
-    (match p.on_core_cycles with
-    | None -> ()
-    | Some f -> f ~core:cs.id ~pc ~k:1 ~upto:t.now ~redo Blame_busy);
-    match p.on_event with
-    | None -> ()
-    | Some f ->
-      f
-        (Trace.Issue
-           { cycle = t.now; core = cs.id; pc; ops = d.Image.d_real_ops }))
+  | Some { on_core_cycles = Some f; _ } ->
+    f ~core:cs.id ~pc ~k:1 ~upto:t.now ~redo Blame_busy
+  | Some _ | None -> ()
 
 (* Credit the cycles core [cs] is owed, through [upto], in one report: the
    verdict it was skipped on still holds for all of them (its status is
@@ -842,6 +825,23 @@ let read_operand cs (o : Inst.operand) =
       cs.snap.(r)
     else failwith "Machine: operand missing from bundle source snapshot"
 
+(* A SEND's or SPAWN's message into the network; [target] may be waiting
+   for it. *)
+let send t cs ~now target payload =
+  (match Net.send t.net ~now ~src:cs.id ~dst:target payload with
+  | Ok () -> ()
+  | Error Net.Channel_full ->
+    (* Overflow NACK: the send is parked and retried with backoff rather
+       than wedging the machine (can only arise under fault injection,
+       where a retrying message holds its channel slot longer than the
+       occupancy the issue check saw). *)
+    Net.defer t.net ~now ~src:cs.id ~dst:target payload
+  | Error (Net.Bad_destination _ as e) ->
+    failwith
+      (Printf.sprintf "core %d cycle %d: %s" cs.id now
+         (Net.error_to_string (Net.Send_failed e))));
+  make_due t target
+
 (* Phase 1: communication-out ops (PUT/BCAST/SEND/SPAWN), executed for all
    issuing cores before any core's phase 2, so that same-cycle PUT/GET and
    BCAST pairing works across cores. *)
@@ -851,47 +851,17 @@ let exec_comm_out t cs op =
   | Inst.Put { dir; src } -> (
     match Net.put t.net ~now ~src_core:cs.id dir (read_operand cs src) with
     | Ok () -> ()
-    | Error e ->
-      failwith
-        (Printf.sprintf "core %d cycle %d: %s" cs.id now
-           (Net.error_to_string (Net.Put_failed { src_core = cs.id; error = e }))))
+    | Error (Net.Off_mesh | Net.Latch_full _) ->
+      (* A broken lock-step contract, as for a GET with no paired PUT. *)
+      cs.status <- Stuck (W_put_latch dir))
   | Inst.Bcast { src } ->
     Net.bcast t.net ~now ~src_core:cs.id (read_operand cs src);
     make_all_due t
-  | Inst.Send { target; src } -> (
-    let payload = Net.Value (read_operand cs src) in
-    (* Not routed through [emit]: SENDs are frequent. *)
-    (match t.probe with
-    | Some { on_event = Some f; _ } ->
-      f (Trace.Sent { cycle = now; src = cs.id; dst = target })
-    | Some _ | None -> ());
-    match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> make_due t target
-    | Error Net.Channel_full ->
-      (* Overflow NACK: the send is parked and retried with backoff rather
-         than wedging the machine (can only arise under fault injection,
-         where a retrying message holds its channel slot longer than the
-         occupancy the issue check saw). *)
-      Net.defer t.net ~now ~src:cs.id ~dst:target payload;
-      make_due t target
-    | Error (Net.Bad_destination _ as e) ->
-      failwith
-        (Printf.sprintf "core %d cycle %d: %s" cs.id now
-           (Net.error_to_string (Net.Send_failed e))))
-  | Inst.Spawn { target; entry } -> (
+  | Inst.Send { target; src } -> send t cs ~now target (Net.Value (read_operand cs src))
+  | Inst.Spawn { target; entry } ->
     let addr = Image.resolve t.prog.images.(target) entry in
     t.st.spawns <- t.st.spawns + 1;
-    emit t (Trace.Spawned { cycle = t.now; by = cs.id; target });
-    let payload = Net.Start addr in
-    match Net.send t.net ~now ~src:cs.id ~dst:target payload with
-    | Ok () -> make_due t target
-    | Error Net.Channel_full ->
-      Net.defer t.net ~now ~src:cs.id ~dst:target payload;
-      make_due t target
-    | Error (Net.Bad_destination _ as e) ->
-      failwith
-        (Printf.sprintf "core %d cycle %d: %s" cs.id now
-           (Net.error_to_string (Net.Send_failed e))))
+    send t cs ~now target (Net.Start addr)
   | Inst.Alu _ | Inst.Fpu _ | Inst.Cmp _ | Inst.Select _ | Inst.Load _
   | Inst.Store _ | Inst.Mov _ | Inst.Pbr _ | Inst.Br _ | Inst.Getb _
   | Inst.Get _ | Inst.Recv _ | Inst.Sleep | Inst.Mode_switch _ | Inst.Tm_begin
@@ -987,18 +957,15 @@ let exec_main t cs (d : Image.decoded) i : int option =
       write_reg cs dst v ~ready:(now + lat) ~prod:P_other;
       None
     | None ->
-      (* No paired PUT: the lock-step contract is broken (compiler or
-         program bug). Wedge the core so the watchdog reports a structured
+      (* No PUT paired with this GET in this cycle (the latch is empty or
+         stale): the lock-step contract is broken (compiler or program
+         bug). Wedge the core so the watchdog reports a structured
          diagnosis naming it, instead of tearing the simulator down. *)
       cs.status <- Stuck (W_get_latch dir);
       None)
   | Inst.Recv { sender; dst; kind } -> (
     match Net.recv t.net ~now ~core:cs.id ~sender with
     | Some v ->
-      (match t.probe with
-      | Some { on_event = Some f; _ } ->
-        f (Trace.Recvd { cycle = now; core = cs.id; sender })
-      | Some _ | None -> ());
       (* The sender may be blocked on this channel's capacity. *)
       make_due t sender;
       let prod =
@@ -1398,7 +1365,7 @@ let resolve_mode_barrier t =
       t.cores;
     t.mode <- target;
     t.st.mode_switches <- t.st.mode_switches + 1;
-    emit t (Trace.Mode_change { cycle = t.now; mode = target });
+    emit t (Mode_change { cycle = t.now; mode = target });
     t.last_progress <- t.now
   end
 
@@ -1423,7 +1390,7 @@ let abort_and_serialize t aborted =
     let cs = t.cores.(head) in
     cs.status <- Running;
     initiate_fetch t cs;
-    emit t (Trace.Serial_start { cycle = t.now; core = head });
+    emit t (Serial_start { cycle = t.now; core = head });
     List.iter (fun c -> t.cores.(c).status <- Wait_serial) rest);
   t.serial_queue <- aborted
 
@@ -1478,18 +1445,18 @@ let resolve_tm_round t =
       List.iter
         (fun c -> if c >= v then Tm.abort t.tm ~core:c)
         participants;
-      emit t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
+      emit t (Tm_round { cycle = t.now; conflict_at = Some first });
       let committed, aborted = List.partition (fun c -> c < first) participants in
       release_committed t committed;
       abort_and_serialize t aborted)
     | None -> (
       match Tm.commit_round t.tm ~cores:participants with
       | `All_committed ->
-        emit t (Trace.Tm_round { cycle = t.now; conflict_at = None });
+        emit t (Tm_round { cycle = t.now; conflict_at = None });
         release_committed t participants
       | `Conflict_at first ->
         t.st.tm_conflicts <- t.st.tm_conflicts + 1;
-        emit t (Trace.Tm_round { cycle = t.now; conflict_at = Some first });
+        emit t (Tm_round { cycle = t.now; conflict_at = Some first });
         let committed, aborted = List.partition (fun c -> c < first) participants in
         release_committed t committed;
         abort_and_serialize t aborted)
@@ -1513,7 +1480,7 @@ let resolve_serial_queue t =
         let ncs = t.cores.(next) in
         ncs.status <- Running;
         initiate_fetch t ncs;
-        emit t (Trace.Serial_start { cycle = t.now; core = next });
+        emit t (Serial_start { cycle = t.now; core = next });
         t.last_progress <- t.now
     end
 
@@ -1544,14 +1511,10 @@ let wait_to_string = function
   | W_getb -> "GETB: broadcast not yet visible"
   | W_send_full dst -> Printf.sprintf "SEND: channel to core %d full" dst
   | W_get_latch dir ->
-    let d =
-      match dir with
-      | Inst.North -> "north"
-      | Inst.South -> "south"
-      | Inst.East -> "east"
-      | Inst.West -> "west"
-    in
-    Printf.sprintf "GET %s on an empty latch (no paired PUT)" d
+    Printf.sprintf "GET %s with no same-cycle PUT (latch empty or stale)"
+      (Inst.dir_name dir)
+  | W_put_latch dir ->
+    Printf.sprintf "PUT %s into a full latch or off the mesh" (Inst.dir_name dir)
   | W_stall_fault -> "injected stall fault"
   | W_barrier m -> Format.asprintf "at mode barrier -> %a" Inst.pp_mode m
   | W_commit -> "at TM commit, waiting for the round"
@@ -1658,17 +1621,11 @@ let finalize_counters t =
 
 let run t =
   (* Fast-forward needs every skipped core-cycle to be observationally
-     dead: a per-cycle observer (the probe's [on_event] or [every_cycle])
-     or per-cycle randomness (fault injector) forces the cycle-by-cycle
-     path. Core-cycle reports stay compatible — they take the same credit,
-     deferred. *)
+     dead, so per-cycle randomness (the fault injector) forces the
+     cycle-by-cycle path. No probe does: core-cycle reports take the same
+     credit, deferred, and [on_window] sees a skipped window whole. *)
   t.ff_active <-
-    t.cfg.Config.fast_forward
-    && (match t.inj with None -> true | Some _ -> false)
-    && (match t.probe with
-       | Some { on_event = Some _; _ } | Some { every_cycle = Some _; _ } ->
-         false
-       | Some _ | None -> true);
+    t.cfg.Config.fast_forward && (match t.inj with None -> true | Some _ -> false);
   t.elide <- t.ff_active && elide_possible t.cfg;
   let outcome = ref None in
   while match !outcome with None -> true | Some _ -> false do
@@ -1691,10 +1648,8 @@ let run t =
       (* The step may have fast-forwarded: report the whole covered window.
          [c0 = t.now] when it stepped one cycle. *)
       (match t.probe with
-      | None -> ()
-      | Some p -> (
-        (match p.on_window with None -> () | Some f -> f ~from:c0 ~upto:t.now);
-        match p.every_cycle with None -> () | Some f -> f ~now:t.now));
+      | Some { on_window = Some f; _ } -> f ~from:c0 ~upto:t.now
+      | Some _ | None -> ());
       if t.stop_requested then outcome := Some (Stopped (diagnose t))
       else if finished t then outcome := Some Finished
       else if (match t.inj with Some f -> Fault.exceeded f | None -> false)

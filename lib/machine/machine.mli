@@ -47,7 +47,8 @@ type wait =
   | W_recv of { sender : int; kind : Stats.stall_kind }
   | W_getb
   | W_send_full of int  (** receive queue of that core at capacity *)
-  | W_get_latch of Voltron_isa.Inst.dir  (** GET with no paired PUT *)
+  | W_get_latch of Voltron_isa.Inst.dir  (** no same-cycle PUT: empty or stale *)
+  | W_put_latch of Voltron_isa.Inst.dir  (** PUT into a full latch or off the mesh *)
   | W_stall_fault  (** injected transient stall in effect *)
   | W_barrier of Voltron_isa.Inst.mode
   | W_commit
@@ -141,6 +142,14 @@ val blame_of : t -> core:int -> wait -> int option
 
 (** {1 Observability} *)
 
+(** A machine-wide event that no other probe stream carries. *)
+type event =
+  | Mode_change of { cycle : int; mode : Voltron_isa.Inst.mode }
+  | Tm_round of { cycle : int; conflict_at : int option }
+      (** [conflict_at]: the first core aborted (serial re-execution) *)
+  | Serial_start of { cycle : int; core : int }
+      (** the core began serial re-execution of its aborted TM chunk *)
+
 (** One core-cycle (or [k] identical core-cycles) as the probe sees it. *)
 type blame_event =
   | Blame_busy  (** the core issued a bundle *)
@@ -172,24 +181,27 @@ type probe = {
           the run ends, before the core's next report of a group stall,
           when {!stats} or {!pc} is read, in a diagnosis, or at the end of
           {!run}. Read the cycle from [upto], never from {!now}. *)
-  on_event : (Trace.event -> unit) option;
-      (** Issues, stalls, SEND/RECV, spawns, mode changes, TM rounds and
-          serial re-execution starts, in simulation order (see {!Trace}). *)
-  every_cycle : (now:int -> unit) option;
-      (** Runs at the end of every cycle, after [on_window] — the
-          sanitizer's check. May call {!request_stop}. *)
+  on_event : (event -> unit) option;
+      (** Mode changes, TM rounds and serial re-execution starts, as they
+          happen. *)
   on_window : (from:int -> upto:int -> unit) option;
-      (** Once per run-loop iteration, with the cycles [\[from, upto\]] it
-          covered ([from < upto] across a stall fast-forward jump). *)
+      (** At the end of every run-loop iteration, with the cycles
+          [\[from, upto\]] it covered ([from < upto] across a stall
+          fast-forward jump, in which no core issues). *)
   on_net : (Voltron_net.Operand_network.event -> unit) option;
-  on_tm : (Voltron_mem.Tm.event -> unit) option;  (** also every load and store *)
+  on_tm :
+    (core:int -> Voltron_mem.Tm.action -> addr:int -> value:int -> unit) option;
+      (** also every load and store (see {!Voltron_mem.Tm.set_monitor}) *)
   on_access :
     (core:int -> completion:int -> Voltron_mem.Coherence.kind -> int -> unit) option;
       (** see {!Voltron_mem.Coherence.set_monitor} *)
 }
 (** Every callback is read-only: it may inspect the machine (coherence,
-    network, [now], [mode], [pc], [stats]) but not mutate it. Fast-forward
-    stays on unless [on_event] or [every_cycle] is present. *)
+    network, [now], [mode], [pc], [stats]) but not mutate it; any may call
+    {!request_stop}. No probe changes how the machine steps: fast-forward
+    is on exactly when {!Config.t.fast_forward} is set and no fault is
+    injected, so a consumer that needs every cycle in order (the tracer)
+    needs a machine created with [fast_forward = false]. *)
 
 val null_probe : probe
 (** Every field [None] — the base to set the fields one consumer needs. *)

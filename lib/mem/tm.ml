@@ -5,17 +5,12 @@ type tx = {
   write_order : int Voltron_util.Vec.t;  (** addresses in first-write order *)
 }
 
-type event =
-  | Ev_begin of { core : int }
-  | Ev_commit of { core : int }  (** after the buffer landed in memory *)
-  | Ev_abort of { core : int }  (** after the buffer was discarded *)
-  | Ev_read of { core : int; addr : int; value : int; tx : bool }
-  | Ev_write of { core : int; addr : int; value : int; tx : bool }
+type action = Begin | Commit | Abort | Read | Read_tx | Write | Write_tx
 
 type t = {
   mem : Memory.t;
   txs : tx array;
-  mutable monitor : (event -> unit) option;
+  mutable monitor : (core:int -> action -> addr:int -> value:int -> unit) option;
   (* Test-only sabotage: when armed, the next abort leaks its first
      buffered store into memory before discarding the buffer — a broken
      rollback for the sanitizer's TM oracle to catch. *)
@@ -51,7 +46,7 @@ let tx_begin t ~core =
   Hashtbl.reset tx.reads;
   Hashtbl.reset tx.writes;
   Voltron_util.Vec.clear tx.write_order;
-  match t.monitor with None -> () | Some f -> f (Ev_begin { core })
+  match t.monitor with None -> () | Some f -> f ~core Begin ~addr:0 ~value:0
 
 let read t ~core addr =
   let tx = t.txs.(core) in
@@ -67,7 +62,7 @@ let read t ~core addr =
   in
   (match t.monitor with
   | None -> ()
-  | Some f -> f (Ev_read { core; addr; value = v; tx = in_tx }));
+  | Some f -> f ~core (if in_tx then Read_tx else Read) ~addr ~value:v);
   v
 
 let write t ~core addr v =
@@ -85,7 +80,7 @@ let write t ~core addr v =
   end;
   match t.monitor with
   | None -> ()
-  | Some f -> f (Ev_write { core; addr; value = v; tx = in_tx })
+  | Some f -> f ~core (if in_tx then Write_tx else Write) ~addr ~value:v
 
 let clear_tx t ~core =
   let tx = t.txs.(core) in
@@ -106,7 +101,7 @@ let abort t ~core =
     Memory.write t.mem addr (Hashtbl.find tx.writes addr)
   end;
   clear_tx t ~core;
-  match t.monitor with None -> () | Some f -> f (Ev_abort { core })
+  match t.monitor with None -> () | Some f -> f ~core Abort ~addr:0 ~value:0
 
 let commit_one t ~core =
   let tx = t.txs.(core) in
@@ -114,7 +109,7 @@ let commit_one t ~core =
     (fun addr -> Memory.write t.mem addr (Hashtbl.find tx.writes addr))
     tx.write_order;
   clear_tx t ~core;
-  match t.monitor with None -> () | Some f -> f (Ev_commit { core })
+  match t.monitor with None -> () | Some f -> f ~core Commit ~addr:0 ~value:0
 
 let commit_round t ~cores =
   let committed_writes : (int, unit) Hashtbl.t = Hashtbl.create 64 in

@@ -14,22 +14,21 @@
 
 type t
 
-(** One event per TM-visible action, built only when a monitor is set.
-    Every architectural load and store goes through {!read}/{!write}, so
-    [Ev_read]/[Ev_write] are the machine-wide load/store stream; [tx] says
-    whether the access was inside a transaction (i.e. buffered). *)
-type event =
-  | Ev_begin of { core : int }
-  | Ev_commit of { core : int }  (** after the buffer landed in memory *)
-  | Ev_abort of { core : int }  (** after the buffer was discarded *)
-  | Ev_read of { core : int; addr : int; value : int; tx : bool }
-  | Ev_write of { core : int; addr : int; value : int; tx : bool }
+(** One TM-visible action. Every architectural load and store goes through
+    {!read}/{!write}, so the [Read*]/[Write*] actions are the machine-wide
+    load/store stream; the [_tx] forms are accesses inside a transaction
+    (i.e. buffered). [Commit] is reported after the buffer landed in
+    memory, [Abort] after it was discarded. *)
+type action = Begin | Commit | Abort | Read | Read_tx | Write | Write_tx
 
 val create : Memory.t -> n_cores:int -> t
 
-val set_monitor : t -> (event -> unit) -> unit
+val set_monitor : t -> (core:int -> action -> addr:int -> value:int -> unit) -> unit
 (** The one slot, which the machine owns (its probes' [on_tm]); a later
-    call replaces it. Passive — the callback must not mutate the TM. *)
+    call replaces it. Each call reports one action with its address and
+    the value read or written ([0] for both on [Begin], [Commit] and
+    [Abort]); nothing is allocated for it. Passive — the callback must not
+    mutate the TM. *)
 
 val test_leak_next_abort : t -> unit
 (** Arm a one-shot sabotage: the next {!abort} of a transaction with a

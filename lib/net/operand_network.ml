@@ -161,16 +161,10 @@ let put t ~now ~src_core dir value =
 
 let get t ~now ~core dir =
   let latch = t.latches.(core).(dir_index dir) in
-  if not latch.filled then None
-  else if latch.time > now then None
+  (* With the lock-step stall bus, a paired PUT/GET always executes in the
+     same cycle; a value put at another cycle is not this GET's. *)
+  if (not latch.filled) || latch.time <> now then None
   else begin
-    (* With the lock-step stall bus, a paired PUT/GET always executes in the
-       same cycle; an older timestamp would mean the cores de-synchronised. *)
-    if latch.time < now then
-      failwith
-        (Printf.sprintf
-           "get: core %d read a stale direct-mode latch (put at %d, get at %d)"
-           core latch.time now);
     latch.filled <- false;
     emit t (Ev_get { ev_core = core; ev_dir = dir });
     Some latch.value

@@ -75,9 +75,10 @@ val put :
 (** Both error cases are compiler scheduling bugs — surfaced, not masked. *)
 
 val get : t -> now:int -> core:int -> Voltron_isa.Inst.dir -> int option
-(** [None] when the latch is empty (caller stalls); [Some v] consumes. A
-    stale latch value (timestamp in the past) is a scheduling error and
-    raises [Failure]. *)
+(** [Some v] consumes the value a PUT left in the latch this very cycle.
+    [None] when there is none: the latch is empty, or holds a stale value
+    (put at an earlier cycle), which it keeps. Either is a broken lock-step
+    contract; the machine wedges the core for the watchdog to report. *)
 
 val bcast : t -> now:int -> src_core:int -> int -> unit
 val getb : t -> now:int -> core:int -> int option

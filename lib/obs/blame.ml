@@ -55,7 +55,7 @@ let kind_of_wait : Machine.wait -> kind = function
   | Machine.W_recv _ -> K_net_wait
   | Machine.W_getb -> K_bcast_wait
   | Machine.W_send_full _ -> K_backpressure
-  | Machine.W_get_latch _ -> K_latch_wait
+  | Machine.W_get_latch _ | Machine.W_put_latch _ -> K_latch_wait
   | Machine.W_stall_fault -> K_fault
   | Machine.W_barrier _ -> K_barrier
   | Machine.W_commit -> K_tm_commit
@@ -162,11 +162,12 @@ let attach m (compiled : Driver.compiled) =
           | Net.Ev_send _ | Net.Ev_put _ | Net.Ev_get _ -> ());
       on_tm =
         Some
-          (function
-          | Tm.Ev_begin { core } -> count core 0
-          | Tm.Ev_commit { core } -> count core 1
-          | Tm.Ev_abort { core } -> count core 2
-          | Tm.Ev_read _ | Tm.Ev_write _ -> ());
+          (fun ~core action ~addr:_ ~value:_ ->
+            match action with
+            | Tm.Begin -> count core 0
+            | Tm.Commit -> count core 1
+            | Tm.Abort -> count core 2
+            | Tm.Read | Tm.Read_tx | Tm.Write | Tm.Write_tx -> ());
     };
   t
 

@@ -1,4 +1,4 @@
-module Trace = Voltron_machine.Trace
+module Machine = Voltron_machine.Machine
 module Stats = Voltron_machine.Stats
 module Inst = Voltron_isa.Inst
 
@@ -85,7 +85,7 @@ let of_trace ~n_cores ~cycles trace =
           (event ~name:(Stats.stall_kind_label kind) ~cat:"stall" ~ph:"i" ~ts:cycle
              ~tid:core
              [ ("s", Json.Str "t") ])
-      | Trace.Mode_change { cycle; mode } ->
+      | Trace.Machine_event (Machine.Mode_change { cycle; mode }) ->
         push cycle
           (event ~name:"mode" ~cat:"mode" ~ph:"E" ~ts:cycle ~tid:machine_tid []);
         push cycle
@@ -98,7 +98,7 @@ let of_trace ~n_cores ~cycles trace =
                ("s", Json.Str "t");
                ("args", Json.Obj [ ("target", Json.Int target) ]);
              ])
-      | Trace.Tm_round { cycle; conflict_at } ->
+      | Trace.Machine_event (Machine.Tm_round { cycle; conflict_at }) ->
         (match conflict_at with
         | Some _ -> last_conflict := Some cycle
         | None -> ());
@@ -134,7 +134,7 @@ let of_trace ~n_cores ~cycles trace =
         | Some _ | None ->
           (* The matching Sent fell past the tracer's limit. *)
           incr culled_flows)
-      | Trace.Serial_start { cycle; core } -> (
+      | Trace.Machine_event (Machine.Serial_start { cycle; core }) -> (
         match !last_conflict with
         | Some abort_cycle ->
           flow ~name:"tm-retry" ~ts_from:abort_cycle ~tid_from:machine_tid

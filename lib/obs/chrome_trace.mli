@@ -1,6 +1,6 @@
 (** Chrome trace-event export.
 
-    Converts a recorded {!Voltron_machine.Trace.t} into the Chrome
+    Converts a recorded {!Trace.t} into the Chrome
     trace-event JSON format (the object form, ["traceEvents"]) loadable
     in [chrome://tracing] / Perfetto. One timeline track per core
     (issues as 1-cycle ["X"] complete events, stalls as ["i"] instants)
@@ -17,13 +17,13 @@
     reported as [otherData.culled_flows] beside [dropped_events]. *)
 
 val of_trace :
-  n_cores:int -> cycles:int -> Voltron_machine.Trace.t -> Json.t
+  n_cores:int -> cycles:int -> Trace.t -> Json.t
 (** [cycles] closes the final mode span — pass the run's cycle count.
     The machine starts decoupled, so a ["decoupled"] span opens at ts 0;
-    every {!Voltron_machine.Trace.Mode_change} closes the open span and
+    every mode change closes the open span and
     opens the next, and the last one closes at [cycles]. B/E events are
     balanced by construction and timestamps are nondecreasing in event
     order. *)
 
 val write :
-  path:string -> n_cores:int -> cycles:int -> Voltron_machine.Trace.t -> unit
+  path:string -> n_cores:int -> cycles:int -> Trace.t -> unit

@@ -49,12 +49,6 @@ let kind_class = function
   | Latch_empty_get _ -> "latch-empty-get"
   | Final_image_divergence _ -> "final-image"
 
-let dir_name = function
-  | Inst.North -> "north"
-  | Inst.South -> "south"
-  | Inst.East -> "east"
-  | Inst.West -> "west"
-
 let kind_detail = function
   | Coherence_states { line; states } ->
     Printf.sprintf "line %d held as {%s}" line
@@ -84,9 +78,9 @@ let kind_detail = function
   | Msg_phantom { seq } ->
     Printf.sprintf "delivered seq %d the mirror never saw sent" seq
   | Latch_double_fill { dir } ->
-    Printf.sprintf "PUT %s onto an already-full latch" (dir_name dir)
+    Printf.sprintf "PUT %s onto an already-full latch" (Inst.dir_name dir)
   | Latch_empty_get { dir } ->
-    Printf.sprintf "GET %s from a latch the mirror holds empty" (dir_name dir)
+    Printf.sprintf "GET %s from a latch the mirror holds empty" (Inst.dir_name dir)
   | Final_image_divergence { expected; got } ->
     Printf.sprintf "final image holds %d, shadow holds %d" got expected
 
@@ -239,23 +233,22 @@ let on_abort t ~core =
     t.tx_mirror.(core);
   Hashtbl.reset t.tx_mirror.(core)
 
-let on_tm t = function
-  | Tm.Ev_read { core; addr; value; tx } ->
+let on_tm t ~core (action : Tm.action) ~addr ~value =
+  match action with
+  | Tm.Read | Tm.Read_tx ->
     let expected =
-      if tx then
-        match Hashtbl.find_opt t.tx_mirror.(core) addr with
-        | Some v -> v
-        | None -> t.shadow.(addr)
-      else t.shadow.(addr)
+      match action with
+      | Tm.Read_tx ->
+        Option.value (Hashtbl.find_opt t.tx_mirror.(core) addr) ~default:t.shadow.(addr)
+      | _ -> t.shadow.(addr)
     in
     if value <> expected then
       record t ~core ~addr (Read_divergence { expected; got = value })
-  | Tm.Ev_write { core; addr; value; tx } ->
-    if tx then Hashtbl.replace t.tx_mirror.(core) addr value
-    else t.shadow.(addr) <- value
-  | Tm.Ev_begin { core } -> Hashtbl.reset t.tx_mirror.(core)
-  | Tm.Ev_commit { core } -> on_commit t ~core
-  | Tm.Ev_abort { core } -> on_abort t ~core
+  | Tm.Write -> t.shadow.(addr) <- value
+  | Tm.Write_tx -> Hashtbl.replace t.tx_mirror.(core) addr value
+  | Tm.Begin -> Hashtbl.reset t.tx_mirror.(core)
+  | Tm.Commit -> on_commit t ~core
+  | Tm.Abort -> on_abort t ~core
 
 (* --- Network conservation -------------------------------------------------- *)
 
@@ -326,11 +319,13 @@ let on_net_event t = function
       record t ~core:ev_core (Latch_empty_get { dir = ev_dir })
     else t.latch_mirror.(ev_core).(d) <- false
 
-(* Per-cycle reconciliation: the mirror's send/deliver balance against the
-   network's live in-flight count. A silently vanished (or conjured)
-   message shows up here the very cycle it happens; the delta is reported
-   once per change, not once per cycle. *)
-let on_cycle t ~now:_ =
+(* Reconciliation at the end of every run-loop window: the mirror's
+   send/deliver balance against the network's live in-flight count. A
+   window the stall fast-forward skips holds no issue and no network
+   service, so neither count can move inside it, and a silently vanished
+   (or conjured) message still shows up the very cycle it happens. The
+   delta is reported once per change, not once per window. *)
+let check_conservation t =
   let actual = Net.in_flight_count t.net in
   let delta = t.outstanding - actual in
   if delta = 0 then t.last_delta <- 0
@@ -369,7 +364,7 @@ let attach ?(policy = Abort) ?(log = fun _ -> ()) ?(limit = 32) m =
   Machine.attach_probe m
     {
       Machine.null_probe with
-      every_cycle = Some (on_cycle t);
+      on_window = Some (fun ~from:_ ~upto:_ -> check_conservation t);
       on_access = Some (on_access t);
       on_tm = Some (on_tm t);
       on_net = Some (on_net_event t);
@@ -380,9 +375,7 @@ let finalize t ~completed =
   (match Coherence.check_invariants t.hier with
   | Ok _ -> ()
   | Error msg -> record t (Coherence_sweep { msg }));
-  let actual = Net.in_flight_count t.net in
-  if t.outstanding <> actual && t.outstanding - actual <> t.last_delta then
-    record t (Msg_conservation { modelled = t.outstanding; actual });
+  check_conservation t;
   if completed then
     (* The run finished and memory has been scrubbed: the image is final,
        so it must agree with the shadow word for word. *)

@@ -37,9 +37,9 @@
     recoverable so {!Run.run_resilient} can feed it into the degradation
     ladder.
 
-    Attaching the sanitizer disables stall fast-forward (every cycle must
-    be observed) and costs roughly one mirrored operation per architectural
-    event; unattached, every hook site is a single [None] branch and the
+    Attaching the sanitizer leaves stall fast-forward as configured (a
+    skipped window holds no event it checks) and costs roughly one mirrored
+    operation per architectural event; unattached, every hook site is a single [None] branch and the
     simulator's allocation-free fast path is untouched. *)
 
 module Machine = Voltron_machine.Machine
@@ -116,9 +116,9 @@ val attach :
     defaults to [Abort]; [log] (default: silent) receives each recorded
     violation's rendering as it happens; [limit] (default 32) bounds the
     violations kept and logged — everything past it is still counted.
-    One probe carries the per-cycle check ([every_cycle], which turns stall
-    fast-forward off) and the coherence, TM and network streams; it
-    composes with any other probe on the machine. *)
+    One probe carries the conservation check (its [on_window], run after
+    those of probes attached earlier) and the coherence, TM and network
+    streams; it composes with any other probe on the machine. *)
 
 val finalize : t -> completed:bool -> unit
 (** End-of-run checks, to call once the machine has stopped: the

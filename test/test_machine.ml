@@ -23,8 +23,9 @@ let assemble rows =
     rows;
   Image.finish b
 
-let build_machine ?(n_cores = 1) ?(mem_size = 1024) ?(mem_init = []) images =
-  let cfg = Config.default ~n_cores in
+let build_machine ?(n_cores = 1) ?(mem_size = 1024) ?(mem_init = [])
+    ?(fast_forward = true) images =
+  let cfg = { (Config.default ~n_cores) with Config.fast_forward } in
   let prog = Program.make ~images ~mem_size ~mem_init in
   Machine.create cfg prog
 
@@ -366,6 +367,51 @@ let test_deadlock_get_no_put () =
   | Machine.Stopped _ ->
     Alcotest.fail "expected deadlock detection"
 
+(* A coupled program that breaks the PUT/GET pairing wedges the offending
+   core for the watchdog, like a GET with no PUT, instead of raising out of
+   [Machine.run]. [c0] and [c1] run between the two mode switches. *)
+let latch_fault c0 c1 =
+  let master =
+    assemble
+      ([ (None, [ Inst.Spawn { target = 1; entry = "w" } ]); (None, switch Inst.Coupled) ]
+      @ List.map (fun b -> (None, b)) c0
+      @ [ (None, switch Inst.Decoupled); (None, [ Inst.Halt ]) ])
+  in
+  let worker =
+    assemble
+      ([ (Some "w", switch Inst.Coupled) ]
+      @ List.map (fun b -> (None, b)) c1
+      @ [ (None, switch Inst.Decoupled); (None, [ Inst.Sleep ]) ])
+  in
+  let cfg = { (Config.default ~n_cores:2) with Config.watchdog = 500 } in
+  let prog = Program.make ~images:[| master; worker |] ~mem_size:64 ~mem_init:[] in
+  match (Machine.run (Machine.create cfg prog)).Machine.outcome with
+  | Machine.Deadlock d -> d
+  | Machine.Finished | Machine.Out_of_cycles | Machine.Fault_limit _
+  | Machine.Stopped _ ->
+    Alcotest.fail "expected deadlock detection"
+
+let test_deadlock_put_full_latch () =
+  (* Core 0 PUTs east twice; core 1 never GETs. *)
+  let put v = [ Inst.Put { dir = Inst.East; src = imm v } ] in
+  let d = latch_fault [ put 1; put 2 ] [ [ Inst.Nop ]; [ Inst.Nop ] ] in
+  Alcotest.(check bool) "core 0 stuck on its full east latch" true
+    (d.Machine.d_cores.(0).Machine.d_wait = Some (Machine.W_put_latch Inst.East));
+  Alcotest.(check bool) "blame edge names core 0" true
+    (d.Machine.d_blame = Some (0, 1))
+
+let test_deadlock_stale_get () =
+  (* Core 1's GET comes a cycle after core 0's PUT. *)
+  let d =
+    latch_fault
+      [ [ Inst.Put { dir = Inst.East; src = imm 7 } ]; [ Inst.Nop ] ]
+      [ [ Inst.Nop ]; [ Inst.Get { dir = Inst.West; dst = 5 } ] ]
+  in
+  Alcotest.(check bool) "core 1 stuck on its stale west latch" true
+    (d.Machine.d_cores.(1).Machine.d_wait = Some (Machine.W_get_latch Inst.West));
+  Alcotest.(check bool) "blame edge crosses the pair" true
+    (d.Machine.d_blame = Some (0, 1) || d.Machine.d_blame = Some (1, 0))
+
 let test_deadlock_tm_commit () =
   (* In-order chunk commit needs every core at TM_COMMIT; core 1 is asleep,
      so core 0's round can never resolve. The diagnosis must blame the
@@ -395,7 +441,7 @@ let test_deadlock_tm_commit () =
 
 (* --- Tracing ------------------------------------------------------------------ *)
 
-module Trace = Voltron_machine.Trace
+module Trace = Voltron_obs.Trace
 
 let test_trace_events () =
   let master =
@@ -414,10 +460,12 @@ let test_trace_events () =
         (None, [ Inst.Sleep ]);
       ]
   in
-  let m = build_machine ~n_cores:2 [| master; worker |] in
+  let prog =
+    Program.make ~images:[| master; worker |] ~mem_size:1024 ~mem_init:[]
+  in
+  let m = build_machine ~n_cores:2 ~fast_forward:false [| master; worker |] in
   let tracer = Trace.create () in
-  Machine.attach_probe m
-    { Machine.null_probe with on_event = Some (Trace.record tracer) };
+  Trace.attach m tracer prog;
   let _ = run_ok m in
   let events = Trace.events tracer in
   let has p = List.exists p events in
@@ -431,9 +479,6 @@ let test_trace_events () =
       | _ -> false));
   Alcotest.(check int) "nothing dropped" 0 (Trace.dropped tracer);
   (* Hotspots attribute issues to the right labels. *)
-  let prog =
-    Program.make ~images:[| master; worker |] ~mem_size:1024 ~mem_init:[]
-  in
   let spots = Trace.hotspots tracer prog in
   Alcotest.(check bool) "top label hot" true
     (List.exists
@@ -456,13 +501,25 @@ let test_trace_limit () =
         (None, [ Inst.Halt ]);
       ]
   in
-  let m = build_machine [| image |] in
+  let m = build_machine ~fast_forward:false [| image |] in
   let tracer = Trace.create ~limit:10 () in
-  Machine.attach_probe m
-    { Machine.null_probe with on_event = Some (Trace.record tracer) };
+  Trace.attach m tracer
+    (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[]);
   let _ = run_ok m in
   Alcotest.(check int) "stored capped" 10 (List.length (Trace.events tracer));
   Alcotest.(check bool) "dropped counted" true (Trace.dropped tracer > 0)
+
+(* The timeline needs the per-cycle sweep: a fast-forward machine is
+   refused rather than traced out of cycle order. *)
+let test_trace_rejects_fast_forward () =
+  let image = assemble [ (None, [ Inst.Halt ]) ] in
+  let m = build_machine [| image |] in
+  Alcotest.check_raises "fast-forward machine"
+    (Invalid_argument
+       "Trace.attach: the machine must be created with fast_forward = false")
+    (fun () ->
+      Trace.attach m (Trace.create ())
+        (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[]))
 
 (* --- More machine corner cases -------------------------------------------------- *)
 
@@ -677,11 +734,17 @@ let () =
           Alcotest.test_case "coupled GET without PUT" `Quick
             test_deadlock_get_no_put;
           Alcotest.test_case "TM commit livelock" `Quick test_deadlock_tm_commit;
+          Alcotest.test_case "coupled PUT into a full latch" `Quick
+            test_deadlock_put_full_latch;
+          Alcotest.test_case "coupled GET of a stale latch" `Quick
+            test_deadlock_stale_get;
         ] );
       ( "trace",
         [
           Alcotest.test_case "events and hotspots" `Quick test_trace_events;
           Alcotest.test_case "limit" `Quick test_trace_limit;
+          Alcotest.test_case "rejects fast-forward" `Quick
+            test_trace_rejects_fast_forward;
         ] );
       ("energy", [ Alcotest.test_case "monotone" `Quick test_energy_monotone ]);
       ( "corners",

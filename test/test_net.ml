@@ -56,11 +56,11 @@ let test_direct_stale_get_detected () =
   (match Net.put n ~now:1 ~src_core:0 Inst.East 7 with
   | Ok () -> ()
   | Error e -> Alcotest.fail (Net.put_error_to_string ~src_core:0 e));
-  Alcotest.(check bool) "late get is a lock-step violation" true
-    (try
-       ignore (Net.get n ~now:3 ~core:1 Inst.West);
-       false
-     with Failure _ -> true)
+  (* A late GET is a lock-step violation: it gets nothing, and the stale
+     value stays in the latch. *)
+  Alcotest.(check (option int)) "late get refused" None
+    (Net.get n ~now:3 ~core:1 Inst.West);
+  Alcotest.(check bool) "stale value kept" false (Net.idle n)
 
 let test_bcast_arrival_times () =
   let n = mk_net mesh4 in

@@ -7,7 +7,7 @@ module Suite = Voltron_workloads.Suite
 module Config = Voltron_machine.Config
 module Machine = Voltron_machine.Machine
 module Stats = Voltron_machine.Stats
-module Trace = Voltron_machine.Trace
+module Trace = Voltron_obs.Trace
 module Driver = Voltron_compiler.Driver
 module Json = Voltron_obs.Json
 module Metrics = Voltron_obs.Metrics
@@ -126,12 +126,11 @@ let test_json_roundtrip () =
 let test_chrome_trace_export () =
   let p = (Suite.by_name "cjpeg").Suite.build ~scale:0.25 () in
   let n_cores = 4 in
-  let machine = Config.default ~n_cores in
+  let machine = { (Config.default ~n_cores) with Config.fast_forward = false } in
   let compiled = Driver.compile ~machine p in
   let m = Machine.create machine compiled.Driver.executable in
   let tracer = Trace.create () in
-  Machine.attach_probe m
-    { Machine.null_probe with on_event = Some (Trace.record tracer) };
+  Trace.attach m tracer compiled.Driver.executable;
   let result = Machine.run m in
   (match result.Machine.outcome with
   | Machine.Finished -> ()

@@ -21,6 +21,7 @@ module Sampler = Voltron_obs.Sampler
 module Coherence = Voltron_mem.Coherence
 module Net = Voltron_net.Operand_network
 module Asm = Voltron_isa.Asm
+module Sanity = Voltron_sanity.Sanity
 
 let scale = 0.15
 
@@ -110,8 +111,9 @@ let run_one ?protocol ?tweak ~ff ~choice ~cores program =
    core-cycle report, expanded to one entry per cycle; a report that does
    not continue its core's timeline (out of time order, or leaving a gap)
    fails at once. *)
-let run_asm ?tweak ~ff ~cores program =
+let run_asm ?tweak ?(attach = ignore) ~ff ~cores program =
   let m = Machine.create (config ?tweak ~ff cores) program in
+  attach m;
   let rev = Array.make cores [] and next = Array.make cores 1 in
   Machine.attach_probe m
     {
@@ -311,6 +313,29 @@ let test_elision_program () =
     true
     (fast.fetches < slow.fetches)
 
+(* The sanitizer rides the fast path: attached, it leaves fast-forward and
+   NOP-run elision on, and checks the same run the per-cycle sweep makes. *)
+let test_sanitized_elision () =
+  let program = Asm.parse nop_runs_program in
+  let run ~ff =
+    let san = ref None in
+    let attach m = san := Some (Sanity.attach ~policy:Sanity.Report m) in
+    let snap = run_asm ~attach ~ff ~cores:4 program in
+    let s = Option.get !san in
+    Sanity.finalize s ~completed:(snap.outcome_tag = "finished");
+    (snap, Sanity.report s)
+  in
+  let slow, slow_report = run ~ff:false and fast, fast_report = run ~ff:true in
+  check_same "sanitized nop runs" ~slow ~fast;
+  Alcotest.(check string) "same sanitizer report"
+    (Sanity.report_to_string slow_report)
+    (Sanity.report_to_string fast_report);
+  Alcotest.(check bool) "reports structurally equal" true (slow_report = fast_report);
+  Alcotest.(check bool)
+    (Printf.sprintf "elided fetches (%d of %d made)" fast.fetches slow.fetches)
+    true
+    (fast.fetches < slow.fetches)
+
 (* At [lat_l1 = 2] a memo-hit fetch blocks the next cycle, so elision must
    switch itself off: every fetch is made, and nothing else differs. *)
 let test_elision_off_lat_l1 () =
@@ -413,6 +438,8 @@ let () =
             (test_differential_16 Coherence.Snoop);
           Alcotest.test_case "NOP-run elision, hand-written program" `Quick
             test_elision_program;
+          Alcotest.test_case "NOP-run elision, sanitized" `Quick
+            test_sanitized_elision;
           Alcotest.test_case "NOP-run elision off at lat_l1 2" `Slow
             test_elision_off_lat_l1;
         ] );

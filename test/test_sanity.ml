@@ -44,9 +44,9 @@ let stopped m =
   match m.Run.outcome with Run.Sanity_stopped _ -> true | _ -> false
 
 (* Arm a one-shot sabotage from the machine's window hook; returns the
-   cycle it fired on. The sanitizer turns fast-forward off, so every window
-   is one cycle, and the hook runs before the sanitizer's check of that
-   same cycle. *)
+   cycle it fired on: the last of its window. [Run.simulate] attaches the
+   sanitizer after the caller's hooks, so this one runs before the
+   sanitizer's check of that same window. *)
 let arm_once m f =
   let fired = ref (-1) in
   Machine.set_on_window m (fun ~from:_ ~upto ->
