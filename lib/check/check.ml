@@ -31,6 +31,7 @@ module Net = Voltron_net.Operand_network
 module Mesh = Voltron_net.Mesh
 module Config = Voltron_machine.Config
 module Digraph = Voltron_util.Digraph
+module Vec = Voltron_util.Vec
 
 (* ------------------------------------------------------------------ *)
 (* Diagnostics *)
@@ -997,7 +998,8 @@ let check_coupled ctx =
                        }))
                 !gets;
               (* Broadcasts: a GETB before any broadcast exists can never
-                 complete; one that merely out-runs the hop latency only
+                 complete; one that merely out-runs the network's delivery
+                 (hops x hop cost, as [Operand_network] charges) only
                  stalls, so it is a warning. *)
               List.iter
                 (fun (c, a, i) ->
@@ -1017,7 +1019,11 @@ let check_coupled ctx =
                                   this block" c;
                            })
                     | Some (bslot, bsrc) ->
-                      if bslot + Mesh.hops ctx.mesh bsrc c > slot then
+                      let arrival =
+                        bslot
+                        + (Mesh.hops ctx.mesh bsrc c * ctx.cfg.Config.net_hop_cost)
+                      in
+                      if arrival > slot then
                         diag ctx Warning
                           (Some { l_core = c; l_addr = a })
                           (Put_get_mismatch
@@ -1029,7 +1035,7 @@ let check_coupled ctx =
                                    "GETB on core %d runs %d cycle(s) before \
                                     the broadcast from core %d can arrive; \
                                     the array will stall" c
-                                   (bslot + Mesh.hops ctx.mesh bsrc c - slot)
+                                   (arrival - slot)
                                    bsrc;
                              })
                   end
@@ -1049,63 +1055,80 @@ let check_coupled ctx =
 
 (* --- Pass 4a: wait-for graph deadlock detection ----------------------- *)
 
-type wnode = {
-  w_loc : loc;
-  w_desc : string;
+(* One wait-for graph, built over straight-line sequences by
+   [report_cycles] and called at two scopes: one decoupled block shared by
+   several cores, and the once-run code of the whole program. A node
+   waits on another when it cannot issue before that one has. *)
+
+type wait_op = Send of int | Recv of int | Spawn of int * Inst.label | Barrier
+
+(* A sequence: its core, the SPAWN entry it starts at (if any), and its
+   operations as (address, op) in issue order. *)
+type wait_seq = {
+  ws_core : int;
+  ws_entry : Inst.label option;
+  ws_ops : (int * wait_op) list;
 }
 
-let scc_deadlocks ctx nodes edges =
-  (* [nodes]: wnode array; [edges]: (waiter, waitee, why) index triples. *)
-  let g = Digraph.create (Array.length nodes) in
-  List.iter (fun (u, v, _) -> Digraph.add_edge g u v) edges;
-  Array.iter
-    (fun comp ->
-      match comp with
-      | [] | [ _ ] -> ()
-      | comp ->
-        let in_comp = Hashtbl.create 8 in
-        List.iter (fun v -> Hashtbl.replace in_comp v ()) comp;
-        let cycle_edges =
-          List.filter_map
-            (fun (u, v, why) ->
-              if Hashtbl.mem in_comp u && Hashtbl.mem in_comp v then
-                Some (nodes.(u).w_loc, nodes.(v).w_loc, why)
-              else None)
-            edges
-        in
-        let loc = (List.hd (List.sort compare comp) |> fun v -> nodes.(v).w_loc) in
-        diag ctx Error (Some loc) (Potential_deadlock { edges = cycle_edges }))
-    (Digraph.sccs g)
+let wait_op (i : Inst.t) =
+  match i with
+  | Inst.Send { target; _ } -> Some (Send target)
+  | Inst.Recv { sender; _ } -> Some (Recv sender)
+  | Inst.Spawn { target; entry } -> Some (Spawn (target, entry))
+  | Inst.Mode_switch _ -> Some Barrier
+  | _ -> None
 
-(* The wait-for edges among straight-line queue operations. [seqs] gives
-   each sequence's core and its (node, op) pairs in issue order. In-order
-   issue makes each op wait on its predecessor; on every channel a->b that
-   [channel a b] admits, FIFO delivery makes the i-th RECV from a on b
-   wait on the i-th SEND a->b. Edges come newest first: each sequence's
-   program-order chain, then the delivery edges in channel order. *)
-let queue_edges ~channel seqs =
-  let edges = ref [] in
+let block_wait_ops (g : Ccfg.t) bi =
+  List.filter_map
+    (fun (addr, _, i) -> Option.map (fun op -> (addr, op)) (wait_op i))
+    (Ccfg.ops g g.Ccfg.blocks.(bi))
+
+(* Number the operations of [seqs] in order and add the four edge kinds:
+   - program order: in-order issue makes each op wait on its predecessor;
+   - delivery: on every channel a->b that [channel a b] admits, FIFO order
+     makes the i-th RECV from a on b wait on the i-th SEND a->b;
+   - spawn: a spawned sequence's first op waits on its SPAWN;
+   - barrier: the k-th MODE_SWITCH rendezvous is one node (located at core
+     0's switch, added after the ops). Each core's switch waits on it, and
+     it waits on every core's arrival, the op just before that switch, so
+     code after a barrier transitively waits on code before it everywhere.
+   Then report every strongly connected component of two or more nodes
+   with the edges inside it, newest first, skipping a cycle that an
+   earlier call already reported at the same location. *)
+let report_cycles ctx ~channel seqs =
+  let locs = Vec.create () and edges = ref [] in
+  let node loc =
+    Vec.push locs loc;
+    Vec.length locs - 1
+  in
+  let edge u v why = edges := (u, v, why) :: !edges in
   let sends = Hashtbl.create 16 and recvs = Hashtbl.create 16 in
+  let prev_op = Hashtbl.create 32 and firsts = Hashtbl.create 8 in
   let push tbl k id =
     Hashtbl.replace tbl k (id :: Option.value (Hashtbl.find_opt tbl k) ~default:[])
   in
-  List.iter
-    (fun (core, ops) ->
-      let rec chain = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-          edges := (b, a, Printf.sprintf "program order on core %d" core) :: !edges;
-          chain rest
-        | _ -> ()
-      in
-      chain ops;
-      List.iter
-        (fun (id, k) ->
-          match k with
-          | `Send t -> push sends (core, t) id
-          | `Recv sd -> push recvs (sd, core) id
-          | _ -> ())
-        ops)
-    seqs;
+  let seqs =
+    List.map
+      (fun s ->
+        let c = s.ws_core and last = ref None in
+        ( s,
+          List.map
+            (fun (addr, op) ->
+              let id = node { l_core = c; l_addr = addr } in
+              (match !last with
+              | Some p ->
+                Hashtbl.replace prev_op id p;
+                edge id p (Printf.sprintf "program order on core %d" c)
+              | None -> Hashtbl.replace firsts (c, s.ws_entry) id);
+              last := Some id;
+              (match op with
+              | Send t -> push sends (c, t) id
+              | Recv sd -> push recvs (sd, c) id
+              | Spawn _ | Barrier -> ());
+              (id, op))
+            s.ws_ops ))
+      seqs
+  in
   Hashtbl.fold (fun ch _ acc -> ch :: acc) recvs []
   |> List.sort compare
   |> List.iter (fun (a, b) ->
@@ -1117,71 +1140,90 @@ let queue_edges ~channel seqs =
            List.iteri
              (fun i r ->
                if i < Array.length sent then
-                 edges :=
-                   ( r,
-                     sent.(i),
-                     Printf.sprintf "delivery on channel %d->%d (message %d)" a b
-                       (i + 1) )
-                   :: !edges)
+                 edge r sent.(i)
+                   (Printf.sprintf "delivery on channel %d->%d (message %d)" a b
+                      (i + 1)))
              (List.rev (Hashtbl.find recvs (a, b)))
          end);
-  !edges
+  List.iter
+    (fun (s, ops) ->
+      List.iter
+        (function
+          | id, Spawn (w, e) ->
+            Option.iter
+              (fun first ->
+                edge first id
+                  (Printf.sprintf "core %d runs only after core %d spawns it" w
+                     s.ws_core))
+              (Hashtbl.find_opt firsts (w, Some e))
+          | _ -> ())
+        ops)
+    seqs;
+  let barriers =
+    Array.init (Program.n_cores ctx.prog) (fun c ->
+        List.concat_map
+          (fun (s, ops) ->
+            if s.ws_core = c then List.filter (fun (_, op) -> op = Barrier) ops else [])
+          seqs
+        |> Array.of_list)
+  in
+  let count = Array.fold_left (fun m l -> min m (Array.length l)) max_int barriers in
+  for k = 0 to count - 1 do
+    let rv = node (Vec.get locs (fst barriers.(0).(k))) in
+    Array.iter
+      (fun l ->
+        let id = fst l.(k) in
+        edge id rv "released by the mode barrier";
+        Option.iter
+          (fun p -> edge rv p "mode barrier waits for every core")
+          (Hashtbl.find_opt prev_op id))
+      barriers
+  done;
+  let g = Digraph.create (Vec.length locs) in
+  List.iter (fun (u, v, _) -> Digraph.add_edge g u v) !edges;
+  Array.iter
+    (function
+      | [] | [ _ ] -> ()
+      | comp ->
+        let inside (u, v, _) = List.mem u comp && List.mem v comp in
+        let at (u, v, why) = (Vec.get locs u, Vec.get locs v, why) in
+        let kind =
+          Potential_deadlock { edges = List.map at (List.filter inside !edges) }
+        in
+        let loc = Some (Vec.get locs (List.fold_left min max_int comp)) in
+        if not (List.exists (fun d -> d.d_loc = loc && d.d_kind = kind) ctx.diags)
+        then diag ctx Error loc kind)
+    (Digraph.sccs g)
 
-(* Block-local deadlock check: a label shared by several cores in
-   decoupled mode is one region block replicated per core; within one
-   execution of it, queue FIFO order matches the emission order, so the
-   i-th SEND a->b pairs with the i-th RECV from a on b. In-order issue
-   gives the program-order edges. *)
+(* Block-local scope: a label shared by several cores in decoupled mode is
+   one region block replicated per core; within one execution of it,
+   queue FIFO order matches the emission order, so its SENDs and RECVs
+   pair positionally whether or not the block runs once. *)
 let check_block_deadlock ctx =
-  let n = Program.n_cores ctx.prog in
-  if n <= 1 then ()
-  else begin
+  if Program.n_cores ctx.prog > 1 then
     blocks_by_label ctx Inst.Decoupled
     |> List.iter (fun (_, group) ->
-           if List.length group >= 2 then begin
-             let nodes = ref [] in
-             let n_nodes = ref 0 in
-             let add_node loc desc =
-               let id = !n_nodes in
-               incr n_nodes;
-               nodes := { w_loc = loc; w_desc = desc } :: !nodes;
-               id
-             in
-             let per_core =
-               List.map
-                 (fun (core, bi) ->
-                   let g = ctx.graphs.(core) in
-                   let ops =
-                     List.filter_map
-                       (fun (addr, _, (i : Inst.t)) ->
-                         match i with
-                         | Inst.Send { target; _ } ->
-                           Some
-                             ( add_node { l_core = core; l_addr = addr }
-                                 "send",
-                               `Send target )
-                         | Inst.Recv { sender; _ } ->
-                           Some
-                             ( add_node { l_core = core; l_addr = addr }
-                                 "recv",
-                               `Recv sender )
-                         | _ -> None)
-                       (Ccfg.ops g g.Ccfg.blocks.(bi))
-                   in
-                   (core, ops))
-                 group
-             in
-             let nodes = Array.of_list (List.rev !nodes) in
-             scc_deadlocks ctx nodes (queue_edges ~channel:( <> ) per_core)
-           end)
-  end
+           if List.length group >= 2 then
+             report_cycles ctx ~channel:( <> )
+               (List.map
+                  (fun (core, bi) ->
+                    {
+                      ws_core = core;
+                      ws_entry = None;
+                      ws_ops =
+                        List.filter
+                          (fun (_, op) ->
+                            match op with Send _ | Recv _ -> true | _ -> false)
+                          (block_wait_ops ctx.graphs.(core) bi);
+                    })
+                  group))
 
-(* Program-level deadlock check over "straight-line" operations: blocks
-   outside any loop and not conditionally skipped execute exactly once,
-   so their queue operations can be matched positionally across the whole
-   program, and spawn and barrier orderings added. This is what catches a
-   master waiting on a join SEND that sits after a RECV the master never
-   feeds, or crossed RECVs in hand-written glue. *)
+(* Program-level scope over "straight-line" operations: blocks outside
+   any loop and not conditionally skipped execute exactly once, so the
+   queue operations of each once-run strand can be matched positionally
+   across the whole program, with spawn and barrier orderings added. This
+   is what catches a master waiting on a join SEND that sits after a RECV
+   the master never feeds, or crossed RECVs in hand-written glue. *)
 let check_global_deadlock ctx =
   let n = Program.n_cores ctx.prog in
   if n <= 1 then ()
@@ -1219,33 +1261,24 @@ let check_global_deadlock ctx =
           done
         done)
       ctx.graphs;
-    (* Once-ops per strand (strands that run exactly once), address order. *)
-    let once_strands =
-      List.filter (fun s -> s.st_scale = Some (Lin.const_ 1)) ctx.strands
-    in
-    let strand_ops =
-      List.map
+    (* Once-ops of each strand that runs exactly once, address order. *)
+    let once_seqs =
+      List.filter_map
         (fun s ->
-          let g = ctx.graphs.(s.st_core) in
-          let ops =
-            List.concat_map
-              (fun bi ->
-                if tainted.(s.st_core).(bi) then []
-                else
-                  List.filter_map
-                    (fun (addr, _, (i : Inst.t)) ->
-                      match i with
-                      | Inst.Send { target; _ } -> Some (addr, `Send target)
-                      | Inst.Recv { sender; _ } -> Some (addr, `Recv sender)
-                      | Inst.Spawn { target; entry } ->
-                        Some (addr, `Spawn (target, entry))
-                      | Inst.Mode_switch _ -> Some (addr, `Barrier)
-                      | _ -> None)
-                    (Ccfg.ops g g.Ccfg.blocks.(bi)))
-              s.st_blocks
-          in
-          (s, ops))
-        once_strands
+          if s.st_scale <> Some (Lin.const_ 1) then None
+          else
+            Some
+              {
+                ws_core = s.st_core;
+                ws_entry = s.st_entry_label;
+                ws_ops =
+                  List.concat_map
+                    (fun bi ->
+                      if tainted.(s.st_core).(bi) then []
+                      else block_wait_ops ctx.graphs.(s.st_core) bi)
+                    s.st_blocks;
+              })
+        ctx.strands
     in
     (* A channel is positionally matchable only when every one of its
        SENDs and RECVs in the whole program is a once-op. *)
@@ -1259,147 +1292,43 @@ let check_global_deadlock ctx =
         | Inst.Recv { sender; _ } -> bump total (`R (sender, core))
         | _ -> ());
     List.iter
-      (fun (s, ops) ->
+      (fun s ->
         List.iter
-          (fun (_, k) ->
-            match k with
-            | `Send t -> bump once (`S (s.st_core, t))
-            | `Recv sd -> bump once (`R (sd, s.st_core))
-            | _ -> ())
-          ops)
-      strand_ops;
+          (fun (_, op) ->
+            match op with
+            | Send t -> bump once (`S (s.ws_core, t))
+            | Recv sd -> bump once (`R (sd, s.ws_core))
+            | Spawn _ | Barrier -> ())
+          s.ws_ops)
+      once_seqs;
     let channel_ok a b =
       Hashtbl.find_opt total (`S (a, b)) = Hashtbl.find_opt once (`S (a, b))
       && Hashtbl.find_opt total (`R (a, b)) = Hashtbl.find_opt once (`R (a, b))
     in
     (* Barrier nodes are only meaningful when every core owns the same
-       once-barrier count. *)
+       once-barrier count (the counts then sum to n times it). *)
+    let n_barriers s =
+      List.length (List.filter (fun (_, op) -> op = Barrier) s.ws_ops)
+    in
     let barrier_counts =
       List.init n (fun c ->
           List.fold_left
-            (fun acc (s, ops) ->
-              if s.st_core = c then
-                acc
-                + List.length (List.filter (fun (_, k) -> k = `Barrier) ops)
-              else acc)
-            0 strand_ops)
+            (fun acc s -> if s.ws_core = c then acc + n_barriers s else acc)
+            0 once_seqs)
     in
-    let barriers_ok =
-      match barrier_counts with
-      | [] -> false
-      | c0 :: rest ->
-        List.for_all (( = ) c0) rest
-        && c0 * n
-           = List.fold_left
-               (fun acc (_, ops) ->
-                 acc + List.length (List.filter (fun (_, k) -> k = `Barrier) ops))
-               0 strand_ops
-    in
-    (* Build the graph. *)
-    let nodes = ref [] and n_nodes = ref 0 in
-    let add_node loc desc =
-      let id = !n_nodes in
-      incr n_nodes;
-      nodes := { w_loc = loc; w_desc = desc } :: !nodes;
-      id
-    in
-    let included =
-      List.map
-        (fun (s, ops) ->
-          let kept =
-            List.filter_map
-              (fun (addr, k) ->
-                let keep =
-                  match k with
-                  | `Send t -> t >= 0 && t < n && channel_ok s.st_core t
-                  | `Recv sd -> sd >= 0 && sd < n && channel_ok sd s.st_core
-                  | `Spawn _ -> true
-                  | `Barrier -> barriers_ok
-                in
-                if keep then
-                  Some (add_node { l_core = s.st_core; l_addr = addr } "", k)
-                else None)
-              ops
-          in
-          (s, kept))
-        strand_ops
-    in
+    let barriers_ok = List.for_all (( = ) (List.hd barrier_counts)) barrier_counts in
     (* Every kept SEND and RECV sits on a positionally matchable channel. *)
-    let edges =
-      ref
-        (queue_edges
-           ~channel:(fun _ _ -> true)
-           (List.map (fun (s, kept) -> (s.st_core, kept)) included))
+    let keep s = function
+      | Send t -> t >= 0 && t < n && channel_ok s.ws_core t
+      | Recv sd -> sd >= 0 && sd < n && channel_ok sd s.ws_core
+      | Spawn _ -> true
+      | Barrier -> barriers_ok
     in
-    (* A spawned strand's first operation waits on the SPAWN itself. *)
-    List.iter
-      (fun (s, kept) ->
-        List.iter
-          (fun (id, k) ->
-            match k with
-            | `Spawn (w, e) -> (
-              match
-                List.find_opt
-                  (fun (s', _) ->
-                    s'.st_core = w && s'.st_entry_label = Some e)
-                  included
-              with
-              | Some (_, (first, _) :: _) ->
-                edges :=
-                  ( first,
-                    id,
-                    Printf.sprintf "core %d runs only after core %d spawns it"
-                      w s.st_core )
-                  :: !edges
-              | _ -> ())
-            | _ -> ())
-          kept)
-      included;
-    (* Barriers: the k-th MODE_SWITCH rendezvous is one shared node. Each
-       core's switch (the release) waits on the rendezvous, and the
-       rendezvous waits on every core's arrival — the operation just
-       before that core's switch — so code after a barrier transitively
-       waits on code before it on every other core. *)
-    if barriers_ok then begin
-      let node_loc = Array.of_list (List.rev !nodes) in
-      let prev_op = Hashtbl.create 32 in
-      let rec link = function
-        | (a, _) :: ((b, _) :: _ as rest) ->
-          Hashtbl.replace prev_op b a;
-          link rest
-        | _ -> ()
-      in
-      List.iter (fun (_, kept) -> link kept) included;
-      let per_core_barriers =
-        List.init n (fun c ->
-            List.concat_map
-              (fun (s, kept) ->
-                if s.st_core = c then
-                  List.filter (fun (_, k) -> k = `Barrier) kept
-                else [])
-              included)
-      in
-      let count =
-        List.fold_left min max_int (List.map List.length per_core_barriers)
-      in
-      for k = 0 to count - 1 do
-        let members = List.map (fun l -> fst (List.nth l k)) per_core_barriers in
-        match members with
-        | first :: _ ->
-          let rv = add_node node_loc.(first).w_loc "" in
-          List.iter
-            (fun id ->
-              edges := (id, rv, "released by the mode barrier") :: !edges;
-              match Hashtbl.find_opt prev_op id with
-              | Some p ->
-                edges := (rv, p, "mode barrier waits for every core") :: !edges
-              | None -> ())
-            members
-        | [] -> ()
-      done
-    end;
-    let nodes_arr = Array.of_list (List.rev !nodes) in
-    scc_deadlocks ctx nodes_arr !edges
+    report_cycles ctx
+      ~channel:(fun _ _ -> true)
+      (List.map
+         (fun s -> { s with ws_ops = List.filter (fun (_, op) -> keep s op) s.ws_ops })
+         once_seqs)
   end
 
 (* --- Pass 4b: decoupled-mode race detection (program level) ----------- *)

@@ -663,32 +663,35 @@ let check_directory t =
     t.dir;
   !violation
 
+let single_writer_violation states =
+  let count p = List.length (List.filter (fun (_, st) -> p st) states) in
+  let m_or_e = count (fun st -> st = Cache.M || st = Cache.E) in
+  let o = count (( = ) Cache.O) and others = List.length states - 1 in
+  if m_or_e > 1 then Some (Printf.sprintf "%d M/E copies" m_or_e)
+  else if m_or_e = 1 && others > 0 then
+    Some (Printf.sprintf "M/E copy coexists with %d others" others)
+  else if o > 1 then Some (Printf.sprintf "%d owners" o)
+  else None
+
 let check_invariants t =
-  (* Gather, per line, the multiset of L1D states across cores. *)
-  let lines : (int, Cache.state list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iter
-    (fun cache ->
+  (* Gather, per line, the (core, state) copies across L1Ds. *)
+  let lines : (int, (int * Cache.state) list) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun c cache ->
       List.iter
         (fun (line, st) ->
           let cur = Option.value ~default:[] (Hashtbl.find_opt lines line) in
-          Hashtbl.replace lines line (st :: cur))
+          Hashtbl.replace lines line ((c, st) :: cur))
         (Cache.valid_lines cache))
     t.l1d;
   let violation = ref None in
   Hashtbl.iter
     (fun line states ->
-      if !violation = None then begin
-        let count st = List.length (List.filter (fun s -> s = st) states) in
-        let m = count Cache.M and e = count Cache.E and o = count Cache.O in
-        let total = List.length states in
-        if m + e > 1 then
-          violation := Some (Printf.sprintf "line %d: %d M/E copies" line (m + e))
-        else if (m = 1 || e = 1) && total > 1 then
-          violation :=
-            Some (Printf.sprintf "line %d: M/E copy coexists with %d others" line (total - 1))
-        else if o > 1 then
-          violation := Some (Printf.sprintf "line %d: %d owners" line o)
-      end)
+      if !violation = None then
+        violation :=
+          Option.map
+            (Printf.sprintf "line %d: %s" line)
+            (single_writer_violation states))
     lines;
   let violation =
     match !violation with

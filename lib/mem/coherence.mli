@@ -147,6 +147,13 @@ val test_inject_stale_sharer : t -> unit
     sanitizer's single-writer oracle catches real directory bugs; never
     set in real runs. *)
 
+val single_writer_violation : (int * Cache.state) list -> string option
+(** The per-line single-writer/multiple-reader rule over a line's
+    (core, state) copies, as {!l1d_line_states} gives them: at most one
+    M/E copy, and then no other sharer; at most one O copy. [Some] names
+    the first clause broken. Stated over cache states alone, so it holds
+    for both backends; {!check_invariants} and the sanitizer share it. *)
+
 val check_invariants : t -> (string, string) result
 (** Coherence safety over every line: at most one cache in M or E and then
     no other sharer; at most one owner (O); an O line may coexist only

@@ -187,22 +187,13 @@ let record ?core ?addr ?blame t kind =
    copy. The rule is stated over cache states alone, never over protocol
    messages, so it is backend-independent: it holds verbatim for the snoop
    bus's MOESI and for the directory's MESI (which simply never produces
-   O). Same rule as the end-of-run [Coherence.check_invariants] — which
-   additionally audits directory/cache agreement on that backend — applied
-   per line per access. *)
+   O). The rule is [Coherence.single_writer_violation], which the end-of-run
+   [Coherence.check_invariants] applies to every line (and additionally
+   audits directory/cache agreement on that backend); here it runs per
+   line per access. *)
 let check_line t ~core addr =
   let line, states = Coherence.l1d_line_states t.hier ~addr in
-  let m = ref 0 and e = ref 0 and o = ref 0 and total = ref 0 in
-  List.iter
-    (fun (_, st) ->
-      incr total;
-      match st with
-      | Cache.M -> incr m
-      | Cache.E -> incr e
-      | Cache.O -> incr o
-      | Cache.S | Cache.I -> ())
-    states;
-  if !m + !e > 1 || ((!m = 1 || !e = 1) && !total > 1) || !o > 1 then
+  if Coherence.single_writer_violation states <> None then
     record t ~core ~addr (Coherence_states { line; states })
 
 let on_access t ~core ~completion:_ kind addr =
