@@ -859,6 +859,63 @@ let test_shared_regions_pure () =
       Alcotest.(check bool) (name ^ " executable") true (exe = exe'))
     (fresh @ List.rev fresh)
 
+(* --- Golden output ------------------------------------------------------------ *)
+
+(* Every executable the compiler emits for two program sets, with the
+   checker's rendered diagnostics, hashed into one digest: the 32 fuzz
+   programs of campaign seed 7 (perfbench's fuzz-diff set) under the
+   default strategy x core matrix, and the suite at scale 0.2 under
+   hybrid and tlp at 4 and 16 cores. A change to partitioning,
+   scheduling or emission that moves any bundle changes the digest; a
+   pure speed-up of those passes must leave it alone. *)
+let golden_md5 = "ede9df8a8c13f88a66485208c44f9b73"
+
+let test_golden_output () =
+  let buf = Buffer.create (1 lsl 20) in
+  let ppf = Format.formatter_of_buffer buf in
+  let diags ds =
+    List.iter
+      (fun d -> Format.fprintf ppf "%s@." (Voltron_check.Check.diag_to_string d))
+      ds
+  in
+  let compile_matrix label ?max_steps p ~choices ~cores =
+    let profile = Profile.collect ?max_steps p in
+    let regions = Regions.of_program p in
+    List.iter
+      (fun n_cores ->
+        List.iter
+          (fun choice ->
+            Format.fprintf ppf "== %s %s/%d@." label (Run.choice_name choice) n_cores;
+            let machine = Config.default ~n_cores in
+            match Driver.compile ~machine ~choice ~check:true ~profile ~regions p with
+            | c ->
+              Voltron_isa.Program.pp ppf c.Driver.executable;
+              diags c.Driver.check_diags
+            | exception Voltron_check.Check.Failed ds ->
+              Format.fprintf ppf "rejected@.";
+              diags ds)
+          choices)
+      cores
+  in
+  let rng = Voltron_util.Rng.create 7 in
+  for k = 0 to 31 do
+    let seed = Voltron_util.Rng.next (Voltron_util.Rng.split rng k) in
+    let ast = Voltron_gen.Gen.program ~seed () in
+    let p =
+      Voltron_lang.Frontend.parse_string ~name:ast.Voltron_lang.Ast.prog_name
+        (Voltron_gen.Gen.render ast)
+    in
+    compile_matrix (Printf.sprintf "fuzz 7/%d" k) ~max_steps:2_000_000 p
+      ~choices:Run.default_strategies ~cores:Run.default_cores
+  done;
+  List.iter
+    (fun (b : Suite.benchmark) ->
+      compile_matrix b.Suite.bench_name (b.Suite.build ~scale:0.2 ())
+        ~choices:[ `Hybrid; `Tlp ] ~cores:[ 4; 16 ])
+    Suite.all;
+  Format.pp_print_flush ppf ();
+  Alcotest.(check string) "digest" golden_md5 (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "compiler"
     [
@@ -916,4 +973,5 @@ let () =
           Alcotest.test_case "shared analysis is pure" `Quick
             test_shared_regions_pure;
         ] );
+      ("golden", [ Alcotest.test_case "executables pinned" `Quick test_golden_output ]);
     ]
