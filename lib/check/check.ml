@@ -38,6 +38,8 @@ module Vec = Voltron_util.Vec
 
 type loc = { l_core : int; l_addr : int }
 
+type wait_node = At of loc | Mode_barrier of int
+
 type severity = Error | Warning
 
 type kind =
@@ -61,7 +63,7 @@ type kind =
       ordinal : int;  (** 1-based barrier index *)
       modes : (int * Inst.mode) list;  (** per-core target mode *)
     }
-  | Potential_deadlock of { edges : (loc * loc * string) list }
+  | Potential_deadlock of { edges : (wait_node * wait_node * string) list }
       (** wait-for cycle; each edge reads "fst waits on snd" *)
   | Data_race of {
       ra_addr : int;  (** memory word both strands touch *)
@@ -122,11 +124,14 @@ let pp_kind ppf = function
          (fun ppf (c, m) -> Format.fprintf ppf "core %d: %a" c pp_mode m))
       modes
   | Potential_deadlock { edges } ->
+    let pp_node ppf = function
+      | At l -> Format.fprintf ppf "core %d @%d" l.l_core l.l_addr
+      | Mode_barrier k -> Format.fprintf ppf "mode barrier %d" k
+    in
     Format.fprintf ppf "potential deadlock, wait-for cycle:";
     List.iter
       (fun (a, b, why) ->
-        Format.fprintf ppf "@.    core %d @%d waits on core %d @%d (%s)"
-          a.l_core a.l_addr b.l_core b.l_addr why)
+        Format.fprintf ppf "@.    %a waits on %a (%s)" pp_node a pp_node b why)
       edges
   | Data_race { ra_addr; writer; other; other_writes } ->
     Format.fprintf ppf
@@ -1088,10 +1093,11 @@ let block_wait_ops (g : Ccfg.t) bi =
    - delivery: on every channel a->b that [channel a b] admits, FIFO order
      makes the i-th RECV from a on b wait on the i-th SEND a->b;
    - spawn: a spawned sequence's first op waits on its SPAWN;
-   - barrier: the k-th MODE_SWITCH rendezvous is one node (located at core
-     0's switch, added after the ops). Each core's switch waits on it, and
-     it waits on every core's arrival, the op just before that switch, so
-     code after a barrier transitively waits on code before it everywhere.
+   - barrier: the k-th MODE_SWITCH rendezvous is one node of its own
+     ([Mode_barrier k], added after the ops). Each core's switch waits on
+     it, and it waits on every core's arrival, the op just before that
+     switch, so code after a barrier transitively waits on code before it
+     everywhere.
    Then report every strongly connected component of two or more nodes
    with the edges inside it, newest first, skipping a cycle that an
    earlier call already reported at the same location. *)
@@ -1114,7 +1120,7 @@ let report_cycles ctx ~channel seqs =
         ( s,
           List.map
             (fun (addr, op) ->
-              let id = node { l_core = c; l_addr = addr } in
+              let id = node (At { l_core = c; l_addr = addr }) in
               (match !last with
               | Some p ->
                 Hashtbl.replace prev_op id p;
@@ -1169,7 +1175,7 @@ let report_cycles ctx ~channel seqs =
   in
   let count = Array.fold_left (fun m l -> min m (Array.length l)) max_int barriers in
   for k = 0 to count - 1 do
-    let rv = node (Vec.get locs (fst barriers.(0).(k))) in
+    let rv = node (Mode_barrier (k + 1)) in
     Array.iter
       (fun l ->
         let id = fst l.(k) in
@@ -1190,7 +1196,13 @@ let report_cycles ctx ~channel seqs =
         let kind =
           Potential_deadlock { edges = List.map at (List.filter inside !edges) }
         in
-        let loc = Some (Vec.get locs (List.fold_left min max_int comp)) in
+        (* Ops are numbered before rendezvous nodes, and every cycle
+           holds an op. *)
+        let loc =
+          match Vec.get locs (List.fold_left min max_int comp) with
+          | At l -> Some l
+          | Mode_barrier _ -> None
+        in
         if not (List.exists (fun d -> d.d_loc = loc && d.d_kind = kind) ctx.diags)
         then diag ctx Error loc kind)
     (Digraph.sccs g)

@@ -32,6 +32,13 @@
 type loc = { l_core : int; l_addr : int }
 (** A bundle address on one core's image. *)
 
+(** An endpoint of a wait-for edge. *)
+type wait_node =
+  | At of loc  (** a SEND, RECV, SPAWN or MODE_SWITCH on one core *)
+  | Mode_barrier of int
+      (** the k-th (1-based) MODE_SWITCH rendezvous: it waits on every
+          core's arrival and releases every core's switch *)
+
 type severity = Error | Warning
 
 type kind =
@@ -57,7 +64,7 @@ type kind =
       ordinal : int;  (** 1-based barrier index *)
       modes : (int * Voltron_isa.Inst.mode) list;  (** per-core target *)
     }
-  | Potential_deadlock of { edges : (loc * loc * string) list }
+  | Potential_deadlock of { edges : (wait_node * wait_node * string) list }
       (** wait-for cycle; each edge reads "fst waits on snd" *)
   | Data_race of {
       ra_addr : int;  (** memory word both strands touch *)

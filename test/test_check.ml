@@ -357,8 +357,11 @@ let test_deadlock_cycle () =
     let cores =
       List.sort_uniq compare
         (List.concat_map
-           (fun ((a : Check.loc), (b : Check.loc), _) ->
-             [ a.Check.l_core; b.Check.l_core ])
+           (fun (a, b, _) ->
+             List.filter_map
+               (function
+                 | Check.At l -> Some l.Check.l_core | Check.Mode_barrier _ -> None)
+               [ a; b ])
            edges)
     in
     Alcotest.(check (list int)) "spans both cores" [ 0; 1 ] cores
@@ -441,12 +444,12 @@ let test_deadlock_barrier () =
     [
       [
         "error [core 0 @1]: potential deadlock, wait-for cycle:";
-        "core 0 @3 waits on core 1 @0 (mode barrier waits for every core)";
-        "core 1 @1 waits on core 0 @3 (released by the mode barrier)";
-        "core 0 @3 waits on core 0 @2 (mode barrier waits for every core)";
-        "core 1 @0 waits on core 0 @2 (released by the mode barrier)";
-        "core 0 @2 waits on core 0 @1 (mode barrier waits for every core)";
-        "core 0 @2 waits on core 0 @2 (released by the mode barrier)";
+        "mode barrier 2 waits on core 1 @0 (mode barrier waits for every core)";
+        "core 1 @1 waits on mode barrier 2 (released by the mode barrier)";
+        "mode barrier 2 waits on core 0 @2 (mode barrier waits for every core)";
+        "core 1 @0 waits on mode barrier 1 (released by the mode barrier)";
+        "mode barrier 1 waits on core 0 @1 (mode barrier waits for every core)";
+        "core 0 @2 waits on mode barrier 1 (released by the mode barrier)";
         "core 0 @1 waits on core 1 @2 (delivery on channel 1->0 (message 1))";
         "core 1 @2 waits on core 1 @1 (program order on core 1)";
         "core 1 @1 waits on core 1 @0 (program order on core 1)";
