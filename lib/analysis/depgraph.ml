@@ -31,12 +31,15 @@ let build ~cfg ~memdep ~latency =
           incr cursor)
         block.Voltron_ir.Cfg.b_ops)
     cfg.Voltron_ir.Cfg.blocks;
+  (* Each op's defs, uses and write flag, read once. *)
+  let defs = Array.map (fun op -> Voltron_isa.Inst.defs op.Voltron_ir.Cfg.inst) ops in
+  let uses = Array.map (fun op -> Voltron_isa.Inst.uses op.Voltron_ir.Cfg.inst) ops in
+  let writes = Array.map (Memdep.is_write memdep) ops in
   let defs_of = Hashtbl.create 64 and uses_of = Hashtbl.create 64 in
-  Array.iteri
-    (fun i op ->
-      List.iter (fun v -> push defs_of v i) (Voltron_isa.Inst.defs op.Voltron_ir.Cfg.inst);
-      List.iter (fun v -> push uses_of v i) (Voltron_isa.Inst.uses op.Voltron_ir.Cfg.inst))
-    ops;
+  for i = 0 to n - 1 do
+    List.iter (fun v -> push defs_of v i) defs.(i);
+    List.iter (fun v -> push uses_of v i) uses.(i)
+  done;
   (* push builds the lists in reverse program order; normalise. *)
   Hashtbl.iter (fun k v -> Hashtbl.replace defs_of k (List.rev v)) (Hashtbl.copy defs_of);
   Hashtbl.iter (fun k v -> Hashtbl.replace uses_of k (List.rev v)) (Hashtbl.copy uses_of);
@@ -44,33 +47,27 @@ let build ~cfg ~memdep ~latency =
   let add_edge e_src e_dst e_lat =
     if e_src <> e_dst then edges := { e_src; e_dst; e_lat } :: !edges
   in
-  (* Intra-block register and memory edges, per block. *)
+  (* Intra-block register and memory edges, per block, in (a, b) pair
+     order. *)
+  let shares xs ys = List.exists (fun v -> List.mem v ys) xs in
   let start = ref 0 in
   Array.iter
     (fun block ->
-      let ops_here = Array.of_list block.Voltron_ir.Cfg.b_ops in
-      let m = Array.length ops_here in
-      for a = 0 to m - 1 do
-        let ia = !start + a in
-        let opa = ops_here.(a) in
-        let defs_a = Voltron_isa.Inst.defs opa.Voltron_ir.Cfg.inst in
-        let uses_a = Voltron_isa.Inst.uses opa.Voltron_ir.Cfg.inst in
-        for b = a + 1 to m - 1 do
-          let ib = !start + b in
-          let opb = ops_here.(b) in
-          let defs_b = Voltron_isa.Inst.defs opb.Voltron_ir.Cfg.inst in
-          let uses_b = Voltron_isa.Inst.uses opb.Voltron_ir.Cfg.inst in
+      let m = List.length block.Voltron_ir.Cfg.b_ops in
+      for ia = !start to !start + m - 1 do
+        let opa = ops.(ia) in
+        for ib = ia + 1 to !start + m - 1 do
           (* def(a) -> use(b) *)
-          if List.exists (fun v -> List.mem v uses_b) defs_a then
+          if shares defs.(ia) uses.(ib) then
             add_edge ia ib (latency opa.Voltron_ir.Cfg.inst);
           (* use(a) -> def(b): same cycle allowed *)
-          if List.exists (fun v -> List.mem v defs_b) uses_a then add_edge ia ib 0;
+          if shares uses.(ia) defs.(ib) then add_edge ia ib 0;
           (* def(a) -> def(b) *)
-          if List.exists (fun v -> List.mem v defs_b) defs_a then add_edge ia ib 1;
+          if shares defs.(ia) defs.(ib) then add_edge ia ib 1;
           (* memory order *)
           if
-            (Memdep.is_write memdep opa || Memdep.is_write memdep opb)
-            && Memdep.same_instance_alias memdep opa opb
+            (writes.(ia) || writes.(ib))
+            && Memdep.same_instance_alias memdep opa ops.(ib)
           then add_edge ia ib 1
         done
       done;

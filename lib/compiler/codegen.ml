@@ -108,9 +108,9 @@ let record_region_info t ~name ~mode ~(partition : Partition.t) ~memdep
     :: t.infos
 
 let check_register_closed ~name stmts =
-  let defs = Hir.defined_vregs stmts in
-  let uses = Hir.used_vregs stmts in
-  let free = List.filter (fun v -> not (List.mem v defs)) uses in
+  let defs = Hashtbl.create 64 in
+  List.iter (fun v -> Hashtbl.replace defs v ()) (Hir.defined_vregs stmts);
+  let free = List.filter (fun v -> not (Hashtbl.mem defs v)) (Hir.used_vregs stmts) in
   if free <> [] then
     invalid_arg
       (Printf.sprintf

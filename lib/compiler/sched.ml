@@ -5,6 +5,7 @@ module Depgraph = Voltron_analysis.Depgraph
 module Config = Voltron_machine.Config
 module Mesh = Voltron_net.Mesh
 module Vec = Voltron_util.Vec
+module Iset = Set.Make (Int)
 
 type result = {
   block_code : Bundle.t list array array;
@@ -125,48 +126,47 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
     | _ -> ()
   done;
   let out = Array.make_matrix n_cores n_blocks [] in
+  (* The region's scheduling edges, bucketed by block in their order. *)
+  let block_edges = Array.make n_blocks [] in
+  List.iter
+    (fun ({ Depgraph.e_src = p; e_dst = q; _ } as e) ->
+      let bi = dg.Depgraph.block_of.(p) in
+      if dg.Depgraph.block_of.(q) = bi then block_edges.(bi) <- e :: block_edges.(bi))
+    (List.rev dg.Depgraph.edges);
+  (* Node id of op [i]'s copy on core [c], or -1; each op belongs to one
+     block, so entries are written once and read within that block. *)
+  let op_node = Array.make (n_ops * n_cores) (-1) in
+  let node_of i c = op_node.((i * n_cores) + c) in
   (* ----- per block ----- *)
   Array.iteri
     (fun bi (block : Cfg.block) ->
       let b = { nodes = Vec.create (); edges = [] } in
-      (* node ids for (op, core); replicable ops get one per participant. *)
-      let op_node : (int * int, int) Hashtbl.t = Hashtbl.create 32 in
       let lat_of i = dg.Depgraph.weight.(i) in
+      (* Node ids for (op, core); replicable ops get one per participant. *)
+      let add_op_node i c =
+        op_node.((i * n_cores) + c) <-
+          new_node b ~out_lat:(lat_of i) [ (c, dg.Depgraph.ops.(i).Cfg.inst) ]
+      in
       List.iter
         (fun i ->
-          let op = dg.Depgraph.ops.(i) in
-          if replicable i then
-            List.iter
-              (fun c ->
-                let nid = new_node b ~out_lat:(lat_of i) [ (c, op.Cfg.inst) ] in
-                Hashtbl.replace op_node (i, c) nid)
-              participants
-          else begin
-            let c = core_of i in
-            let nid = new_node b ~out_lat:(lat_of i) [ (c, op.Cfg.inst) ] in
-            Hashtbl.replace op_node (i, c) nid
-          end)
+          if replicable i then List.iter (add_op_node i) participants
+          else add_op_node i (core_of i))
         block_ops.(bi);
       (* Intra-block dependence edges, mapped through replication: a
          replicated end pairs with the other end's copy on the same core. *)
       List.iter
         (fun { Depgraph.e_src = p; e_dst = q; e_lat } ->
-          if dg.Depgraph.block_of.(p) = bi && dg.Depgraph.block_of.(q) = bi then
-            if not (replicable p || replicable q) then
-              add_edge b
-                (Hashtbl.find op_node (p, core_of p))
-                (Hashtbl.find op_node (q, core_of q))
-                e_lat
-            else
-              List.iter
-                (fun c ->
-                  match (Hashtbl.find_opt op_node (p, c), Hashtbl.find_opt op_node (q, c)) with
-                  | Some np, Some nq -> add_edge b np nq e_lat
-                  | _ -> ())
-                (if not (replicable p) then [ core_of p ]
-                 else if not (replicable q) then [ core_of q ]
-                 else participants))
-        dg.Depgraph.edges;
+          if not (replicable p || replicable q) then
+            add_edge b (node_of p (core_of p)) (node_of q (core_of q)) e_lat
+          else
+            List.iter
+              (fun c ->
+                let np = node_of p c and nq = node_of q c in
+                if np >= 0 && nq >= 0 then add_edge b np nq e_lat)
+              (if not (replicable p) then [ core_of p ]
+               else if not (replicable q) then [ core_of q ]
+               else participants))
+        block_edges.(bi);
       (* Value communication, as the plan says. *)
       let fifo : (int * int, int list) Hashtbl.t = Hashtbl.create 8 in
       (* (src,dst) -> send node ids in insertion (program) order, and the
@@ -184,7 +184,7 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
           (fun u ->
             if (not (replicable u)) && dg.Depgraph.block_of.(u) = bi && core_of u = c
             then begin
-              let nu = Hashtbl.find op_node (u, c) in
+              let nu = node_of u c in
               let uses_v = List.mem v (Inst.uses dg.Depgraph.ops.(u).Cfg.inst) in
               let defines_v = List.mem v (Inst.defs dg.Depgraph.ops.(u).Cfg.inst) in
               if uses_v || defines_v then
@@ -201,7 +201,7 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
         | { kind; dsts; _ } -> (
           let v = List.hd (Inst.defs dg.Depgraph.ops.(i).Cfg.inst) in
           let home = core_of i in
-          let def_node = Hashtbl.find op_node (i, home) in
+          let def_node = node_of i home in
           match kind with
           | Move ->
             (* Chain of same-cycle PUT/GET moves along the mesh route. *)
@@ -274,7 +274,9 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
       (* The node that makes the branch's condition available on core [c]. *)
       let cond_at c =
         if reach < 0 then None
-        else if replicable reach || c = core_of reach then Hashtbl.find_opt op_node (reach, c)
+        else if replicable reach || c = core_of reach then
+          let nd = node_of reach c in
+          if nd >= 0 then Some nd else None
         else List.assoc_opt c !reach_at
       in
       let term =
@@ -330,59 +332,88 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
         ignore (cp i)
       done;
       let cycle = Array.make n (-1) in
-      let main_used : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-      let comm_used : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-      let slot_count tbl key = Option.value ~default:0 (Hashtbl.find_opt tbl key) in
+      (* Slots taken per core and cycle, one growable array per core and
+         unit kind. *)
+      let main_used = Array.make n_cores [||] and comm_used = Array.make n_cores [||] in
+      let units node = if node.is_comm then comm_used else main_used in
       let fits node t =
+        let width =
+          if node.is_comm then machine.Config.comm_width else machine.Config.issue_width
+        in
         List.for_all
           (fun (c, _) ->
-            if node.is_comm then
-              slot_count comm_used (c, t) < machine.Config.comm_width
-            else slot_count main_used (c, t) < machine.Config.issue_width)
+            let row = (units node).(c) in
+            t >= Array.length row || row.(t) < width)
           node.slots
       in
       let occupy node t =
         List.iter
           (fun (c, _) ->
-            let tbl = if node.is_comm then comm_used else main_used in
-            Hashtbl.replace tbl (c, t) (slot_count tbl (c, t) + 1))
+            let tbl = units node in
+            let row = tbl.(c) in
+            let row =
+              if t < Array.length row then row
+              else begin
+                let grown = Array.make (max (t + 1) (2 * Array.length row)) 0 in
+                Array.blit row 0 grown 0 (Array.length row);
+                tbl.(c) <- grown;
+                grown
+              end
+            in
+            row.(t) <- row.(t) + 1)
           node.slots
+      in
+      (* Each step places the ready non-branch node of highest priority,
+         ties to the lowest node id: [order] ranks the nodes that way, and
+         [ready] holds the ranks of the nodes whose non-branch
+         predecessors are all placed. *)
+      let order = Array.init n Fun.id in
+      Array.stable_sort (fun a b -> compare prio.(b) prio.(a)) order;
+      let rank = Array.make n 0 in
+      Array.iteri (fun r nid -> rank.(nid) <- r) order;
+      let pending = Array.make n 0 in
+      Array.iter
+        (fun nd ->
+          List.iter
+            (fun (p, _) -> if not nodes.(p).is_br then pending.(nd.nid) <- pending.(nd.nid) + 1)
+            preds.(nd.nid))
+        nodes;
+      let ready =
+        ref
+          (Array.fold_left
+             (fun acc nd ->
+               if nd.is_br || pending.(nd.nid) > 0 then acc else Iset.add rank.(nd.nid) acc)
+             Iset.empty nodes)
       in
       let unsched =
         ref (Array.fold_left (fun acc nd -> if nd.is_br then acc else acc + 1) 0 nodes)
       in
-      while !unsched > 0 do
-        (* Ready non-branch nodes. *)
-        let best = ref None in
-        Array.iter
-          (fun nd ->
-            if (not nd.is_br) && cycle.(nd.nid) < 0 then begin
-              let ready =
-                List.for_all (fun (p, _) -> nodes.(p).is_br || cycle.(p) >= 0) preds.(nd.nid)
-              in
-              if ready then
-                match !best with
-                | Some (bn, _) when prio.(bn) >= prio.(nd.nid) -> ()
-                | Some _ | None -> best := Some (nd.nid, nd)
+      while not (Iset.is_empty !ready) do
+        let r = Iset.min_elt !ready in
+        ready := Iset.remove r !ready;
+        let nid = order.(r) in
+        let nd = nodes.(nid) in
+        let earliest =
+          List.fold_left
+            (fun acc (p, lat) -> if nodes.(p).is_br then acc else max acc (cycle.(p) + lat))
+            0 preds.(nid)
+        in
+        let t = ref earliest in
+        while not (fits nd !t) do
+          incr t
+        done;
+        cycle.(nid) <- !t;
+        occupy nd !t;
+        decr unsched;
+        List.iter
+          (fun (s, _) ->
+            if not nodes.(s).is_br then begin
+              pending.(s) <- pending.(s) - 1;
+              if pending.(s) = 0 then ready := Iset.add rank.(s) !ready
             end)
-          nodes;
-        match !best with
-        | None -> failwith "Sched: dependence cycle in block graph"
-        | Some (nid, nd) ->
-          let earliest =
-            List.fold_left
-              (fun acc (p, lat) ->
-                if nodes.(p).is_br then acc else max acc (cycle.(p) + lat))
-              0 preds.(nid)
-          in
-          let t = ref earliest in
-          while not (fits nd !t) do
-            incr t
-          done;
-          cycle.(nid) <- !t;
-          occupy nd !t;
-          decr unsched
+          succs.(nid)
       done;
+      if !unsched > 0 then failwith "Sched: dependence cycle in block graph";
       (* Branch placement. *)
       let max_cycle =
         Array.fold_left
@@ -411,47 +442,45 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
               occupy nodes.(nid) !beta)
             brs
         end
-        else
+        else begin
+          (* The last cycle of each core's other ops in the block. *)
+          let last_on = Array.make n_cores (-1) in
+          Array.iter
+            (fun nd ->
+              if not nd.is_br then
+                List.iter (fun (c, _) -> last_on.(c) <- max last_on.(c) cycle.(nd.nid)) nd.slots)
+            nodes;
           List.iter
             (fun nid ->
               let nd = nodes.(nid) in
               let core = match nd.slots with (c, _) :: _ -> c | [] -> assert false in
               (* The branch must close its core's block: after every other
                  op this core runs in the block. *)
-              let last_here =
-                Array.fold_left
-                  (fun acc other ->
-                    if other.is_br then acc
-                    else if List.exists (fun (c, _) -> c = core) other.slots then
-                      max acc cycle.(other.nid)
-                    else acc)
-                  (-1) nodes
-              in
-              let t = ref (max (dep_ready nid) (max 0 last_here)) in
+              let t = ref (max (dep_ready nid) (max 0 last_on.(core))) in
               while not (fits nd !t) do
                 incr t
               done;
               cycle.(nid) <- !t;
               occupy nd !t)
             brs
+        end
       end;
       (* ----- emission ----- *)
       let total_len =
         Array.fold_left (fun acc nd -> max acc (cycle.(nd.nid) + 1)) 0 nodes
       in
+      (* Each core's ops by cycle, in one pass over the nodes. *)
+      let by_cycle = Array.init n_cores (fun _ -> Array.make total_len []) in
+      Array.iter
+        (fun nd ->
+          let t = cycle.(nd.nid) in
+          List.iter
+            (fun (core, inst) -> by_cycle.(core).(t) <- inst :: by_cycle.(core).(t))
+            nd.slots)
+        nodes;
       List.iter
         (fun c ->
-          (* This core's ops by cycle. *)
-          let by_cycle = Array.make total_len [] in
-          Array.iter
-            (fun nd ->
-              List.iter
-                (fun (core, inst) ->
-                  let t = cycle.(nd.nid) in
-                  if core = c then by_cycle.(t) <- inst :: by_cycle.(t))
-                nd.slots)
-            nodes;
-          let bundles = Array.to_list by_cycle in
+          let bundles = Array.to_list by_cycle.(c) in
           (* A decoupled schedule is compressed: no empty bundles. *)
           out.(c).(bi) <- (if coupled then bundles else List.filter (( <> ) []) bundles))
         participants)
