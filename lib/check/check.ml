@@ -1185,8 +1185,7 @@ let report_cycles ctx ~channel seqs =
           (Hashtbl.find_opt prev_op id))
       barriers
   done;
-  let g = Digraph.create (Vec.length locs) in
-  List.iter (fun (u, v, _) -> Digraph.add_edge g u v) !edges;
+  let g = Digraph.of_edges (Vec.length locs) (List.map (fun (u, v, _) -> (u, v)) !edges) in
   Array.iter
     (function
       | [] | [ _ ] -> ()

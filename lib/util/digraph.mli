@@ -1,35 +1,32 @@
-(** Directed graphs over dense integer node ids.
+(** Immutable directed graphs over dense integer node ids.
 
     Shared by the dependence-graph machinery: Tarjan strongly-connected
-    components (for DSWP), topological sort (for pipeline stage ordering and
-    list scheduling), and reachability. Nodes are [0 .. n-1]. *)
+    components (DSWP's recurrences, the checker's wait-for cycles) and
+    topological sort (DSWP's pipeline stage order). Nodes are
+    [0 .. n-1]. A graph is built once from its edge list into sorted,
+    de-duplicated successor arrays, so every query below depends only on
+    the set of edges, never on the order they were listed in. *)
 
 type t
 
-val create : int -> t
-(** [create n] is a graph with [n] nodes and no edges. *)
+val of_edges : int -> (int * int) list -> t
+(** [of_edges n edges] is the graph on [n] nodes with [edges]. Parallel
+    edges collapse into one; self-edges are kept. Raises
+    [Invalid_argument] on a node id outside [0 .. n-1]. *)
 
 val n_nodes : t -> int
-val add_edge : t -> int -> int -> unit
-(** Idempotent: parallel edges are collapsed. Self-edges are kept. *)
-
-val succs : t -> int -> int list
-val preds : t -> int -> int list
 
 val sccs : t -> int list array
-(** Tarjan's algorithm. Components are returned in reverse topological
-    order of the condensation (i.e. a component appears before the
-    components it depends on are listed after it); each component lists its
-    member nodes. *)
-
-val scc_index : t -> int array
-(** [scc_index g].(v) is the index of [v]'s component in [sccs g]. *)
+(** Tarjan's algorithm (a recursive depth-first walk, roots tried in
+    ascending order, successors in ascending order). Components come in
+    the order the walk completes them, sinks first: an edge between two
+    components always goes from the higher index to the lower. Each
+    component lists its members in the order the walk reached them. *)
 
 val condense : t -> t * int array
-(** Condensation DAG of the SCCs plus the node→component map. *)
+(** The condensation DAG, one node per {!sccs} component (same indices),
+    plus the node→component map. *)
 
 val topo_sort : t -> int list option
 (** [Some order] with every edge going forward in [order], or [None] if the
     graph has a cycle (self-edges count as cycles). *)
-
-val is_acyclic : t -> bool
