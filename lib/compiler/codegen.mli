@@ -13,8 +13,8 @@
     - [Strands]: eBUG partition, decoupled fine-grain threads (§4.1
       "Extracting strands using eBUG"), reading the carried profile's
       per-site miss rates.
-    - [Dswp]: pipeline-stage partition, decoupled (§4.1); falls back to
-      [Strands] with the carried profile when no pipeline exists.
+    - [Dswp]: the pipeline-stage partition selection carries, decoupled
+      (§4.1).
     - [Doall]: chunked loop over all cores, speculative chunks running
       under the transactional memory, accumulator expansion + reduction
       (§4.1 "Extracting LLP from DOALL loops"). *)
@@ -25,8 +25,15 @@ type strategy =
   | Strands of Voltron_analysis.Profile.t
       (** the profile the region was selected with — codegen never
           profiles on its own *)
-  | Dswp of Voltron_analysis.Profile.t
+  | Dswp of dswp_plan
   | Doall of doall_plan
+
+and dswp_plan = {
+  ds_partition : Partition.t;
+      (** {!Partition.dswp} of the region's shared dependence graph, indexed
+          by its ops; codegen never partitions a DSWP region again *)
+  ds_speedup : float;  (** the partitioner's estimated pipeline speedup *)
+}
 
 and doall_plan = {
   dp_prefix : Voltron_ir.Hir.stmt list;  (** replicated on every core *)
@@ -66,9 +73,11 @@ val check_infos : t -> Voltron_check.Check.region_info list
 val emit_region : t -> name:string -> Voltron_ir.Hir.stmt list -> strategy -> unit
 (** Emits the program's regions from the shared analysis when called with
     each region's own statement list in program order (as a plan does);
-    any other statement list is lowered and analysed here. Raises [Invalid_argument] if the region reads registers it does not
-    define (regions must be register-closed; pass data between regions
-    through memory). *)
+    any other statement list is lowered and analysed here. Raises
+    [Invalid_argument] if the region reads registers it does not define
+    (regions must be register-closed; pass data between regions through
+    memory), or if a [Dswp] partition does not cover exactly the region's
+    ops (a plan applied to another region's analysis). *)
 
 val finalize : t -> Voltron_isa.Program.t
 (** Appends the master's HALT, closes worker images, and packages the

@@ -144,9 +144,9 @@ let ilp_base t ~n_cores stmts =
 
 let ilp_cycles t ~n_cores stmts = ilp_base t ~n_cores stmts *. ilp_lockstep_factor
 
-let dswp_cycles t stmts =
-  let est = Select.dswp_estimate ~machine:t.machine (region_of t stmts) in
-  (seq_cycles t stmts /. Float.max 1.0 est *. dswp_queue_factor)
+let dswp_cycles t stmts (plan : Codegen.dswp_plan option) =
+  let speedup = match plan with Some d -> d.Codegen.ds_speedup | None -> 1.0 in
+  (seq_cycles t stmts /. Float.max 1.0 speedup *. dswp_queue_factor)
   +. dswp_fill_overhead
 
 let strands_cycles t ~n_cores stmts =
@@ -169,7 +169,7 @@ let strategy_cycles t stmts (s : Codegen.strategy) =
   | Codegen.Seq -> seq_cycles t stmts
   | Codegen.Coupled_ilp -> ilp_cycles t ~n_cores stmts
   | Codegen.Strands _ -> strands_cycles t ~n_cores stmts
-  | Codegen.Dswp _ -> dswp_cycles t stmts
+  | Codegen.Dswp d -> dswp_cycles t stmts (Some d)
   | Codegen.Doall dp -> doall_cycles t ~n_cores dp
 
 type row = {

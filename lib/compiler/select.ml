@@ -111,15 +111,13 @@ let doall_plan_of_region ~machine ~profile stmts =
         end
       end)
 
-(* --- DSWP estimate --------------------------------------------------------- *)
+(* --- DSWP planning ---------------------------------------------------------- *)
 
-let dswp_estimate ~machine (r : Regions.region) =
-  match
-    Partition.dswp ~n_cores:machine.Config.n_cores ~dg:r.Regions.dg
-      ~cfg:r.Regions.cfg ~memdep:r.Regions.memdep
-  with
-  | Some (_, est) -> est
-  | None -> 1.0
+let dswp_plan ~machine (r : Regions.region) =
+  Option.map
+    (fun (ds_partition, ds_speedup) -> { Codegen.ds_partition; ds_speedup })
+    (Partition.dswp ~n_cores:machine.Config.n_cores ~dg:r.Regions.dg
+       ~cfg:r.Regions.cfg ~memdep:r.Regions.memdep)
 
 (* --- Miss fraction --------------------------------------------------------- *)
 
@@ -148,14 +146,11 @@ let plan ?regions ~machine ~profile choice (p : Hir.program) =
     (fun i (r : Hir.region) ->
       let weight = region_weight ~profile r.Hir.stmts in
       let doall () = doall_plan_of_region ~machine ~profile r.Hir.stmts in
-      let pipelines () =
-        dswp_estimate ~machine (Option.get (Regions.region regions i))
-        >= dswp_threshold
-      in
-      let tlp () =
-        if pipelines () then
-          Codegen.Dswp profile
-        else Codegen.Strands profile
+      (* A DSWP pipeline whose estimated speedup clears the threshold. *)
+      let pipeline () =
+        match dswp_plan ~machine (Option.get (Regions.region regions i)) with
+        | Some d when d.Codegen.ds_speedup >= dswp_threshold -> Some (Codegen.Dswp d)
+        | Some _ | None -> None
       in
       let strategy =
         if machine.Config.n_cores <= 1 then Codegen.Seq
@@ -163,7 +158,9 @@ let plan ?regions ~machine ~profile choice (p : Hir.program) =
           match choice with
           | `Seq -> Codegen.Seq
           | `Ilp -> if weight < tiny_region_weight then Codegen.Seq else Codegen.Coupled_ilp
-          | `Tlp -> if weight < tiny_region_weight then Codegen.Seq else tlp ()
+          | `Tlp ->
+            if weight < tiny_region_weight then Codegen.Seq
+            else Option.value (pipeline ()) ~default:(Codegen.Strands profile)
           | `Llp -> (
             match doall () with Some plan -> Codegen.Doall plan | None -> Codegen.Seq)
           | `Hybrid ->
@@ -171,11 +168,13 @@ let plan ?regions ~machine ~profile choice (p : Hir.program) =
             else (
               match doall () with
               | Some plan -> Codegen.Doall plan
-              | None ->
-                if pipelines () then Codegen.Dswp profile
-                else if miss_fraction ~profile r.Hir.stmts > miss_threshold then
-                  Codegen.Strands profile
-                else Codegen.Coupled_ilp)
+              | None -> (
+                match pipeline () with
+                | Some dswp -> dswp
+                | None ->
+                  if miss_fraction ~profile r.Hir.stmts > miss_threshold then
+                    Codegen.Strands profile
+                  else Codegen.Coupled_ilp))
       in
       {
         pr_name = r.Hir.region_name;

@@ -638,15 +638,11 @@ let test_dswp_estimate_vs_occupancy () =
     (fun bname ->
       let p = (Suite.by_name bname).Suite.build ~scale:0.2 () in
       let plan, _table, rows = run_attributed ~machine ~choice:`Tlp p in
-      let regions = Regions.of_program p in
       List.iter
         (fun (pr : Select.planned_region) ->
           match pr.Select.pr_strategy with
-          | Codegen.Dswp _ ->
-            let est =
-              Select.dswp_estimate ~machine
-                (Option.get (Regions.find regions pr.Select.pr_stmts))
-            in
+          | Codegen.Dswp d ->
+            let est = d.Codegen.ds_speedup in
             Alcotest.(check bool)
               (Printf.sprintf "%s/%s estimate %.2f in [1, 4]" bname pr.Select.pr_name est)
               true
@@ -859,6 +855,83 @@ let test_shared_regions_pure () =
       Alcotest.(check bool) (name ^ " executable") true (exe = exe'))
     (fresh @ List.rev fresh)
 
+(* --- DSWP plans ------------------------------------------------------------------ *)
+
+(* The suite at scale 0.2 under [tlp] and [hybrid] at 4 cores, with each
+   program's shared analysis: (program, analysis, plan) per build. *)
+let suite_plans () =
+  let machine = Config.default ~n_cores:4 in
+  List.concat_map
+    (fun (b : Suite.benchmark) ->
+      let p = b.Suite.build ~scale:0.2 () in
+      let profile = Profile.collect p in
+      let regions = Regions.of_program p in
+      List.map
+        (fun choice -> (p, regions, Select.plan ~regions ~machine ~profile choice p))
+        [ `Tlp; `Hybrid ])
+    Suite.all
+
+(* Every planned DSWP region carries exactly what the partitioner makes
+   of that region's shared dependence graph, and clears the threshold. *)
+let test_dswp_plan_is_partition () =
+  let seen = ref 0 in
+  List.iter
+    (fun (_, regions, plan) ->
+      List.iter
+        (fun (pr : Select.planned_region) ->
+          match pr.Select.pr_strategy with
+          | Codegen.Dswp d ->
+            incr seen;
+            let r = Option.get (Regions.find regions pr.Select.pr_stmts) in
+            let fresh =
+              Voltron_compiler.Partition.dswp ~n_cores:4 ~dg:r.Regions.dg
+                ~cfg:r.Regions.cfg ~memdep:r.Regions.memdep
+            in
+            Alcotest.(check bool)
+              (pr.Select.pr_name ^ " carries the partitioner's pipeline")
+              true
+              (fresh = Some (d.Codegen.ds_partition, d.Codegen.ds_speedup));
+            Alcotest.(check bool) (pr.Select.pr_name ^ " clears 1.25") true
+              (d.Codegen.ds_speedup >= 1.25)
+          | _ -> ())
+        plan)
+    (suite_plans ());
+  Alcotest.(check bool) "the suite plans some DSWP region" true (!seen > 0)
+
+(* A DSWP plan applied to a region with another op count is refused
+   rather than compiled against the wrong analysis. *)
+let test_dswp_plan_guard () =
+  let machine = Config.default ~n_cores:4 in
+  let p, d, other, (n, m) =
+    List.find_map
+      (fun (p, regions, plan) ->
+        List.find_map
+          (fun (pr : Select.planned_region) ->
+            match pr.Select.pr_strategy with
+            | Codegen.Dswp d ->
+              let n = Array.length d.Codegen.ds_partition.Voltron_compiler.Partition.core_of in
+              List.find_map
+                (fun (r : Hir.region) ->
+                  let a = Option.get (Regions.find regions r.Hir.stmts) in
+                  let m = Array.length a.Regions.dg.Voltron_analysis.Depgraph.ops in
+                  if m <> n then Some (p, d, r, (n, m)) else None)
+                p.Hir.regions
+            | _ -> None)
+          plan)
+      (suite_plans ())
+    |> Option.get
+  in
+  let cg = Codegen.create machine p in
+  match
+    Codegen.emit_region cg ~name:other.Hir.region_name other.Hir.stmts (Codegen.Dswp d)
+  with
+  | () -> Alcotest.fail "a misapplied DSWP partition compiled"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "refusal"
+      (Printf.sprintf "Codegen: region %s's DSWP partition covers %d ops, its analysis has %d"
+         other.Hir.region_name n m)
+      msg
+
 (* --- Golden output ------------------------------------------------------------ *)
 
 (* Every executable the compiler emits for two program sets, with the
@@ -972,6 +1045,9 @@ let () =
         [
           Alcotest.test_case "shared analysis is pure" `Quick
             test_shared_regions_pure;
+          Alcotest.test_case "dswp plan is the partition" `Quick
+            test_dswp_plan_is_partition;
+          Alcotest.test_case "misapplied dswp plan refused" `Quick test_dswp_plan_guard;
         ] );
       ("golden", [ Alcotest.test_case "executables pinned" `Quick test_golden_output ]);
     ]
