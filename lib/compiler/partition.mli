@@ -16,7 +16,9 @@
     edges, condenses strongly-connected components, and splits the acyclic
     condensation into pipeline stages of balanced weight (paper §4.1,
     after Ottoni et al.); all cross-core value flow runs forward, so the
-    queue-mode network acts as pipeline buffering.
+    queue-mode network acts as pipeline buffering. {!Select.dswp_plan} is
+    its one caller: a planned DSWP region carries the partition to
+    codegen.
 
     All partitioners leave [replicable] induction ops unassigned (core -1
     = every core). *)
