@@ -35,8 +35,8 @@ val of_static :
 (** Profile-free synthesis from the abstract interpreter: loop trip
     counts and dynamic statement counts come from static trip-count
     bounds, per-site miss rates from a footprint/stride cache model, and
-    the cross-iteration RAW set from a conservative static dependence
-    test (affine verdict sharpened by the disjointness oracle). Loops
+    the cross-iteration RAW set from {!Memdep.carried_collision} (stores
+    against loads, under the whole-program summary). Loops
     the dynamic profile would clear may stay flagged — that costs
     parallelism, never correctness. [summary] reuses an existing
     whole-program analysis. *)
