@@ -42,6 +42,24 @@ let test_generated_elaborate () =
         (Option.value ~default:(Printexc.to_string e) (Frontend.error_to_string e))
   done
 
+(* The concrete syntax of the first 300 programs of campaign seeds 1, 7
+   and 42, pinned: the corpus files, the shrinker's line counts and every
+   re-parse in a campaign read this text. *)
+let render_md5 = "a9df199f02b94e13770acee2f0b1cfa3"
+
+let test_render_pinned () =
+  let buf = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun campaign ->
+      let rng = Voltron_util.Rng.create campaign in
+      for k = 0 to 299 do
+        let seed = Voltron_util.Rng.next (Voltron_util.Rng.split rng k) in
+        Buffer.add_string buf (Gen.render (Gen.program ~seed ()))
+      done)
+    [ 1; 7; 42 ];
+  Alcotest.(check string) "digest" render_md5
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 (* --- Corpus replay --------------------------------------------------------------- *)
 
 let corpus_dir () =
@@ -288,6 +306,7 @@ let () =
           Alcotest.test_case "determinism" `Quick test_determinism;
           Alcotest.test_case "generated programs elaborate" `Quick
             test_generated_elaborate;
+          Alcotest.test_case "render pinned" `Quick test_render_pinned;
         ] );
       ( "corpus",
         [
