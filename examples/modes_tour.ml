@@ -68,7 +68,7 @@ let worker =
     ]
 
 let () =
-  let prog = Program.make ~images:[| master; worker |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| master; worker |] ~mem_size:64 ~mem_init:[||] in
   let machine = Machine.create (Config.default ~n_cores:2) prog in
   let result = Machine.run machine in
   (match result.Machine.outcome with

@@ -3,6 +3,7 @@ type edge = { e_src : int; e_dst : int; e_lat : int }
 type t = {
   ops : Voltron_ir.Cfg.lop array;
   block_of : int array;
+  defs : Voltron_ir.Hir.vreg list array;
   edges : edge list;
   succs : (int * int) list array;
   preds : (int * int) list array;
@@ -82,6 +83,7 @@ let build ~cfg ~memdep ~latency =
   {
     ops;
     block_of;
+    defs;
     edges = !edges;
     succs;
     preds;

@@ -18,6 +18,7 @@ type edge = { e_src : int; e_dst : int; e_lat : int }
 type t = {
   ops : Voltron_ir.Cfg.lop array;
   block_of : int array;
+  defs : Voltron_ir.Hir.vreg list array;  (** node -> the vregs its op defines *)
   edges : edge list;  (** intra-block scheduling edges *)
   succs : (int * int) list array;
       (** node -> (succ, lat), in the order [build] found the edges (the

@@ -1,30 +1,18 @@
 module Cache = Voltron_mem.Cache
 
-type loop_stat = {
-  mutable entered : int;
-  mutable total_trips : int;
-}
-
-type site_stat = {
-  mutable accesses : int;
-  mutable misses : int;
-}
-
-(* One active loop instance on the interpreter's loop stack. *)
-type active = {
-  a_sid : int;
-  mutable a_iter : int;
-  last_write : (int, int) Hashtbl.t;  (** address -> iteration that wrote it *)
-}
+module Hir = Voltron_ir.Hir
 
 type oracle = { array_footprint : int; checksum : int }
 
+(* Per-sid tables, indexed by statement id. *)
 type t = {
-  loops : (int, loop_stat) Hashtbl.t;
-  cross_raw : (int, unit) Hashtbl.t;
-  sites : (int, site_stat) Hashtbl.t;
-  dyn : (int, int) Hashtbl.t;
-  run : (< program : Voltron_ir.Hir.program > * oracle) option;
+  entered : int array;  (** loop entries *)
+  total_trips : int array;  (** loop iterations over all entries *)
+  accesses : int array;  (** memory-site executions *)
+  misses : int array;  (** memory-site profiling-cache misses *)
+  dyn : int array;  (** statement executions *)
+  cross_raw : Bytes.t;  (** ['\001'] for loops with a cross-iteration RAW *)
+  run : (< program : Hir.program > * oracle) option;
       (** the profiled program and the run's oracle facts; [None] for a
           static profile. The program sits in an object because [=]
           compares objects by identity: array initialisers are closures,
@@ -32,82 +20,107 @@ type t = {
           comparable with [=]. *)
 }
 
-let empty () =
+(* One past the largest sid, and the deepest loop nesting. *)
+let shape (p : Hir.program) =
+  let n_sids = ref 0 and deepest = ref 0 in
+  let rec walk depth stmts =
+    List.iter
+      (fun ({ Hir.sid; node } : Hir.stmt) ->
+        n_sids := max !n_sids (sid + 1);
+        match node with
+        | Hir.Assign _ | Hir.Store _ -> ()
+        | Hir.If (_, a, b) ->
+          walk depth a;
+          walk depth b
+        | Hir.For { body; _ } | Hir.Do_while { body; _ } ->
+          deepest := max !deepest (depth + 1);
+          walk (depth + 1) body)
+      stmts
+  in
+  List.iter (fun (r : Hir.region) -> walk 0 r.Hir.stmts) p.Hir.regions;
+  (!n_sids, !deepest)
+
+let empty n_sids =
   {
-    loops = Hashtbl.create 32;
-    cross_raw = Hashtbl.create 8;
-    sites = Hashtbl.create 64;
-    dyn = Hashtbl.create 128;
+    entered = Array.make n_sids 0;
+    total_trips = Array.make n_sids 0;
+    accesses = Array.make n_sids 0;
+    misses = Array.make n_sids 0;
+    dyn = Array.make n_sids 0;
+    cross_raw = Bytes.make n_sids '\000';
     run = None;
   }
 
-let loop_stat t sid =
-  match Hashtbl.find_opt t.loops sid with
-  | Some s -> s
-  | None ->
-    let s = { entered = 0; total_trips = 0 } in
-    Hashtbl.replace t.loops sid s;
-    s
-
-let site_stat t sid =
-  match Hashtbl.find_opt t.sites sid with
-  | Some s -> s
-  | None ->
-    let s = { accesses = 0; misses = 0 } in
-    Hashtbl.replace t.sites sid s;
-    s
-
 let collect ?(cache = Voltron_mem.Coherence.default_config) ?max_steps
-    (p : Voltron_ir.Hir.program) =
-  let t = empty () in
+    (p : Hir.program) =
+  let n_sids, max_depth = shape p in
+  let t = empty n_sids in
   let l1 = Cache.create ~sets:cache.l1d_sets ~ways:cache.l1d_ways in
-  let stack : active list ref = ref [] in
+  let words = max 1 (Voltron_ir.Layout.mem_size (Voltron_ir.Layout.compute p)) in
+  (* The active loop instances, outermost at depth 0. Every iteration of
+     every instance takes the next id of one global counter, so the ids
+     an instance hands out are all at least its [first] id, and every
+     earlier instance's ids are below it. [writer.(d).(addr)] is the id of
+     the depth-[d] iteration that last stored to [addr]: the store belongs
+     to the current depth-[d] instance iff that id is at least its
+     [first]. Each depth's array is made on first entry. *)
+  let loop_sid = Array.make max_depth 0 in
+  let first = Array.make max_depth 0 in
+  let current = Array.make max_depth 0 in
+  let writer = Array.make max_depth [||] in
+  let depth = ref 0 in
+  let next_id = ref 0 in
   let touch_cache sid addr =
-    let s = site_stat t sid in
-    s.accesses <- s.accesses + 1;
+    t.accesses.(sid) <- t.accesses.(sid) + 1;
     let line = addr / cache.line_words in
-    match Cache.find l1 line with
-    | Some _ -> Cache.touch l1 line
-    | None ->
-      s.misses <- s.misses + 1;
+    let slot = Cache.slot l1 line in
+    if slot >= 0 then Cache.touch_slot l1 slot
+    else begin
+      t.misses.(sid) <- t.misses.(sid) + 1;
       ignore (Cache.insert l1 line Cache.E)
+    end
   in
   let on_load ~sid ~arr:_ ~addr =
     touch_cache sid addr;
-    List.iter
-      (fun a ->
-        match Hashtbl.find_opt a.last_write addr with
-        | Some w when w <> a.a_iter -> Hashtbl.replace t.cross_raw a.a_sid ()
-        | Some _ | None -> ())
-      !stack
+    for d = 0 to !depth - 1 do
+      let w = writer.(d).(addr) in
+      if w >= first.(d) && w <> current.(d) then
+        Bytes.set t.cross_raw loop_sid.(d) '\001'
+    done
   in
   let on_store ~sid ~arr:_ ~addr =
     touch_cache sid addr;
-    List.iter (fun a -> Hashtbl.replace a.last_write addr a.a_iter) !stack
+    for d = 0 to !depth - 1 do
+      writer.(d).(addr) <- current.(d)
+    done
   in
   let events =
     {
-      Voltron_ir.Interp.on_stmt =
-        (fun ~sid ->
-          Hashtbl.replace t.dyn sid
-            (1 + Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)));
+      Voltron_ir.Interp.on_stmt = (fun ~sid -> t.dyn.(sid) <- t.dyn.(sid) + 1);
       on_load;
       on_store;
       on_loop_enter =
         (fun ~sid ->
-          (loop_stat t sid).entered <- (loop_stat t sid).entered + 1;
-          stack := { a_sid = sid; a_iter = 0; last_write = Hashtbl.create 64 } :: !stack);
+          t.entered.(sid) <- t.entered.(sid) + 1;
+          let d = !depth in
+          if writer.(d) == [||] then writer.(d) <- Array.make words (-1);
+          loop_sid.(d) <- sid;
+          first.(d) <- !next_id;
+          current.(d) <- !next_id;
+          incr next_id;
+          depth := d + 1);
       on_loop_iter =
         (fun ~sid ~iter ->
-          match !stack with
-          | a :: _ when a.a_sid = sid -> a.a_iter <- iter
-          | _ -> ());
+          let d = !depth - 1 in
+          (* Iteration 0 keeps the id its instance was entered with. *)
+          if iter > 0 && d >= 0 && loop_sid.(d) = sid then begin
+            current.(d) <- !next_id;
+            incr next_id
+          end);
       on_loop_exit =
         (fun ~sid ~trips ->
-          (loop_stat t sid).total_trips <- (loop_stat t sid).total_trips + trips;
-          match !stack with
-          | a :: rest when a.a_sid = sid -> stack := rest
-          | _ -> ());
+          t.total_trips.(sid) <- t.total_trips.(sid) + trips;
+          if !depth > 0 && loop_sid.(!depth - 1) = sid then decr depth);
     }
   in
   let r = Voltron_ir.Interp.run ~events ?max_steps p in
@@ -131,32 +144,29 @@ let iround x =
    across iterations ({!Memdep.carried_collision} under the whole
    program's summary). Loops the profile would clear dynamically may stay
    flagged (costing parallelism, never correctness). *)
-let static_cross_raw (sum : Absint.summary) cross_raw (p : Voltron_ir.Hir.program) =
+let static_cross_raw (sum : Absint.summary) cross_raw (p : Hir.program) =
   let summary = Some (Lazy.from_val sum) in
   List.iter
-    (fun (r : Voltron_ir.Hir.region) ->
-      Voltron_ir.Hir.iter_stmts
-        (fun ({ Voltron_ir.Hir.sid; node } : Voltron_ir.Hir.stmt) ->
+    (fun (r : Hir.region) ->
+      Hir.iter_stmts
+        (fun ({ Hir.sid; node } : Hir.stmt) ->
           match node with
-          | Voltron_ir.Hir.For loop ->
+          | Hir.For loop ->
             if Memdep.carried_collision ~summary ~against:`Loads loop then
-              Hashtbl.replace cross_raw sid ()
-          | Voltron_ir.Hir.Assign _ | Voltron_ir.Hir.Store _ | Voltron_ir.Hir.If _
-          | Voltron_ir.Hir.Do_while _ -> ())
-        r.Voltron_ir.Hir.stmts)
-    p.Voltron_ir.Hir.regions
+              Bytes.set cross_raw sid '\001'
+          | Hir.Assign _ | Hir.Store _ | Hir.If _ | Hir.Do_while _ -> ())
+        r.Hir.stmts)
+    p.Hir.regions
 
 let of_static ?(cache = Voltron_mem.Coherence.default_config)
-    ?(summary : Absint.summary option) (p : Voltron_ir.Hir.program) =
+    ?(summary : Absint.summary option) (p : Hir.program) =
   let sum = match summary with Some s -> s | None -> Absint.analyze p in
-  let t = empty () in
+  let t = empty (fst (shape p)) in
   List.iter
     (fun (li : Absint.loop_info) ->
-      Hashtbl.replace t.loops li.Absint.li_sid
-        {
-          entered = iround li.Absint.li_enters;
-          total_trips = iround (li.Absint.li_enters *. li.Absint.li_trip_est);
-        })
+      let sid = li.Absint.li_sid in
+      t.entered.(sid) <- iround li.Absint.li_enters;
+      t.total_trips.(sid) <- iround (li.Absint.li_enters *. li.Absint.li_trip_est))
     (Absint.loops sum);
   static_cross_raw sum t.cross_raw p;
   let l1_words = cache.Voltron_mem.Coherence.l1d_sets
@@ -169,7 +179,7 @@ let of_static ?(cache = Voltron_mem.Coherence.default_config)
       let accesses = iround s.Absint.s_count in
       if accesses > 0 then begin
         let d = s.Absint.s_index in
-        let size = p.Voltron_ir.Hir.arrays.(s.Absint.s_arr).Voltron_ir.Hir.size in
+        let size = p.Hir.arrays.(s.Absint.s_arr).Hir.size in
         let width =
           if Dom.is_bot d then 1
           else if d.Dom.lo = min_int || d.Dom.hi = max_int then size
@@ -185,42 +195,39 @@ let of_static ?(cache = Voltron_mem.Coherence.default_config)
             let stride = if Dom.is_bot d || d.Dom.m = 0 then 1 else max 1 d.Dom.m in
             Float.min 1. (float_of_int stride /. line)
         in
-        Hashtbl.replace t.sites s.Absint.s_sid
-          { accesses; misses = iround (rate *. float_of_int accesses) }
+        let sid = s.Absint.s_sid in
+        t.accesses.(sid) <- accesses;
+        t.misses.(sid) <- iround (rate *. float_of_int accesses)
       end)
     (Absint.sites sum);
-  Hashtbl.iter
-    (fun sid c ->
-      let n = iround c in
-      if n > 0 then Hashtbl.replace t.dyn sid n)
-    (let tbl = Hashtbl.create 128 in
-     List.iter
-       (fun (r : Voltron_ir.Hir.region) ->
-         Voltron_ir.Hir.iter_stmts
-           (fun (st : Voltron_ir.Hir.stmt) ->
-             Hashtbl.replace tbl st.Voltron_ir.Hir.sid
-               (Absint.count sum st.Voltron_ir.Hir.sid))
-           r.Voltron_ir.Hir.stmts)
-       p.Voltron_ir.Hir.regions;
-     tbl);
+  List.iter
+    (fun (r : Hir.region) ->
+      Hir.iter_stmts
+        (fun (st : Hir.stmt) ->
+          t.dyn.(st.Hir.sid) <- max 0 (iround (Absint.count sum st.Hir.sid)))
+        r.Hir.stmts)
+    p.Hir.regions;
   t
 
 let oracle t p =
   match t.run with Some (q, o) when q#program == p -> Some o | Some _ | None -> None
 
-let avg_trip t sid =
-  match Hashtbl.find_opt t.loops sid with
-  | Some s when s.entered > 0 -> float_of_int s.total_trips /. float_of_int s.entered
-  | Some _ | None -> 0.
+(* A sid beyond the profiled program (one [Opt] made when it rewrote the
+   program) reads as never executed. *)
+let get a sid = if sid < Array.length a then a.(sid) else 0
 
-let has_cross_raw t sid = Hashtbl.mem t.cross_raw sid
+let avg_trip t sid =
+  let entered = get t.entered sid in
+  if entered > 0 then float_of_int (get t.total_trips sid) /. float_of_int entered
+  else 0.
+
+let has_cross_raw t sid =
+  sid < Bytes.length t.cross_raw && Bytes.get t.cross_raw sid <> '\000'
 
 let miss_rate t sid =
-  match Hashtbl.find_opt t.sites sid with
-  | Some s when s.accesses > 0 -> float_of_int s.misses /. float_of_int s.accesses
-  | Some _ | None -> 0.
+  let accesses = get t.accesses sid in
+  if accesses > 0 then float_of_int (get t.misses sid) /. float_of_int accesses else 0.
 
-let access_count t sid =
-  match Hashtbl.find_opt t.sites sid with Some s -> s.accesses | None -> 0
+let access_count t sid = get t.accesses sid
 
-let dyn_count t sid = Option.value ~default:0 (Hashtbl.find_opt t.dyn sid)
+let dyn_count t sid = get t.dyn sid

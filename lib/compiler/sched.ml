@@ -91,7 +91,7 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
   for i = n_ops - 1 downto 0 do
     let bi = dg.Depgraph.block_of.(i) in
     block_ops.(bi) <- i :: block_ops.(bi);
-    match Inst.defs dg.Depgraph.ops.(i).Cfg.inst with
+    match dg.Depgraph.defs.(i) with
     | [ v ] ->
       let reaches =
         reaching.(bi) < 0
@@ -126,12 +126,13 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
     | _ -> ()
   done;
   let out = Array.make_matrix n_cores n_blocks [] in
-  (* The region's scheduling edges, bucketed by block in their order. *)
+  (* The region's scheduling edges (all intra-block), bucketed by block in
+     their order. *)
   let block_edges = Array.make n_blocks [] in
   List.iter
-    (fun ({ Depgraph.e_src = p; e_dst = q; _ } as e) ->
+    (fun ({ Depgraph.e_src = p; _ } as e) ->
       let bi = dg.Depgraph.block_of.(p) in
-      if dg.Depgraph.block_of.(q) = bi then block_edges.(bi) <- e :: block_edges.(bi))
+      block_edges.(bi) <- e :: block_edges.(bi))
     (List.rev dg.Depgraph.edges);
   (* Node id of op [i]'s copy on core [c], or -1; each op belongs to one
      block, so entries are written once and read within that block. *)
@@ -186,7 +187,7 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
             then begin
               let nu = node_of u c in
               let uses_v = List.mem v (Inst.uses dg.Depgraph.ops.(u).Cfg.inst) in
-              let defines_v = List.mem v (Inst.defs dg.Depgraph.ops.(u).Cfg.inst) in
+              let defines_v = List.mem v dg.Depgraph.defs.(u) in
               if uses_v || defines_v then
                 if u > i then add_edge b delivery nu 1
                 else add_edge b nu delivery 0
@@ -199,7 +200,7 @@ let schedule_region ~machine ~cfg ~(dg : Depgraph.t) ~(partition : Partition.t)
         match plan.(i) with
         | { dsts = []; _ } -> []
         | { kind; dsts; _ } -> (
-          let v = List.hd (Inst.defs dg.Depgraph.ops.(i).Cfg.inst) in
+          let v = List.hd dg.Depgraph.defs.(i) in
           let home = core_of i in
           let def_node = node_of i home in
           match kind with

@@ -289,7 +289,7 @@ let program ?(size = 24) ~seed () =
     regions = List.init n_regions (fun k -> gen_region t k ~budget);
   }
 
-let render (p : Ast.program) = Format.asprintf "%a" Ast.pp_program p
+let render = Ast.to_string
 
 let source_lines p =
   render p |> String.split_on_char '\n'

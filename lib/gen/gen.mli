@@ -25,7 +25,7 @@ val program : ?size:int -> seed:int -> unit -> Voltron_lang.Ast.program
     (default 24). The program is named ["fuzz_s<seed>"]. *)
 
 val render : Voltron_lang.Ast.program -> string
-(** Concrete VC syntax (via {!Voltron_lang.Ast.pp_program}) — what the
+(** Concrete VC syntax (via {!Voltron_lang.Ast.to_string}) — what the
     corpus files contain, and what the harness re-parses so that every
     finding reproduces from its on-disk form. *)
 

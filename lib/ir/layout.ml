@@ -32,15 +32,19 @@ let scratch_alloc t n =
 let mem_size t = t.top
 
 let mem_init t (p : Hir.program) =
-  let init = ref [] in
+  let len = ref 0 in
+  Array.iteri
+    (fun i (decl : Hir.array_decl) ->
+      if Option.is_some decl.init then len := max !len (t.bases.(i) + decl.size))
+    p.arrays;
+  let image = Array.make !len 0 in
   Array.iteri
     (fun i (decl : Hir.array_decl) ->
       match decl.init with
       | None -> ()
       | Some f ->
         for k = 0 to decl.size - 1 do
-          let v = f k in
-          if v <> 0 then init := (t.bases.(i) + k, v) :: !init
+          image.(t.bases.(i) + k) <- f k
         done)
     p.arrays;
-  List.rev !init
+  image

@@ -21,5 +21,7 @@ val copy : t -> t
 val mem_size : t -> int
 (** Total footprint including scratch (call after all allocations). *)
 
-val mem_init : t -> Hir.program -> (int * int) list
-(** Initial memory contents from the arrays' initialisers. *)
+val mem_init : t -> Hir.program -> int array
+(** Initial memory contents from the arrays' initialisers: the words from
+    address 0 to the end of the last initialised array (every later word
+    starts at 0). *)

@@ -243,7 +243,10 @@ let parse src =
                (List.filter (fun s -> s <> "")
                   (String.split_on_char ' ' (strip_prefix lineno ".init" text))))
         with
-        | [ a; v ] -> mem_init := (parse_int lineno a, parse_int lineno v) :: !mem_init
+        | [ a; v ] ->
+          let addr = parse_int lineno a in
+          if addr < 0 then fail lineno ".init address must be non-negative";
+          mem_init := (addr, parse_int lineno v) :: !mem_init
         | _ -> fail lineno ".init takes an address and a value"
       end
       else if starts_with "===" text then begin
@@ -284,7 +287,13 @@ let parse src =
         | Some b -> Image.finish b
         | None -> Image.finish (Image.builder ()))
   in
-  Program.make ~images ~mem_size:!mem_size ~mem_init:(List.rev !mem_init)
+  (* The image runs to the highest initialised address; a later line for
+     the same address wins. *)
+  let image =
+    Array.make (List.fold_left (fun n (a, _) -> max n (a + 1)) 0 !mem_init) 0
+  in
+  List.iter (fun (a, v) -> image.(a) <- v) (List.rev !mem_init);
+  Program.make ~images ~mem_size:!mem_size ~mem_init:image
 
 let parse_file path =
   let ic = open_in_bin path in

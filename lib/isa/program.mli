@@ -8,13 +8,15 @@
 type t = {
   images : Image.t array;  (** indexed by core id *)
   mem_size : int;  (** data memory size in words *)
-  mem_init : (int * int) list;  (** (address, value) initialisation *)
+  mem_init : int array;
+      (** initial contents of the first words of data memory; the rest
+          starts at 0 *)
 }
 
 val n_cores : t -> int
 
-val make : images:Image.t array -> mem_size:int -> mem_init:(int * int) list -> t
-(** Validates that every address in [mem_init] is within [mem_size]. *)
+val make : images:Image.t array -> mem_size:int -> mem_init:int array -> t
+(** Validates that [mem_init] fits in [mem_size] words. *)
 
 val pp : Format.formatter -> t -> unit
 (** Full disassembly of all cores. *)

@@ -52,48 +52,63 @@ let binop_name = function
   | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">=" | Eq -> "==" | Ne -> "!="
   | Land -> "&&" | Lor -> "||"
 
-let rec pp_expr ppf = function
-  | Int i -> if i < 0 then Format.fprintf ppf "(%d)" i else Format.fprintf ppf "%d" i
-  | Var (x, _) -> Format.pp_print_string ppf x
-  | Index (a, e, _) -> Format.fprintf ppf "%s[%a]" a pp_expr e
+let rec add_expr buf = function
+  | Int i -> Printf.bprintf buf (if i < 0 then "(%d)" else "%d") i
+  | Var (x, _) -> Buffer.add_string buf x
+  | Index (a, e, _) -> Printf.bprintf buf "%s[%a]" a add_expr e
   | Bin (op, a, b) ->
-    Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_name op) pp_expr b
-  | Neg e -> Format.fprintf ppf "(-%a)" pp_expr e
+    Printf.bprintf buf "(%a %s %a)" add_expr a (binop_name op) add_expr b
+  | Neg e -> Printf.bprintf buf "(-%a)" add_expr e
   | Ternary (c, t, e) ->
-    Format.fprintf ppf "(%a ? %a : %a)" pp_expr c pp_expr t pp_expr e
+    Printf.bprintf buf "(%a ? %a : %a)" add_expr c add_expr t add_expr e
 
-let rec pp_stmt ppf = function
-  | Decl (x, e, _) -> Format.fprintf ppf "@[var %s = %a;@]" x pp_expr e
-  | Assign (x, e, _) -> Format.fprintf ppf "@[%s = %a;@]" x pp_expr e
-  | Store (a, i, v, _) ->
-    Format.fprintf ppf "@[%s[%a] = %a;@]" a pp_expr i pp_expr v
-  | If (c, t, []) ->
-    Format.fprintf ppf "@[<v 2>if (%a) {@,%a@]@,}" pp_expr c pp_block t
+(* A statement starting at column [ind]. A nested block's statements sit
+   on their own lines 2 columns in (an empty block is one blank line),
+   and its closing brace on a new line back at [ind]. *)
+let rec add_stmt ind buf = function
+  | Decl (x, e, _) -> Printf.bprintf buf "var %s = %a;" x add_expr e
+  | Assign (x, e, _) -> Printf.bprintf buf "%s = %a;" x add_expr e
+  | Store (a, i, v, _) -> Printf.bprintf buf "%s[%a] = %a;" a add_expr i add_expr v
+  | If (c, t, []) -> Printf.bprintf buf "if (%a) {%a}" add_expr c (add_body ind) t
   | If (c, t, e) ->
-    Format.fprintf ppf "@[<v 2>if (%a) {@,%a@]@,@[<v 2>} else {@,%a@]@,}" pp_expr
-      c pp_block t pp_block e
+    Printf.bprintf buf "if (%a) {%a} else {%a}" add_expr c (add_body ind) t
+      (add_body ind) e
   | For { var; init; limit; step; body; _ } ->
-    Format.fprintf ppf "@[<v 2>for (%s = %a; %s < %a; %s += %d) {@,%a@]@,}" var
-      pp_expr init var pp_expr limit var step pp_block body
+    Printf.bprintf buf "for (%s = %a; %s < %a; %s += %d) {%a}" var add_expr init var
+      add_expr limit var step (add_body ind) body
   | DoWhile (body, cond) ->
-    Format.fprintf ppf "@[<v 2>do {@,%a@]@,} while (%a);" pp_block body pp_expr cond
+    Printf.bprintf buf "do {%a} while (%a);" (add_body ind) body add_expr cond
 
-and pp_block ppf block =
-  Format.pp_print_list ~pp_sep:Format.pp_print_cut pp_stmt ppf block
+and add_body ind buf block =
+  let newline ind =
+    Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make ind ' ')
+  in
+  if block = [] then newline (ind + 2);
+  List.iter
+    (fun st ->
+      newline (ind + 2);
+      add_stmt (ind + 2) buf st)
+    block;
+  newline ind
 
-let pp_init ppf = function
-  | Zero -> ()
-  | Random (lo, hi, seed) -> Format.fprintf ppf " = random(%d, %d, %d)" lo hi seed
-  | Fill e -> Format.fprintf ppf " = fill(%a)" pp_expr e
+let expr_to_string e =
+  let buf = Buffer.create 64 in
+  add_expr buf e;
+  Buffer.contents buf
 
-let pp_program ppf p =
+let to_string p =
+  let buf = Buffer.create 4096 in
   List.iter
     (fun d ->
-      Format.fprintf ppf "array %s[%d]%a;@." d.arr_name d.arr_size pp_init
-        d.arr_init)
+      Printf.bprintf buf "array %s[%d]" d.arr_name d.arr_size;
+      (match d.arr_init with
+      | Zero -> ()
+      | Random (lo, hi, seed) -> Printf.bprintf buf " = random(%d, %d, %d)" lo hi seed
+      | Fill e -> Printf.bprintf buf " = fill(%a)" add_expr e);
+      Buffer.add_string buf ";\n")
     p.decls;
   List.iter
-    (fun r ->
-      Format.fprintf ppf "@[<v 2>region %s {@,%a@]@,}@." r.reg_name pp_block
-        r.reg_body)
-    p.regions
+    (fun r -> Printf.bprintf buf "region %s {%a}\n" r.reg_name (add_body 0) r.reg_body)
+    p.regions;
+  Buffer.contents buf

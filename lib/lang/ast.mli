@@ -53,8 +53,11 @@ type program = {
   regions : region list;
 }
 
-val pp_expr : Format.formatter -> expr -> unit
+val expr_to_string : expr -> string
+(** Fully parenthesised concrete syntax of an expression. *)
 
-val pp_program : Format.formatter -> program -> unit
-(** Re-printable concrete syntax: [parse (print p)] elaborates to the same
-    program (exercised by the round-trip property tests). *)
+val to_string : program -> string
+(** Re-printable concrete syntax: [parse (to_string p)] elaborates to the
+    same program (exercised by the round-trip property tests). Nested
+    blocks indent by 2 columns; an empty block prints as one line of
+    blanks. *)

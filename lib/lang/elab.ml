@@ -192,12 +192,9 @@ let program (p : Ast.program) =
           | Ast.Zero -> None
           | Ast.Random (lo, hi, seed) ->
             if lo > hi then fail d.Ast.arr_pos "random(lo, hi, _) needs lo <= hi";
-            let rng = Voltron_util.Rng.create seed in
-            let data =
-              Array.init d.Ast.arr_size (fun _ ->
-                  Voltron_util.Rng.in_range rng lo hi)
-            in
-            Some (fun i -> data.(i))
+            Some
+              (Voltron_util.Rng.range_stream (Voltron_util.Rng.create seed)
+                 ~n:d.Ast.arr_size ~lo ~hi)
           | Ast.Fill e -> Some (fun i -> eval_fill d.Ast.arr_pos i e)
         in
         let arr =

@@ -69,7 +69,10 @@ let scrub t =
   | None -> ()
   | Some e -> Ecc.scrub e ~f:(fun addr golden -> t.data.(addr) <- golden)
 
-let load_init t init = List.iter (fun (addr, v) -> write t addr v) init
+let load_init t image =
+  if Array.length image > Array.length t.data then
+    invalid_arg "Memory.load_init: image larger than memory";
+  Array.blit image 0 t.data 0 (Array.length image)
 
 let snapshot t = Array.copy t.data
 

@@ -45,7 +45,10 @@ val corrupt : t -> int -> flip:(int -> int) -> unit
 val scrub : t -> unit
 (** Correct every still-corrupted word (end-of-run ECC scrub). *)
 
-val load_init : t -> (int * int) list -> unit
+val load_init : t -> int array -> unit
+(** [load_init t image] copies [image] over the first words of [t]: how a
+    fresh memory takes its initial contents, before any fault. *)
+
 val snapshot : t -> int array
 val restore : t -> int array -> unit
 val equal : t -> t -> bool

@@ -27,6 +27,17 @@ let in_range t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
+(* The k-th output after state [s0] is [mix (s0 + (k+1) * golden)], so n
+   draws can be handed out by index and the generator skipped past them
+   in one step. *)
+let range_stream t ~n ~lo ~hi =
+  assert (lo <= hi && n >= 0);
+  let s0 = t.state and bound = hi - lo + 1 in
+  t.state <- Int64.add s0 (Int64.mul golden (Int64.of_int n));
+  fun k ->
+    let z = mix (Int64.add s0 (Int64.mul golden (Int64.of_int (k + 1)))) in
+    lo + (Int64.to_int (Int64.shift_right_logical z 2) mod bound)
+
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next_u64 t) 11) in
   bound *. (x /. 9007199254740992.0)

@@ -21,6 +21,12 @@ val int : t -> int -> int
 val in_range : t -> int -> int -> int
 (** [in_range t lo hi] is uniform in [\[lo, hi\]]. Requires [lo <= hi]. *)
 
+val range_stream : t -> n:int -> lo:int -> hi:int -> int -> int
+(** [range_stream t ~n ~lo ~hi] is the [n] next [in_range t lo hi] draws
+    as a pure function of the draw index [k] in [\[0, n)], computed on
+    demand; [t] moves on as if the [n] draws had been made. Requires
+    [lo <= hi] and [n >= 0]. *)
+
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 

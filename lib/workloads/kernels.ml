@@ -8,11 +8,11 @@ let imm = B.imm
 let resident_size = 512  (* 2 kB: fits the 4 kB L1 *)
 let missy_size = 8192  (* 32 kB: overflows L1, lives in L2 *)
 
-(* Initialisers must be pure (they are re-evaluated by the interpreter and
-   the compiler), so materialise the random data once. *)
-let init_of rng n lo hi =
-  let data = Array.init n (fun _ -> Rng.in_range rng lo hi) in
-  fun i -> data.(i)
+(* The [n] next [in_range rng lo hi] draws as an initialiser. The
+   interpreter and every compile evaluate an initialiser again, so it
+   must be a pure function of the index: each value is drawn on demand
+   from the stream position, and no program keeps a copy of its data. *)
+let init_of rng n lo hi = Rng.range_stream rng ~n ~lo ~hi
 
 (* --- DOALL family ---------------------------------------------------------- *)
 

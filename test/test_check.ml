@@ -25,7 +25,7 @@ let image items =
 let program cores =
   Program.make
     ~images:(Array.of_list (List.map image cores))
-    ~mem_size:64 ~mem_init:[]
+    ~mem_size:64 ~mem_init:[||]
 
 let check ?infos ?(tweak = Fun.id) cores =
   let p = program cores in

@@ -158,7 +158,7 @@ let test_asm_parse () =
   let p = Asm.parse asm_src in
   Alcotest.(check int) "two cores" 2 (Program.n_cores p);
   Alcotest.(check int) "memory" 128 p.Program.mem_size;
-  Alcotest.(check bool) "init" true (p.Program.mem_init = [ (5, 7) ]);
+  Alcotest.(check bool) "init" true (p.Program.mem_init = [| 0; 0; 0; 0; 0; 7 |]);
   Alcotest.(check int) "label done" 7
     (Voltron_isa.Image.resolve p.Program.images.(0) "done")
 
@@ -261,12 +261,12 @@ let test_asm_roundtrip_random =
       done;
       Image.emit b [ Inst.Halt ];
       let prog =
-        Program.make ~images:[| Image.finish b |] ~mem_size:64 ~mem_init:[]
+        Program.make ~images:[| Image.finish b |] ~mem_size:64 ~mem_init:[||]
       in
       let t1 = Format.asprintf "%a" Program.pp prog in
       let back = Asm.parse t1 in
       let back =
-        Program.make ~images:back.Program.images ~mem_size:64 ~mem_init:[]
+        Program.make ~images:back.Program.images ~mem_size:64 ~mem_init:[||]
       in
       t1 = Format.asprintf "%a" Program.pp back)
 

@@ -340,7 +340,7 @@ let test_expr_roundtrip =
     (fun seed ->
       let rng = Rng.create seed in
       let e = random_expr rng (Rng.in_range rng 1 4) in
-      let text = Format.asprintf "%a" Ast.pp_expr e in
+      let text = Ast.expr_to_string e in
       let e' = Parser.parse_expr text in
       strip_expr e' = strip_expr e)
 

@@ -23,7 +23,7 @@ let assemble rows =
     rows;
   Image.finish b
 
-let build_machine ?(n_cores = 1) ?(mem_size = 1024) ?(mem_init = [])
+let build_machine ?(n_cores = 1) ?(mem_size = 1024) ?(mem_init = [||])
     ?(fast_forward = true) images =
   let cfg = { (Config.default ~n_cores) with Config.fast_forward } in
   let prog = Program.make ~images ~mem_size ~mem_init in
@@ -90,7 +90,8 @@ let test_load_latency_interlock () =
         (None, [ Inst.Halt ]);
       ]
   in
-  let m = build_machine ~mem_init:[ (100, 41) ] [| image |] in
+  let mem_init = Array.init 101 (fun a -> if a = 100 then 41 else 0) in
+  let m = build_machine ~mem_init [| image |] in
   let _ = run_ok m in
   Alcotest.(check int) "mem[101]" 42
     (Voltron_mem.Memory.read (Machine.memory m) 101);
@@ -306,7 +307,7 @@ let test_deadlock_detected () =
     assemble [ (None, [ Inst.Recv { sender = 0; dst = 1; kind = Inst.Rv_data } ]) ]
   in
   let cfg = { (Config.default ~n_cores:1) with Config.watchdog = 500 } in
-  let prog = Program.make ~images:[| image |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| image |] ~mem_size:64 ~mem_init:[||] in
   let m = Machine.create cfg prog in
   match (Machine.run m).Machine.outcome with
   | Machine.Deadlock d ->
@@ -353,7 +354,7 @@ let test_deadlock_get_no_put () =
       ]
   in
   let cfg = { (Config.default ~n_cores:2) with Config.watchdog = 500 } in
-  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[||] in
   let m = Machine.create cfg prog in
   match (Machine.run m).Machine.outcome with
   | Machine.Deadlock d ->
@@ -384,7 +385,7 @@ let latch_fault c0 c1 =
       @ [ (None, switch Inst.Decoupled); (None, [ Inst.Sleep ]) ])
   in
   let cfg = { (Config.default ~n_cores:2) with Config.watchdog = 500 } in
-  let prog = Program.make ~images:[| master; worker |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| master; worker |] ~mem_size:64 ~mem_init:[||] in
   match (Machine.run (Machine.create cfg prog)).Machine.outcome with
   | Machine.Deadlock d -> d
   | Machine.Finished | Machine.Out_of_cycles | Machine.Fault_limit _
@@ -427,7 +428,7 @@ let test_deadlock_tm_commit () =
   in
   let c1 = assemble [ (None, [ Inst.Sleep ]) ] in
   let cfg = { (Config.default ~n_cores:2) with Config.watchdog = 500 } in
-  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[||] in
   let m = Machine.create cfg prog in
   match (Machine.run m).Machine.outcome with
   | Machine.Deadlock d ->
@@ -461,7 +462,7 @@ let test_trace_events () =
       ]
   in
   let prog =
-    Program.make ~images:[| master; worker |] ~mem_size:1024 ~mem_init:[]
+    Program.make ~images:[| master; worker |] ~mem_size:1024 ~mem_init:[||]
   in
   let m = build_machine ~n_cores:2 ~fast_forward:false [| master; worker |] in
   let tracer = Trace.create () in
@@ -504,7 +505,7 @@ let test_trace_limit () =
   let m = build_machine ~fast_forward:false [| image |] in
   let tracer = Trace.create ~limit:10 () in
   Trace.attach m tracer
-    (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[]);
+    (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[||]);
   let _ = run_ok m in
   Alcotest.(check int) "stored capped" 10 (List.length (Trace.events tracer));
   Alcotest.(check bool) "dropped counted" true (Trace.dropped tracer > 0)
@@ -519,7 +520,7 @@ let test_trace_rejects_fast_forward () =
        "Trace.attach: the machine must be created with fast_forward = false")
     (fun () ->
       Trace.attach m (Trace.create ())
-        (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[]))
+        (Program.make ~images:[| image |] ~mem_size:1024 ~mem_init:[||]))
 
 (* --- More machine corner cases -------------------------------------------------- *)
 
@@ -638,7 +639,7 @@ let test_send_backpressure () =
         ])
   in
   let cfg = { (Config.default ~n_cores:2) with Config.net_capacity = 1 } in
-  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[] in
+  let prog = Program.make ~images:[| c0; c1 |] ~mem_size:64 ~mem_init:[||] in
   let m = Machine.create cfg prog in
   (match (Machine.run m).Machine.outcome with
   | Machine.Finished -> ()

@@ -205,6 +205,19 @@ let test_scc_closure =
       let condensed = idx = comp && Digraph.topo_sort dag <> None in
       partition && classes && sinks_first && order_free && topo && condensed)
 
+(* The indexed stream hands out exactly the draws [in_range] would make,
+   in any order, and leaves the generator where they would. *)
+let test_range_stream_prop =
+  QCheck.Test.make ~name:"range_stream is n sequential in_range draws" ~count:300
+    QCheck.(quad int (int_bound 200) (int_range (-1000) 1000) (int_bound 5000))
+    (fun (seed, n, lo, width) ->
+      let hi = lo + width in
+      let seq = Rng.create seed and idx = Rng.create seed in
+      let draws = List.init n (fun _ -> Rng.in_range seq lo hi) in
+      let f = Rng.range_stream idx ~n ~lo ~hi in
+      let backwards = List.rev (List.init n (fun k -> f (n - 1 - k))) in
+      backwards = draws && Rng.next seq = Rng.next idx)
+
 let () =
   Alcotest.run "util"
     [
@@ -215,6 +228,7 @@ let () =
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "split pure" `Quick test_rng_split_pure;
           Alcotest.test_case "split statistics" `Quick test_rng_split_statistical;
+          QCheck_alcotest.to_alcotest test_range_stream_prop;
         ] );
       ( "vec",
         [
